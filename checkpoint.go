@@ -68,16 +68,19 @@ const (
 var ckptCRC = crc64.MakeTable(crc64.ECMA)
 
 // counterFields fixes the serialization order of the counter set; both
-// directions of the codec share it.
+// directions of the codec share it. Three slots held host-DMA fault counters
+// that no longer exist; the layout keeps them — written as zero, discarded
+// on read — so checkpoint bytes stay the same.
 func counterFields(c *stats.Counters) []*uint64 {
+	var retired [3]uint64
 	return []*uint64{
 		&c.EventsProcessed, &c.EventsGenerated, &c.EventsCoalesced,
 		&c.VertexReads, &c.VertexWrites, &c.EdgeReads,
 		&c.VerticesReset, &c.RequestsIssued, &c.DeletesDiscarded,
 		&c.Rounds, &c.Phases,
 		&c.BytesTransferred, &c.BytesUsed, &c.DRAMAccesses, &c.RowHits, &c.SpillBytes,
-		&c.UpdatesDropped, &c.BatchesRepaired, &c.FaultsInjected,
-		&c.TransfersRetried, &c.TransfersAborted, &c.ColdStartFallbacks,
+		&c.UpdatesDropped, &c.BatchesRepaired,
+		&retired[0], &retired[1], &retired[2], &c.ColdStartFallbacks,
 		&c.Cycles,
 	}
 }
@@ -532,24 +535,25 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptCheckpoint, len(p.b))
 	}
 
-	all := []Option{
-		WithOpt(OptLevel(opt)),
-		WithSlices(int(slices)),
-		WithTiming(timing != 0),
-		WithIngest(IngestPolicy(ingest)),
-		WithWatchdog(WatchdogConfig{Every: int(wdEvery), Epsilon: wdEps, Sample: int(wdSample)}),
+	rec := Config{
+		Opt:             OptLevel(opt).String(),
+		Slices:          int(slices),
+		Timing:          timing != 0,
+		DetailedTiming:  detailed != 0,
+		Ingest:          IngestPolicy(ingest).String(),
+		WatchdogEvery:   int(wdEvery),
+		WatchdogEpsilon: wdEps,
+		WatchdogSample:  int(wdSample),
 	}
 	// Old checkpoints record the configured parallelism even when timing or
-	// slicing kept it inert; passing it back through WithParallelism would now
-	// trip ErrConfigConflict, so only replay it when it could have engaged and
-	// restore the recorded value directly otherwise.
+	// slicing kept it inert; declaring it would now trip ErrConfigConflict, so
+	// only replay it when it could have engaged and restore the recorded value
+	// directly otherwise.
 	replayParallel := timing == 0 && slices <= 1
 	if replayParallel {
-		all = append(all, WithParallelism(int(parallel)))
+		rec.Parallelism = int(parallel)
 	}
-	if detailed != 0 {
-		all = append(all, WithDetailedTiming())
-	}
+	all := rec.Options()
 	if rebuild != 0 {
 		all = append(all, WithGraphRebuild())
 	}

@@ -6,27 +6,24 @@ import (
 	"jetstream/internal/wal"
 )
 
-// Config is the declarative, plain-data twin of the option list New accepts:
-// every wire-expressible option has exactly one field here, every field
-// round-trips through JSON, and Config.Options / ConfigFromOptions are
-// inverses (an exhaustiveness test enforces that a new Option cannot ship
-// without a Config field or an explicit runtime-only exemption). It exists so
-// a System can be declared over the wire — a service create-tenant request
-// carries {graph, algorithm, config} as data, not code.
+// Config is the one settings struct New consumes: every With* option is a
+// setter over one of its fields, and Config.Options hands the whole struct to
+// New at once. It is plain data and round-trips through JSON, so a System can
+// be declared over the wire — a service create-tenant request carries
+// {graph, algorithm, config} as data, not code.
 //
 // Enumerated knobs use their command-line spellings ("dap", "strict",
 // "batch") rather than internal integer constants, so a JSON document reads
 // the way the flags do and an out-of-range integer cannot alias a valid
 // level. The zero Config is valid: it selects the library defaults except
 // that Timing is off — the right default for a functional streaming service;
-// DefaultConfig() reproduces the library's constructor defaults exactly
-// (timing on) for callers who want the simulator behavior.
+// New with no options starts from the same struct with Timing on.
 //
 // Runtime-only options have no Config field by design: WithAccelerator (a
 // struct of hardware parameters, not tenant policy), WithObserver (a live
-// callback), and the WAL filesystem override (fault-injection hook). They
-// remain available to code via New's option list, which Config.Options
-// composes with.
+// callback), the WAL filesystem override (fault-injection hook), and
+// WithGraphRebuild (the O(V+E)-per-batch reference oracle of the differential
+// tests). They remain available to code via New's option list.
 type Config struct {
 	// Opt selects the deletion-recovery optimization: "base", "vap", or
 	// "dap" ("" = "dap", the library default).
@@ -47,9 +44,6 @@ type Config struct {
 	// Ingest is the invalid-update policy: "strict" or "repair"
 	// ("" = "strict").
 	Ingest string `json:"ingest,omitempty"`
-	// RebuildGraph applies every batch by rebuilding the full CSR instead of
-	// the incremental slack-based mutation (see WithGraphRebuild).
-	RebuildGraph bool `json:"rebuild_graph,omitempty"`
 	// InlineDegree tunes the degree-adaptive adjacency layout: 0 default (4),
 	// -1 uniform slab, 1..4 explicit threshold (see WithInlineDegree).
 	InlineDegree int `json:"inline_degree,omitempty"`
@@ -75,20 +69,18 @@ type Config struct {
 	WatchdogSample int `json:"watchdog_sample,omitempty"`
 }
 
-// DefaultConfig returns the library constructor defaults as data — the exact
-// configuration New applies with no options, timing model included.
-func DefaultConfig() Config { return ConfigFromOptions() }
+// Options returns the option that installs c as the whole configuration, so
+// New(g, a, c.Options()...) constructs the declared System. Options that
+// follow it in New's list adjust individual fields on top.
+func (c Config) Options() []Option {
+	return []Option{func(s *settings) { s.Config = c }}
+}
 
-// optLevelName is the wire spelling of an optimization level.
-func optLevelName(o OptLevel) string {
-	switch o {
-	case OptBase:
-		return "base"
-	case OptVAP:
-		return "vap"
-	default:
-		return "dap"
-	}
+// resolved is a checked Config's enumerated fields in their internal form.
+type resolved struct {
+	opt    OptLevel
+	ingest IngestPolicy
+	sync   wal.SyncPolicy
 }
 
 // parseOptLevel resolves the wire spelling ("" selects the default).
@@ -117,154 +109,58 @@ func parseIngest(name string) (IngestPolicy, error) {
 	}
 }
 
-// Options lowers the Config to the option list New accepts, so
-// New(g, a, cfg.Options()...) constructs the declared System. Invalid field
-// values (an unknown enum spelling, WAL knobs without WALDir) are not
-// reported here — options cannot fail — but are recorded and surface from
-// New (and from Validate) wrapped in ErrConfigConflict.
-func (c Config) Options() []Option {
-	opts := []Option{
-		func(op *options) {
-			o, err := parseOptLevel(c.Opt)
-			if err != nil {
-				op.fail(fmt.Errorf("config: %w", err))
-				return
-			}
-			op.opt = o
-		},
-		func(op *options) {
-			p, err := parseIngest(c.Ingest)
-			if err != nil {
-				op.fail(fmt.Errorf("config: %w", err))
-				return
-			}
-			op.ingest = p
-		},
-		WithTiming(c.Timing),
+// resolve is the one place a configuration is checked, shared by New and
+// Validate: it parses the enumerated fields and rejects out-of-range counts,
+// orphaned WAL knobs, and settings that cannot be honored together. Every
+// error wraps ErrConfigConflict.
+func (c Config) resolve() (r resolved, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrConfigConflict, err)
+		}
+	}()
+	if r.opt, err = parseOptLevel(c.Opt); err != nil {
+		return r, err
 	}
-	// Negative counts are inert to the option setters (they read as "use the
-	// default"), but as wire data they are declarations of nonsense — record
-	// them so New rejects instead of silently ignoring.
-	for _, bad := range []struct {
+	if r.ingest, err = parseIngest(c.Ingest); err != nil {
+		return r, err
+	}
+	if r.sync, err = wal.ParseSyncPolicy(c.WALSync); err != nil {
+		return r, err
+	}
+	for _, n := range []struct {
 		field string
 		v     int
 	}{
 		{"slices", c.Slices}, {"parallelism", c.Parallelism},
 		{"window_ttl", c.WindowTTL}, {"wal_sync_interval", c.WALSyncInterval},
 	} {
-		if bad.v < 0 {
-			field, v := bad.field, bad.v
-			opts = append(opts, func(op *options) {
-				op.fail(fmt.Errorf("config: %s %d must be non-negative", field, v))
-			})
+		if n.v < 0 {
+			return r, fmt.Errorf("%s %d must be non-negative", n.field, n.v)
 		}
 	}
-	if c.Slices != 0 {
-		opts = append(opts, WithSlices(c.Slices))
+	if c.InlineDegree < -1 || c.InlineDegree > 4 {
+		return r, fmt.Errorf("inline_degree %d must be -1 (disable), 0 (default), or 1..4", c.InlineDegree)
 	}
-	if c.DetailedTiming {
-		opts = append(opts, WithDetailedTiming())
+	if c.WALDir == "" && (c.WALSync != "" || c.WALSyncInterval != 0) {
+		return r, fmt.Errorf("wal_sync/wal_sync_interval set without wal_dir")
 	}
-	if c.PipelineOverlap {
-		opts = append(opts, WithPipelineOverlap(true))
+	if c.Parallelism > 1 {
+		if c.Timing {
+			return r, fmt.Errorf("parallelism %d requires the timing model off (WithTiming(false))", c.Parallelism)
+		}
+		if c.Slices > 1 {
+			return r, fmt.Errorf("parallelism %d cannot be combined with %d slices", c.Parallelism, c.Slices)
+		}
 	}
-	if c.InlineDegree != 0 {
-		opts = append(opts, WithInlineDegree(c.InlineDegree))
-	}
-	if c.Parallelism != 0 {
-		opts = append(opts, WithParallelism(c.Parallelism))
-	}
-	if c.RebuildGraph {
-		opts = append(opts, WithGraphRebuild())
-	}
-	if c.WindowTTL != 0 {
-		opts = append(opts, WithWindow(c.WindowTTL))
-	}
-	if c.WALDir != "" {
-		dir := c.WALDir
-		sync := c.WALSync
-		interval := c.WALSyncInterval
-		opts = append(opts, func(op *options) {
-			pol, err := wal.ParseSyncPolicy(sync)
-			if err != nil {
-				op.fail(fmt.Errorf("config: %w", err))
-				return
-			}
-			op.walDir = dir
-			op.walOpts.Sync = pol
-			op.walOpts.Interval = interval
-		})
-	} else if c.WALSync != "" || c.WALSyncInterval != 0 {
-		opts = append(opts, func(op *options) {
-			op.fail(fmt.Errorf("config: wal_sync/wal_sync_interval set without wal_dir"))
-		})
-	}
-	if c.WatchdogEvery != 0 || c.WatchdogEpsilon != 0 || c.WatchdogSample != 0 {
-		opts = append(opts, WithWatchdog(WatchdogConfig{
-			Every:   c.WatchdogEvery,
-			Epsilon: c.WatchdogEpsilon,
-			Sample:  c.WatchdogSample,
-		}))
-	}
-	return opts
-}
-
-// ConfigFromOptions raises an option list back to its declarative form: the
-// Config describing exactly the System New would build from opts. The result
-// is canonical — enum fields carry their explicit spellings ("dap",
-// "strict"), never "" — so ConfigFromOptions(cfg.Options()...) is a fixed
-// point and two option lists describing the same System compare equal as
-// Configs. Runtime-only options (WithAccelerator, WithObserver, a WAL FS
-// override) have no data representation and are dropped.
-func ConfigFromOptions(opts ...Option) Config {
-	op := newOptions()
-	for _, o := range opts {
-		o(op)
-	}
-	cfg := Config{
-		Opt:             optLevelName(op.opt),
-		Slices:          op.slices,
-		Timing:          op.timing,
-		DetailedTiming:  op.detailed,
-		PipelineOverlap: op.pipeline,
-		Parallelism:     op.parallel,
-		Ingest:          op.ingest.String(),
-		RebuildGraph:    op.rebuild,
-		InlineDegree:    op.inlineDeg,
-		WindowTTL:       op.window,
-		WatchdogEvery:   op.watchdog.Every,
-		WatchdogEpsilon: op.watchdog.Epsilon,
-		WatchdogSample:  op.watchdog.Sample,
-	}
-	if op.walDir != "" {
-		cfg.WALDir = op.walDir
-		cfg.WALSync = op.walOpts.Sync.String()
-		cfg.WALSyncInterval = op.walOpts.Interval
-	}
-	return cfg
+	return r, nil
 }
 
 // Validate reports whether the Config can construct a System, without
-// building one: it catches bad enum spellings, orphaned WAL knobs, and the
-// option conflicts New itself enforces (parallelism vs timing/slices,
-// negative window TTL). Services use it to turn a bad tenant declaration
-// into a 4xx before any allocation happens. The returned error wraps
-// ErrConfigConflict.
+// building one — exactly the checks New itself runs. Services use it to turn
+// a bad tenant declaration into a 4xx before any allocation happens. The
+// returned error wraps ErrConfigConflict.
 func (c Config) Validate() error {
-	op := newOptions()
-	for _, o := range c.Options() {
-		o(op)
-	}
-	if op.err != nil {
-		return fmt.Errorf("%w: %w", ErrConfigConflict, op.err)
-	}
-	if op.parallel > 1 {
-		if op.timing {
-			return fmt.Errorf("%w: parallelism %d requires the timing model off", ErrConfigConflict, op.parallel)
-		}
-		if op.slices > 1 {
-			return fmt.Errorf("%w: parallelism %d cannot be combined with %d slices", ErrConfigConflict, op.parallel, op.slices)
-		}
-	}
-	return nil
+	_, err := c.resolve()
+	return err
 }

@@ -5,43 +5,20 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"unsafe"
 )
 
-// applyOptions runs opts over a fresh default options struct.
-func applyOptions(opts []Option) *options {
-	op := newOptions()
+// configOf is the Config New would consume for opts (library defaults,
+// timing on, with opts applied).
+func configOf(opts ...Option) Config {
+	set := settings{Config: Config{Timing: true}}
 	for _, o := range opts {
-		o(op)
+		o(&set)
 	}
-	return op
+	return set.Config
 }
 
-// fieldIface reads a (possibly unexported) struct field as an interface
-// value, so the test can diff internal options fields without hand-listing
-// them — the hand-list is exactly what exhaustiveness must not depend on.
-func fieldIface(v reflect.Value) any {
-	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Interface()
-}
-
-// changedOptionFields reports which options-struct fields differ from the
-// construction defaults after applying opts.
-func changedOptionFields(opts []Option) map[string]bool {
-	def := reflect.ValueOf(newOptions()).Elem()
-	got := reflect.ValueOf(applyOptions(opts)).Elem()
-	changed := map[string]bool{}
-	for i := 0; i < def.NumField(); i++ {
-		if !reflect.DeepEqual(fieldIface(def.Field(i)), fieldIface(got.Field(i))) {
-			changed[def.Type().Field(i).Name] = true
-		}
-	}
-	return changed
-}
-
-// configOptionCases pairs every exported wire-expressible option with a use
-// that changes its options field away from the default. The exhaustiveness
-// test below fails if the internal options struct grows a field no case
-// (and therefore no Config mapping) covers.
+// configOptionCases uses every exported data-expressible option at least
+// once, each moving its Config field off the default.
 var configOptionCases = []struct {
 	name string
 	opts []Option
@@ -55,7 +32,6 @@ var configOptionCases = []struct {
 	{"pipeline-overlap", []Option{WithPipelineOverlap(true)}},
 	{"parallelism", []Option{WithTiming(false), WithParallelism(4)}},
 	{"ingest-repair", []Option{WithIngest(Repair)}},
-	{"rebuild", []Option{WithGraphRebuild()}},
 	{"inline-degree", []Option{WithInlineDegree(2)}},
 	{"inline-degree-off", []Option{WithInlineDegree(-1)}},
 	{"window", []Option{WithWindow(7)}},
@@ -64,48 +40,25 @@ var configOptionCases = []struct {
 	{"watchdog", []Option{WithWatchdog(WatchdogConfig{Every: 5, Epsilon: 1e-6, Sample: 100})}},
 	{"kitchen-sink", []Option{
 		WithOpt(OptVAP), WithSlices(2), WithTiming(false), WithIngest(Repair),
-		WithGraphRebuild(), WithWindow(3),
+		WithWindow(3),
 		WithWALOptions("walsubdir", WALOptions{Sync: WALSyncNone, Interval: 9}),
 		WithWatchdog(WatchdogConfig{Every: 2, Epsilon: 0.5, Sample: 10}),
 	}},
 }
 
-// runtimeOnlyOptionFields are internal options fields deliberately absent
-// from Config: live callbacks, hardware structs, fault-injection hooks, and
-// the deferred-error slot itself. Adding a field here requires a doc-comment
-// justification on Config; anything else must get a Config field and a case
-// above or this test fails.
-var runtimeOnlyOptionFields = map[string]bool{
-	"accel":    true, // WithAccelerator: hardware model, not tenant policy
-	"observer": true, // WithObserver: a live callback, not data
-	"err":      true, // deferred construction failure, not configuration
-}
-
-// TestConfigRoundTrip checks, for every case, that lowering to options and
-// re-raising to Config is lossless in both directions, that the canonical
-// Config is a fixed point, and that JSON round-trips it bit for bit.
+// TestConfigRoundTrip checks, for every case, that the Config an option list
+// writes is valid, survives JSON bit for bit, and — handed back through
+// Config.Options — is what New consumes.
 func TestConfigRoundTrip(t *testing.T) {
 	for _, tc := range configOptionCases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := applyOptions(tc.opts)
-			cfg := ConfigFromOptions(tc.opts...)
-
-			// Options-level equivalence: the Config's option list rebuilds the
-			// exact internal options the original list built.
-			again := applyOptions(cfg.Options())
-			if !reflect.DeepEqual(base, again) {
-				t.Fatalf("options differ after Config round trip:\n  direct: %+v\n  via Config %+v: %+v", base, cfg, again)
+			cfg := configOf(tc.opts...)
+			if tc.opts != nil && cfg == configOf() {
+				t.Fatalf("options left the Config at its defaults: %+v", cfg)
 			}
-			if again.err != nil {
-				t.Fatalf("canonical Config produced an option error: %v", again.err)
+			if got := configOf(cfg.Options()...); got != cfg {
+				t.Fatalf("configOf(cfg.Options()) = %+v, want %+v", got, cfg)
 			}
-
-			// Canonical fixed point.
-			if got := ConfigFromOptions(cfg.Options()...); got != cfg {
-				t.Fatalf("ConfigFromOptions(cfg.Options()) = %+v, want %+v", got, cfg)
-			}
-
-			// JSON round trip.
 			blob, err := json.Marshal(cfg)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
@@ -117,7 +70,6 @@ func TestConfigRoundTrip(t *testing.T) {
 			if back != cfg {
 				t.Fatalf("JSON round trip: got %+v, want %+v (json %s)", back, cfg, blob)
 			}
-
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("Validate(%+v) = %v, want nil", cfg, err)
 			}
@@ -125,74 +77,34 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigCoversEveryOption is the exhaustiveness gate: the union of
-// options-struct fields exercised by configOptionCases must be every field
-// except the documented runtime-only set. A new Option lands a new options
-// field; without a Config mapping and a case here, this test names it.
-func TestConfigCoversEveryOption(t *testing.T) {
-	covered := map[string]bool{}
-	for _, tc := range configOptionCases {
-		for f := range changedOptionFields(tc.opts) {
-			covered[f] = true
-		}
-	}
-	typ := reflect.TypeOf(options{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if runtimeOnlyOptionFields[name] {
-			if covered[name] {
-				t.Errorf("options field %q is marked runtime-only but a config case changes it", name)
-			}
-			continue
-		}
-		if !covered[name] {
-			t.Errorf("options field %q has no Config mapping exercised by configOptionCases; add a Config field and a case (or document it in runtimeOnlyOptionFields)", name)
-		}
-	}
-
-	// The reverse direction: every Config field must be moved off its zero
-	// value by at least one case, so a dead Config field cannot linger.
-	zero := Config{}
-	moved := map[string]bool{}
-	for _, tc := range configOptionCases {
-		cfg := ConfigFromOptions(tc.opts...)
-		cv, zv := reflect.ValueOf(cfg), reflect.ValueOf(zero)
-		for i := 0; i < cv.NumField(); i++ {
-			if !reflect.DeepEqual(cv.Field(i).Interface(), zv.Field(i).Interface()) {
-				moved[cv.Type().Field(i).Name] = true
-			}
-		}
-	}
-	ct := reflect.TypeOf(zero)
-	for i := 0; i < ct.NumField(); i++ {
-		if name := ct.Field(i).Name; !moved[name] {
-			t.Errorf("Config field %q is never produced by any case; add one to configOptionCases", name)
-		}
-	}
-}
-
-// TestConfigDefaults pins the two default shapes: DefaultConfig is the
-// library constructor default (timing on), and the zero Config is the
-// serving default (timing off), both valid and canonical.
+// TestConfigDefaults pins the two default shapes: New with no options is the
+// library default (timing on), and the zero Config is the serving default
+// (timing off); both are valid and otherwise identical.
 func TestConfigDefaults(t *testing.T) {
-	def := DefaultConfig()
-	want := Config{Opt: "dap", Timing: true, Ingest: "strict"}
-	if def != want {
-		t.Fatalf("DefaultConfig() = %+v, want %+v", def, want)
-	}
 	var zero Config
 	if err := zero.Validate(); err != nil {
 		t.Fatalf("zero Config must validate: %v", err)
 	}
-	canon := ConfigFromOptions(zero.Options()...)
-	if canon.Timing {
-		t.Fatalf("zero Config must leave timing off, got %+v", canon)
+	g := RMAT(RMATConfig{Vertices: 16, Edges: 32, Seed: 1})
+	lib, err := New(g, SSSP(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(g, SSSP(0), zero.Options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lib.cfg.Engine.Timing || srv.cfg.Engine.Timing {
+		t.Fatalf("timing: New() = %v (want on), zero Config = %v (want off)", lib.cfg.Engine.Timing, srv.cfg.Engine.Timing)
+	}
+	srv.cfg.Engine.Timing = true
+	if !reflect.DeepEqual(lib.cfg, srv.cfg) {
+		t.Fatalf("zero Config differs from New() beyond timing:\n%+v\n%+v", srv.cfg, lib.cfg)
 	}
 }
 
-// TestConfigInvalid checks that bad wire values are rejected — by Validate
-// directly and by New via the deferred option error — always wrapping
-// ErrConfigConflict.
+// TestConfigInvalid checks that bad values are rejected by Validate and by
+// New alike, always wrapping ErrConfigConflict.
 func TestConfigInvalid(t *testing.T) {
 	cases := []struct {
 		name string
@@ -220,8 +132,8 @@ func TestConfigInvalid(t *testing.T) {
 			if !errors.Is(err, ErrConfigConflict) {
 				t.Fatalf("Validate error %v does not wrap ErrConfigConflict", err)
 			}
-			if _, nerr := New(g, SSSP(0), tc.cfg.Options()...); nerr == nil {
-				t.Fatalf("New with invalid config %+v succeeded", tc.cfg)
+			if _, nerr := New(g, SSSP(0), tc.cfg.Options()...); !errors.Is(nerr, ErrConfigConflict) {
+				t.Fatalf("New with invalid config %+v: error %v does not wrap ErrConfigConflict", tc.cfg, nerr)
 			}
 		})
 	}

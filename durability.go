@@ -64,7 +64,7 @@ var ErrCorruptWAL = wal.ErrCorrupt
 // withWALOff clears any WAL request so Restore's internal New does not try
 // to open the log RecoverFromDir manages itself.
 func withWALOff() Option {
-	return func(op *options) { op.walDir = ""; op.walOpts = wal.Options{} }
+	return func(s *settings) { s.WALDir, s.WALSync, s.WALSyncInterval, s.walFS = "", "", 0, nil }
 }
 
 // walFS resolves the effective filesystem for the System's WAL directory.
@@ -181,14 +181,18 @@ func (s *System) WALSize() int64 {
 // configuration, exactly as in Restore; WAL sync options for the resumed log
 // may be passed via WithWALOptions(dir, ...).
 func RecoverFromDir(dir string, opts ...Option) (*System, error) {
-	scratch := &options{}
+	var scratch settings
 	for _, o := range opts {
-		o(scratch)
+		o(&scratch)
 	}
-	if scratch.walDir != "" && scratch.walDir != dir {
-		return nil, fmt.Errorf("jetstream: recover %s: WithWAL(%s) disagrees with the recovery directory", dir, scratch.walDir)
+	if scratch.WALDir != "" && scratch.WALDir != dir {
+		return nil, fmt.Errorf("jetstream: recover %s: WithWAL(%s) disagrees with the recovery directory", dir, scratch.WALDir)
 	}
-	walOpts := scratch.walOpts
+	sync, err := wal.ParseSyncPolicy(scratch.WALSync)
+	if err != nil {
+		return nil, fmt.Errorf("jetstream: recover %s: %w: %w", dir, ErrConfigConflict, err)
+	}
+	walOpts := scratch.walOptions(sync)
 	fs := walOpts.FS
 	if fs == nil {
 		fs = wal.OSFS{}

@@ -102,4 +102,31 @@ func TestWatchdogThroughPublicAPI(t *testing.T) {
 	if sys.TotalStats().ColdStartFallbacks != 0 {
 		t.Errorf("healthy stream counted %d fallbacks", sys.TotalStats().ColdStartFallbacks)
 	}
+
+	// Sabotage the live state the way silent memory corruption would: the
+	// distances shrink, and a monotone min-kernel can never raise a too-small
+	// state, so no incremental recovery repairs it. The next check (batch 4)
+	// must see the divergence and fall back to a cold-start recompute.
+	state := sys.StateRef()
+	for i := range state {
+		if state[i] > 0 && !math.IsInf(state[i], 0) {
+			state[i] *= 0.25
+		}
+	}
+	if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
+		t.Fatal(err)
+	}
+	r4, err := sys.ApplyBatch(gen.Next(sys.Graph()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r4.Checked || !r4.FellBack {
+		t.Fatalf("sabotaged state: checked %v, divergence %v, fellBack %v", r4.Checked, r4.Divergence, r4.FellBack)
+	}
+	if got := sys.TotalStats().ColdStartFallbacks; got != 1 {
+		t.Errorf("ColdStartFallbacks = %d, want 1", got)
+	}
+	if d := sys.Verify(); d != 0 {
+		t.Errorf("state still wrong after fallback: %v", d)
+	}
 }

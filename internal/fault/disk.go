@@ -1,3 +1,15 @@
+// Package fault provides a deterministic disk-fault injector for the
+// durability suites. Disk models the storage failure modes the durability
+// layer must survive: the process dying mid-write at an arbitrary byte offset
+// (kill-after-N-bytes, which subsumes the short write a crash tears), silent
+// bit rot on the write path, and the disk filling up. Every fault fires at an
+// exact cumulative byte offset chosen by the test, no probabilities, so a
+// crashpoint sweep can step a kill point through every interesting offset of
+// a write-ahead log and assert the recovery outcome at each one.
+//
+// Disk implements wal.FS over a real directory: bytes that "survive" the
+// fault land in real files, so a test recovers with the ordinary OS
+// filesystem afterwards, exactly like a process restart after a crash.
 package fault
 
 import (
@@ -9,20 +21,6 @@ import (
 
 	"jetstream/internal/wal"
 )
-
-// Disk faults. Complementing the DMA-link and feed injectors, Disk models
-// the storage failure modes the durability layer must survive: the process
-// dying mid-write at an arbitrary byte offset (kill-after-N-bytes, which
-// subsumes the short write a crash tears), silent bit rot on the write path,
-// and the disk filling up. The injector is fully deterministic — every fault
-// fires at an exact cumulative byte offset chosen by the test, no
-// probabilities — so a crashpoint sweep can step a kill point through every
-// interesting offset of a write-ahead log and assert the recovery outcome at
-// each one.
-//
-// Disk implements wal.FS over a real directory: bytes that "survive" the
-// fault land in real files, so a test recovers with the ordinary OS
-// filesystem afterwards, exactly like a process restart after a crash.
 
 // ErrDiskKilled is returned by every operation after the kill offset is
 // reached: the modeled process is dead, nothing more reaches the disk.

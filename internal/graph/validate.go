@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// IngestPolicy selects how the public streaming boundaries (System.ApplyBatch,
-// host.Session.Stream) treat a batch that fails validation. The streaming
+// IngestPolicy selects how the public streaming boundary (System.ApplyBatch)
+// treats a batch that fails validation. The streaming
 // model treats the update feed as untrusted and unending: a poisoned batch
 // must degrade gracefully, never crash the standing query mid-stream.
 type IngestPolicy int

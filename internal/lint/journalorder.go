@@ -7,9 +7,9 @@ import (
 
 // Journalorder machine-checks the PR 6 durability invariant on the commit
 // paths: the write-ahead append must come first, and what was journaled must
-// actually be applied. Concretely, in any function of the root package,
-// internal/host, or internal/service that both appends to a WAL and mutates
-// durable state (System.applyBatch, host.Session.Stream and friends):
+// actually be applied. Concretely, in any function of the root package or
+// internal/service that both appends to a WAL and mutates durable state
+// (System.applyBatch and friends):
 //
 //  1. no state mutation may precede a WAL append on any path — replay after
 //     a crash between the two would double-apply the batch;
@@ -21,10 +21,10 @@ import (
 // Recognized WAL appends: a method named Append called through a field or
 // variable named "wal" (s.wal.Append(seq, b)), and the root System's
 // journal() helper. Recognized mutators, by method name rooted anywhere but
-// the wal chain: ApplyBatch, RunInitial, AppendLazy, Record, Expire,
-// expireInto, windowCommit. Functions without an append (the recovery
-// replay paths, which mutate with journaling intentionally off) are out of
-// scope — the invariant constrains journaled commits, not replays.
+// the wal chain: ApplyBatch, RunInitial, Record, Expire, expireInto.
+// Functions without an append (the recovery replay paths, which mutate with
+// journaling intentionally off) are out of scope — the invariant constrains
+// journaled commits, not replays.
 var Journalorder = &Analyzer{
 	Name: "journalorder",
 	Doc:  "WAL append must precede state mutation, and journaled batches must be applied on success paths",
@@ -32,8 +32,8 @@ var Journalorder = &Analyzer{
 }
 
 var journalMutators = map[string]bool{
-	"ApplyBatch": true, "RunInitial": true, "AppendLazy": true,
-	"Record": true, "Expire": true, "expireInto": true, "windowCommit": true,
+	"ApplyBatch": true, "RunInitial": true,
+	"Record": true, "Expire": true, "expireInto": true,
 }
 
 // classifyJournalCall sorts a call into append / mutator / neither.

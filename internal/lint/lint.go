@@ -9,9 +9,9 @@
 //     queue, event) must not consult wall-clock time or unseeded global
 //     randomness; golden-trace replay and checkpoint difftests depend on
 //     bit-identical re-execution.
-//   - panicfree: exported functions of the public boundary (the root package
-//     and internal/host) must not call panic, log.Fatal*, or os.Exit
-//     directly; caller-supplied input is rejected with errors.
+//   - panicfree: exported functions of the public boundary (the root
+//     package) must not call panic, log.Fatal*, or os.Exit directly;
+//     caller-supplied input is rejected with errors.
 //   - errwrap: fmt.Errorf with an error argument must use %w, and exported
 //     root-package functions must not return bare errors minted by other
 //     packages, so callers can errors.Is/As across the public boundary.

@@ -29,7 +29,7 @@ var fixtureCases = []struct {
 	{"syncerr", "jetstream/internal/wal", Syncerr},
 	{"lockdiscipline", "jetstream/internal/service", Lockdiscipline},
 	{"hotpathalloc", "jetstream/internal/queue", Hotpathalloc},
-	{"journalorder", "jetstream/internal/host", Journalorder},
+	{"journalorder", "jetstream/internal/service", Journalorder},
 }
 
 func TestAnalyzers(t *testing.T) {

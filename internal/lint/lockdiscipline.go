@@ -33,7 +33,7 @@ import (
 //	//jetlint:allow lockdiscipline -- reason
 //
 // Scope: the packages that own locks with cross-request lifetime — the
-// module root, internal/service, and internal/host.
+// module root and internal/service.
 var Lockdiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "every lock acquired must be released on all paths; no double-lock; no return while holding",
@@ -44,7 +44,6 @@ func lockScopedPkgs(m *Module) map[string]bool {
 	return map[string]bool{
 		m.Path:                       true,
 		m.Path + "/internal/service": true,
-		m.Path + "/internal/host":    true,
 	}
 }
 

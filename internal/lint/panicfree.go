@@ -6,10 +6,10 @@ import (
 )
 
 // Panicfree forbids panic, log.Fatal*, and os.Exit in the bodies of exported
-// functions and methods of the public boundary: the module root package and
-// internal/host. The public API's contract (established in PR 1) is that
-// caller-supplied input is rejected with errors, never a crash; a panic in
-// an exported entry point takes the whole embedding process down.
+// functions and methods of the public boundary, the module root package. The
+// public API's contract (established in PR 1) is that caller-supplied input
+// is rejected with errors, never a crash; a panic in an exported entry point
+// takes the whole embedding process down.
 //
 // Scope is deliberately non-transitive: only calls appearing directly in the
 // exported function's body (including function literals defined there) are
@@ -25,12 +25,8 @@ var Panicfree = &Analyzer{
 }
 
 func runPanicfree(pass *Pass) {
-	targets := map[string]bool{
-		pass.Mod.Path:                    true,
-		pass.Mod.Path + "/internal/host": true,
-	}
 	for _, pkg := range pass.Mod.Pkgs {
-		if !targets[pkg.Path] {
+		if pkg.Path != pass.Mod.Path {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -1,8 +1,8 @@
 // Fixture for the journalorder analyzer: the PR 6 ordering invariant on
-// commit paths. Mirrors the host.Session shape — a wal field with Append, an
-// engine with ApplyBatch, a lazy store — with every ordering violation and
-// the replay/conditional-journal regressions.
-package host
+// commit paths. Mirrors the System.applyBatch shape — a wal field with
+// Append, an engine with ApplyBatch, a window ring with Record — with every
+// ordering violation and the replay/conditional-journal regressions.
+package service
 
 import "errors"
 
@@ -19,14 +19,14 @@ type engine struct{ applied int }
 
 func (e *engine) ApplyBatch(b batch) { e.applied++ }
 
-type store struct{ lazy int }
+type ring struct{ recorded int }
 
-func (s *store) AppendLazy(b batch) { s.lazy++ }
+func (r *ring) Record(b batch) { r.recorded++ }
 
 type session struct {
 	wal     *log
 	js      *engine
-	store   *store
+	win     *ring
 	batches uint64
 }
 
@@ -47,7 +47,7 @@ func mutationAfterFailedAppend(s *session, b batch) error {
 		s.js.ApplyBatch(b) // want "state mutation after a failed WAL append"
 		return err
 	}
-	s.store.AppendLazy(b)
+	s.win.Record(b)
 	return nil
 }
 
@@ -62,8 +62,8 @@ func journaledButNotApplied(s *session, b batch, skip bool) error {
 	return nil
 }
 
-func lazyStoreCountsAsMutation(s *session, b batch) error {
-	s.store.AppendLazy(b)
+func windowRecordCountsAsMutation(s *session, b batch) error {
+	s.win.Record(b)
 	if err := s.wal.Append(s.batches+1, b); err != nil { // want "WAL append after state mutation"
 		return err
 	}
@@ -73,13 +73,13 @@ func lazyStoreCountsAsMutation(s *session, b batch) error {
 
 // ---- regressions ----
 
-// The canonical Stream ordering: append, bail on failure, then apply and
+// The canonical commit ordering: append, bail on failure, then apply and
 // commit. Clean.
 func cleanCommitPath(s *session, b batch) error {
 	if err := s.wal.Append(s.batches+1, b); err != nil {
 		return err
 	}
-	s.store.AppendLazy(b)
+	s.win.Record(b)
 	s.js.ApplyBatch(b)
 	s.batches++
 	return nil

@@ -32,14 +32,11 @@ const (
 	// KindFallback reports a cold-start fallback recomputation. A carries
 	// the cumulative fallback count.
 	KindFallback
-	// KindRetry reports a host DMA transfer retry. A carries the batch
-	// index, B the attempt number.
-	KindRetry
 )
 
 var kindNames = [...]string{
 	"batch-start", "batch-end", "phase-start", "phase-end",
-	"worker-drain", "worker-mail", "watchdog", "fallback", "retry",
+	"worker-drain", "worker-mail", "watchdog", "fallback",
 }
 
 func (k Kind) String() string {

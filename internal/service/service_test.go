@@ -450,6 +450,7 @@ func TestCreateErrors(t *testing.T) {
 		{"unknown-generator", `{"name":"t","graph":{"gen":"torus","vertices":8},"algorithm":{"name":"sssp"}}`, 400},
 		{"bad-config", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"opt":"turbo"}}`, 400},
 		{"wal-without-datadir", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"wal_dir":"wal"}}`, 400},
+		{"rebuild-graph-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"rebuild_graph":true}}`, 400},
 		{"unknown-body-field", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"surprise":1}`, 400},
 		{"too-many-vertices", `{"name":"t","graph":{"gen":"er","vertices":99999999,"edges":8},"algorithm":{"name":"sssp"}}`, 400},
 	}

@@ -34,12 +34,9 @@ type Counters struct {
 	RowHits          uint64 // DRAM row-buffer hits
 	SpillBytes       uint64 // cross-slice / overflow events written off-chip
 
-	// Resilience (ingest validation, fault injection, recovery).
+	// Resilience (ingest validation, recovery).
 	UpdatesDropped     uint64 // invalid updates dropped by the Repair ingest policy
 	BatchesRepaired    uint64 // batches with at least one update dropped
-	FaultsInjected     uint64 // corruptions introduced by the fault injector
-	TransfersRetried   uint64 // DMA transfer attempts retried after a fault
-	TransfersAborted   uint64 // DMA transfers abandoned after exhausting retries
 	ColdStartFallbacks uint64 // watchdog/restore cold-start recomputations
 
 	// Timing results.
@@ -66,9 +63,6 @@ func (c *Counters) Add(o *Counters) {
 	c.SpillBytes += o.SpillBytes
 	c.UpdatesDropped += o.UpdatesDropped
 	c.BatchesRepaired += o.BatchesRepaired
-	c.FaultsInjected += o.FaultsInjected
-	c.TransfersRetried += o.TransfersRetried
-	c.TransfersAborted += o.TransfersAborted
 	c.ColdStartFallbacks += o.ColdStartFallbacks
 	c.Cycles += o.Cycles
 }
@@ -94,9 +88,6 @@ func (c *Counters) Sub(o *Counters) {
 	c.SpillBytes -= o.SpillBytes
 	c.UpdatesDropped -= o.UpdatesDropped
 	c.BatchesRepaired -= o.BatchesRepaired
-	c.FaultsInjected -= o.FaultsInjected
-	c.TransfersRetried -= o.TransfersRetried
-	c.TransfersAborted -= o.TransfersAborted
 	c.ColdStartFallbacks -= o.ColdStartFallbacks
 	c.Cycles -= o.Cycles
 }
@@ -161,9 +152,6 @@ func (c *Counters) Table() string {
 		{"spill bytes", c.SpillBytes},
 		{"updates dropped", c.UpdatesDropped},
 		{"batches repaired", c.BatchesRepaired},
-		{"faults injected", c.FaultsInjected},
-		{"transfers retried", c.TransfersRetried},
-		{"transfers aborted", c.TransfersAborted},
 		{"cold-start fallbacks", c.ColdStartFallbacks},
 		{"cycles", c.Cycles},
 	}

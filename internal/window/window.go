@@ -187,39 +187,6 @@ func (r *Ring) Expire(epoch uint64, skip func(Key) bool) []Key {
 	return out
 }
 
-// Peek returns exactly the keys Expire(epoch, skip) would return, without
-// mutating the ring. Hosts that can abort a batch after computing its expiry
-// set (a faulted DMA transfer, a journaling failure) size and stage the merged
-// batch from Peek and call Expire only past the commit point.
-func (r *Ring) Peek(epoch uint64, skip func(Key) bool) []Key {
-	limit := int64(epoch) - int64(r.ttl)
-	if limit <= r.done {
-		return nil
-	}
-	n := 0
-	for e := r.done + 1; e <= limit; e++ {
-		n += len(r.buckets[uint64(e)%uint64(len(r.buckets))])
-	}
-	out := make([]Key, 0, n)
-	for e := r.done + 1; e <= limit; e++ {
-		slot := uint64(e) % uint64(len(r.buckets))
-		for _, k := range r.buckets[slot] {
-			if a, ok := r.age[k]; !ok || a != uint64(e) {
-				continue
-			}
-			if skip != nil && skip(k) {
-				continue
-			}
-			out = append(out, k)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	slices.SortFunc(out, cmpKey)
-	return out
-}
-
 // Entries returns the live tracked edges in ascending (src,dst) order — the
 // canonical serialization a checkpoint records.
 func (r *Ring) Entries() []Entry {

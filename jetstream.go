@@ -189,62 +189,40 @@ func NewAlgorithm(spec AlgorithmSpec) (Algorithm, error) {
 	return a, nil
 }
 
-// Option configures a System. Options compose in any order.
-type Option func(*options)
+// Option configures a System. The With* options each set their own fields
+// and compose in any order; Config.Options replaces the whole configuration,
+// so it goes first.
+type Option func(*settings)
 
-type options struct {
-	opt       OptLevel
-	slices    int
-	timing    bool
-	detailed  bool
-	pipeline  bool
-	parallel  int
-	accel     *engine.Config
-	ingest    IngestPolicy
-	watchdog  WatchdogConfig
-	observer  Observer
-	rebuild   bool
-	inlineDeg int
-	walDir    string
-	walOpts   wal.Options
-	window    int
-
-	// err carries a deferred construction failure: options built from wire
-	// data (Config.Options) cannot return an error themselves, so they record
-	// it here and New rejects the whole construction under ErrConfigConflict.
-	err error
-}
-
-// newOptions returns the library defaults New starts from; Config and its
-// round-trip tests rely on this being the single source of default truth.
-func newOptions() *options { return &options{opt: OptDAP, timing: true} }
-
-// fail records a deferred option error (first error wins).
-func (op *options) fail(err error) {
-	if op.err == nil {
-		op.err = err
-	}
+// settings is what an Option writes and New reads: the Config, plus the
+// values that exist only in code and have no data form.
+type settings struct {
+	Config
+	accel    *engine.Config // WithAccelerator
+	observer Observer       // WithObserver
+	walFS    wal.FS         // WithWALOptions filesystem override
+	rebuild  bool           // WithGraphRebuild
 }
 
 // WithOpt selects the deletion-recovery optimization (default OptDAP).
 func WithOpt(o OptLevel) Option {
-	return func(op *options) { op.opt = o }
+	return func(s *settings) { s.Opt = o.String() }
 }
 
 // WithSlices partitions the graph into k slices (for graphs exceeding the
 // on-chip queue capacity).
-func WithSlices(k int) Option { return func(op *options) { op.slices = k } }
+func WithSlices(k int) Option { return func(s *settings) { s.Slices = k } }
 
 // WithTiming toggles the cycle-accurate timing model (default on). With it
 // off the system is a fast functional streaming-graph engine.
-func WithTiming(on bool) Option { return func(op *options) { op.timing = on } }
+func WithTiming(on bool) Option { return func(s *settings) { s.Timing = on } }
 
 // WithDetailedTiming selects the per-event pipeline timing model (contended
 // apply units, generation streams, crossbar ports and coalescer pipelines)
 // instead of the default batch-level throughput model. Slower to simulate;
 // resolves port-contention hot spots.
 func WithDetailedTiming() Option {
-	return func(op *options) { op.detailed = true }
+	return func(s *settings) { s.DetailedTiming = true }
 }
 
 // WithPipelineOverlap overlaps the functional compute with the cycle
@@ -255,7 +233,7 @@ func WithDetailedTiming() Option {
 // and it is a documented no-op when timing is off (including with
 // WithTiming(false) or parallel functional execution).
 func WithPipelineOverlap(on bool) Option {
-	return func(op *options) { op.pipeline = on }
+	return func(s *settings) { s.PipelineOverlap = on }
 }
 
 // WithInlineDegree tunes the degree-adaptive adjacency layout of the
@@ -267,13 +245,7 @@ func WithPipelineOverlap(on bool) Option {
 // logical graph and query results are identical at every setting. Ignored
 // under WithGraphRebuild.
 func WithInlineDegree(n int) Option {
-	return func(op *options) {
-		if n < -1 || n > 4 {
-			op.fail(fmt.Errorf("WithInlineDegree(%d): threshold must be -1 (disable), 0 (default), or 1..4", n))
-			return
-		}
-		op.inlineDeg = n
-	}
+	return func(s *settings) { s.InlineDegree = n }
 }
 
 // WithParallelism shards the functional compute phases across p worker
@@ -290,20 +262,20 @@ func WithInlineDegree(n int) Option {
 // WithTiming(false)) or WithSlices(k > 1) makes New fail with
 // ErrConfigConflict; earlier versions silently fell back to sequential.
 func WithParallelism(p int) Option {
-	return func(op *options) { op.parallel = p }
+	return func(s *settings) { s.Parallelism = p }
 }
 
 // WithAccelerator overrides the hardware configuration (the event mode and
 // vertex footprint still follow the optimization level).
 func WithAccelerator(cfg AcceleratorConfig) Option {
-	return func(op *options) { op.accel = &cfg }
+	return func(s *settings) { s.accel = &cfg }
 }
 
 // WithIngest selects the policy for batches containing invalid updates
 // (out-of-range endpoints, NaN/Inf/non-positive weights, duplicate pairs,
 // deletes of absent edges, inserts of present edges). The default is Strict.
 func WithIngest(p IngestPolicy) Option {
-	return func(op *options) { op.ingest = p }
+	return func(s *settings) { s.Ingest = p.String() }
 }
 
 // WithGraphRebuild applies every batch by rebuilding the full CSR (the
@@ -311,9 +283,12 @@ func WithIngest(p IngestPolicy) Option {
 // the default incremental slack-based mutation that touches only the
 // adjacencies a batch changes. Query results are identical either way; the
 // switch exists to measure the host-side cost difference and as the
-// reference side of differential tests.
+// reference side of differential tests. It costs O(V+E) per batch, so it is
+// code-only: Config has no field for it and a wire declaration cannot ask
+// for it. A checkpoint still records it, so a restored System stays on the
+// path it was built with.
 func WithGraphRebuild() Option {
-	return func(op *options) { op.rebuild = true }
+	return func(s *settings) { s.rebuild = true }
 }
 
 // WithWAL attaches a durable write-ahead delta log in dir with the default
@@ -323,12 +298,14 @@ func WithGraphRebuild() Option {
 // exactly the durable prefix of the stream. The directory must not already
 // hold a snapshot — resuming an existing WAL directory goes through
 // RecoverFromDir instead.
-func WithWAL(dir string) Option { return func(op *options) { op.walDir = dir } }
+func WithWAL(dir string) Option { return func(s *settings) { s.WALDir = dir } }
 
 // WithWALOptions is WithWAL with an explicit sync policy, sync interval, or
 // filesystem override (see WALOptions).
 func WithWALOptions(dir string, o WALOptions) Option {
-	return func(op *options) { op.walDir = dir; op.walOpts = o }
+	return func(s *settings) {
+		s.WALDir, s.WALSync, s.WALSyncInterval, s.walFS = dir, o.Sync.String(), o.Interval, o.FS
+	}
 }
 
 // WithWindow bounds every edge's lifetime to ttlBatches batches — the
@@ -345,7 +322,7 @@ func WithWALOptions(dir string, o WALOptions) Option {
 // jetstream_window_expired_edges_total counter. ttlBatches must be at least
 // 1; the window survives Checkpoint/Restore (format v5) and WAL recovery.
 func WithWindow(ttlBatches int) Option {
-	return func(op *options) { op.window = ttlBatches }
+	return func(s *settings) { s.WindowTTL = ttlBatches }
 }
 
 // WithWatchdog enables the divergence watchdog: every cfg.Every batches the
@@ -354,7 +331,9 @@ func WithWindow(ttlBatches int) Option {
 // an automatic cold-start recompute — the paper's GraphPulse baseline as the
 // recovery of last resort. Disabled by default.
 func WithWatchdog(cfg WatchdogConfig) Option {
-	return func(op *options) { op.watchdog = cfg }
+	return func(s *settings) {
+		s.WatchdogEvery, s.WatchdogEpsilon, s.WatchdogSample = cfg.Every, cfg.Epsilon, cfg.Sample
+	}
 }
 
 // Result summarizes one operation (initial run or one batch).
@@ -462,35 +441,28 @@ func New(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 	if algo.NeedsSymmetric(a) && !g.Symmetric() {
 		return nil, fmt.Errorf("jetstream: %s requires a symmetric graph; use Symmetrize", a.Name())
 	}
-	op := newOptions()
+	set := settings{Config: Config{Timing: true}}
 	for _, o := range opts {
-		o(op)
+		o(&set)
 	}
-	if op.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrConfigConflict, op.err)
+	r, err := set.resolve()
+	if err != nil {
+		return nil, err
 	}
-	if op.parallel > 1 {
-		if op.timing {
-			return nil, fmt.Errorf("%w: WithParallelism(%d) requires the timing model off — add WithTiming(false)", ErrConfigConflict, op.parallel)
-		}
-		if op.slices > 1 {
-			return nil, fmt.Errorf("%w: WithParallelism(%d) cannot be combined with WithSlices(%d)", ErrConfigConflict, op.parallel, op.slices)
-		}
-	}
-	cfg := core.ConfigWithOpt(op.opt)
-	if op.accel != nil {
+	cfg := core.ConfigWithOpt(r.opt)
+	if set.accel != nil {
 		mode, vb := cfg.Engine.EventMode, cfg.Engine.VertexBytes
-		cfg.Engine = *op.accel
+		cfg.Engine = *set.accel
 		cfg.Engine.EventMode, cfg.Engine.VertexBytes = mode, vb
 	}
-	cfg.Slices = op.slices
-	cfg.RebuildGraph = op.rebuild
-	cfg.InlineDegree = op.inlineDeg
-	cfg.Engine.Timing = op.timing
-	cfg.Engine.DetailedTiming = op.detailed
-	cfg.Engine.PipelineOverlap = op.pipeline
-	if op.parallel > 0 {
-		cfg.Engine.Parallelism = op.parallel
+	cfg.Slices = set.Slices
+	cfg.RebuildGraph = set.rebuild
+	cfg.InlineDegree = set.InlineDegree
+	cfg.Engine.Timing = set.Timing
+	cfg.Engine.DetailedTiming = set.DetailedTiming
+	cfg.Engine.PipelineOverlap = set.PipelineOverlap
+	if set.Parallelism > 0 {
+		cfg.Engine.Parallelism = set.Parallelism
 	}
 	st := &stats.Counters{}
 	s := &System{
@@ -498,32 +470,37 @@ func New(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 		alg:    a,
 		st:     st,
 		cfg:    cfg,
-		ingest: op.ingest,
-		wd:     op.watchdog,
+		ingest: r.ingest,
+		wd:     WatchdogConfig{Every: set.WatchdogEvery, Epsilon: set.WatchdogEpsilon, Sample: set.WatchdogSample},
 		reg:    obs.NewRegistry(),
 		tr:     obs.Nop,
 	}
-	if op.observer != nil {
-		s.tr = op.observer
+	if set.observer != nil {
+		s.tr = set.observer
 	}
 	s.latency = s.reg.Histogram("jetstream_batch_latency_ns")
 	s.batchesC = s.reg.Counter("jetstream_batches_total")
 	s.js.Instrument(s.reg, s.tr)
-	if op.window != 0 {
-		win, err := window.New(op.window)
+	if set.WindowTTL != 0 {
+		win, err := window.New(set.WindowTTL)
 		if err != nil {
-			return nil, fmt.Errorf("%w: WithWindow(%d): ttl must be at least 1 batch", ErrConfigConflict, op.window)
+			return nil, fmt.Errorf("%w: %w", ErrConfigConflict, err)
 		}
 		win.Seed(0, g.Edges())
 		s.win = win
 		s.expiredC = s.reg.Counter("jetstream_window_expired_edges_total")
 	}
-	if op.walDir != "" {
-		if err := s.attachFreshWAL(op.walDir, op.walOpts); err != nil {
+	if set.WALDir != "" {
+		if err := s.attachFreshWAL(set.WALDir, set.walOptions(r.sync)); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// walOptions assembles the log options from the checked sync policy.
+func (s *settings) walOptions(sync wal.SyncPolicy) wal.Options {
+	return wal.Options{Sync: sync, Interval: s.WALSyncInterval, FS: s.walFS}
 }
 
 // attachFreshWAL opens a write-ahead log for a brand-new System. The
@@ -665,11 +642,17 @@ func (s *System) expireInto(clean Batch) (Batch, uint64, error) {
 	if s.win == nil {
 		return clean, 0, nil
 	}
-	userDel := make(map[window.Key]bool, len(clean.Deletes))
-	for _, e := range clean.Deletes {
-		userDel[window.Key{Src: e.Src, Dst: e.Dst}] = true
+	// A batch with no deletes (the common insert-only case) has nothing to
+	// exclude: Expire takes a nil skip and no set is built.
+	var skip func(window.Key) bool
+	if len(clean.Deletes) > 0 {
+		userDel := make(map[window.Key]struct{}, len(clean.Deletes))
+		for _, e := range clean.Deletes {
+			userDel[window.Key{Src: e.Src, Dst: e.Dst}] = struct{}{}
+		}
+		skip = func(k window.Key) bool { _, ok := userDel[k]; return ok }
 	}
-	expired := s.win.Expire(s.batches+1, func(k window.Key) bool { return userDel[k] })
+	expired := s.win.Expire(s.batches+1, skip)
 	if len(expired) == 0 {
 		return clean, 0, nil
 	}

@@ -1,6 +1,7 @@
 package jetstream
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -154,4 +155,49 @@ func TestDetailedTimingThroughPublicAPI(t *testing.T) {
 	if d := det.Verify(); d != 0 {
 		t.Errorf("detailed-timing system diverged by %v", d)
 	}
+}
+
+// TestSystemConstructionCheap pins the tenancy contract end to end: New does
+// no per-vertex work — engine state, dependency arrays and queue slots all
+// materialize on first use — so a server can declare thousands of Systems
+// over large graphs and pay only for the ones that stream. 2000 Systems over
+// a shared 100k-vertex graph would cost >1.6 GB with eager per-vertex state
+// (100k vertices x 8 B x 2000, before dep arrays and queue slots).
+func TestSystemConstructionCheap(t *testing.T) {
+	g := RMAT(RMATConfig{Vertices: 100_000, Edges: 200_000, Seed: 1})
+
+	const systems = 2000
+	keep := make([]*System, 0, systems)
+
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	for i := 0; i < systems; i++ {
+		s, err := New(g, SSSP(0))
+		if err != nil {
+			t.Fatalf("system %d: %v", i, err)
+		}
+		keep = append(keep, s)
+	}
+
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+
+	// Generous ceiling: ~32 KB per dormant System covers the fixed structs and
+	// the metrics registry with headroom while staying two orders of magnitude
+	// below the eager per-vertex cost.
+	const budget = systems * 32 << 10
+	if used := after.HeapAlloc - before.HeapAlloc; used > budget {
+		t.Fatalf("%d dormant systems hold %d bytes, budget %d: construction is no longer O(1) in vertex count",
+			systems, used, budget)
+	}
+
+	// A dormant System is still fully functional.
+	keep[0].RunInitial()
+	if got := len(keep[0].StateRef()); got != g.NumVertices() {
+		t.Fatalf("state has %d vertices, want %d", got, g.NumVertices())
+	}
+	runtime.KeepAlive(keep)
 }

@@ -38,14 +38,13 @@ const (
 	TraceWorkerMail  = obs.KindWorkerMail
 	TraceWatchdog    = obs.KindWatchdog
 	TraceFallback    = obs.KindFallback
-	TraceRetry       = obs.KindRetry
 )
 
 // WithObserver streams trace events to o as the system runs. Metrics
 // collection does not require it — every System exports metrics — but the
 // observer sees the event-level sequence the aggregated series cannot carry.
 func WithObserver(o Observer) Option {
-	return func(op *options) { op.observer = o }
+	return func(s *settings) { s.observer = o }
 }
 
 // MetricsSchemaVersion is the version of the MetricsSnapshot layout. It

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"jetstream/internal/fault"
@@ -284,5 +285,86 @@ func TestRestoreWindowOntoWindowlessCheckpoint(t *testing.T) {
 	}
 	if res.Expired != edges {
 		t.Fatalf("TTL boundary expired %d edges, want the whole re-seeded graph (%d)", res.Expired, edges)
+	}
+}
+
+// TestWindowAbortedBatchLeavesRingUntouched covers the two ways a batch is
+// refused before its commit point on a windowed System — the Strict policy
+// rejecting it, and the journal append hitting ENOSPC. Either must leave the
+// graph, the state, the batch count and every ring age exactly as they were,
+// and the next accepted batch must expire exactly what the uninterrupted run
+// expires there: an abort that had advanced the ring would silently lose
+// that cohort's expiry.
+func TestWindowAbortedBatchLeavesRingUntouched(t *testing.T) {
+	const n, cut = 6, 3
+	batches, refStates, refGraphs, refExpired := recordWindowRecoveryRun(t, SSSP(0), false, n)
+	if refExpired[cut+1] == 0 {
+		t.Fatalf("reference batch %d expires nothing; the case would be vacuous", cut+1)
+	}
+	stream := func(d *fault.Disk) *System {
+		sys, err := New(durGraph(false), SSSP(0), durOpts(WithWindow(winRecTTL), WithWALOptions(d.Root(), WALOptions{FS: d}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.RunInitial()
+		for i := 0; i < cut; i++ {
+			if _, err := sys.ApplyBatch(batches[i]); err != nil {
+				t.Fatalf("batch %d: %v", i+1, err)
+			}
+		}
+		return sys
+	}
+	// Measure the bytes the first cut batches write, then size the disk to
+	// fill up inside the next record.
+	measure := fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: -1, FlipBitAt: -1, FullAtByte: -1})
+	if err := stream(measure).Close(); err != nil {
+		t.Fatal(err)
+	}
+	d := fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: -1, FlipBitAt: -1, FullAtByte: measure.Written() + 8})
+	sys := stream(d)
+	ages := sys.win.Entries()
+
+	unchanged := func(after string) {
+		t.Helper()
+		if sys.Batches() != cut {
+			t.Fatalf("%s: Batches = %d, want %d", after, sys.Batches(), cut)
+		}
+		if !bitwiseEqual(sys.State(), refStates[cut]) {
+			t.Fatalf("%s: state moved", after)
+		}
+		if diff := sameEdges(sys.Graph(), refGraphs[cut]); diff != "" {
+			t.Fatalf("%s: graph moved: %s", after, diff)
+		}
+		if !reflect.DeepEqual(sys.win.Entries(), ages) {
+			t.Fatalf("%s: ring ages moved", after)
+		}
+	}
+	bad := Batch{Inserts: []Edge{{Src: 0, Dst: 1 << 20, Weight: 1}}}
+	var be *BatchError
+	if _, err := sys.ApplyBatch(bad); !errors.As(err, &be) {
+		t.Fatalf("out-of-range insert = %v, want *BatchError", err)
+	}
+	unchanged("Strict rejection")
+	if _, err := sys.ApplyBatch(batches[cut]); !errors.Is(err, fault.ErrNoSpace) {
+		t.Fatalf("batch %d on full disk = %v, want ErrNoSpace", cut+1, err)
+	}
+	unchanged("failed journal append")
+
+	// The log is latched broken (Close reports it); detach it so the stream
+	// can go on unjournaled.
+	if err := sys.Close(); !errors.Is(err, fault.ErrNoSpace) {
+		t.Fatalf("close of the broken log = %v, want ErrNoSpace", err)
+	}
+	for i := cut; i < n; i++ {
+		res, err := sys.ApplyBatch(batches[i])
+		if err != nil {
+			t.Fatalf("batch %d after the aborts: %v", i+1, err)
+		}
+		if res.Expired != refExpired[i+1] {
+			t.Fatalf("batch %d expired %d edges, reference expired %d", i+1, res.Expired, refExpired[i+1])
+		}
+		if !bitwiseEqual(sys.State(), refStates[i+1]) {
+			t.Fatalf("batch %d: state diverges from reference", i+1)
+		}
 	}
 }
