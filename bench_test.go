@@ -240,6 +240,7 @@ func BenchmarkStreamingBatch(b *testing.B) {
 				}
 				sys.RunInitial()
 				gen := NewStream(StreamConfig{BatchSize: bs, InsertFrac: 0.7, Seed: 2})
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {

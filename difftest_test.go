@@ -9,6 +9,11 @@ package jetstream
 // the unique fixpoint under any event ordering. Accumulative kernels carry
 // the epsilon-truncation bound (core.Tolerance): processing order decides
 // which sub-epsilon deltas are suppressed.
+//
+// These graphs are far smaller than the frontier at which a compute phase
+// leaves the calling goroutine, so every p>1 arm runs twice (fanoutArms): as
+// shipped, and with the engine's test hook forcing each phase onto the PE
+// workers — otherwise the suites would only ever test the sequential drain.
 
 import (
 	"fmt"
@@ -16,10 +21,54 @@ import (
 
 	"jetstream/internal/algo"
 	"jetstream/internal/core"
+	"jetstream/internal/engine"
 )
 
 // difftestParallelisms are the worker counts the harness compares.
 var difftestParallelisms = [...]int{1, 2, 8}
+
+// fanoutArms are the two ways a p>1 arm runs: with the shipped fan-out
+// threshold, and with every compute phase forced onto the PE workers.
+var fanoutArms = [...]struct {
+	name  string
+	force bool
+}{{"default", false}, {"fanout", true}}
+
+// eachFanoutArm runs fn once at p == 1 and once per fanoutArms entry (as a
+// subtest) above it. A forced arm must hand back the system it drove, which
+// is then required to have used workers other than 0 — so the hook cannot rot
+// into a no-op.
+func eachFanoutArm(t *testing.T, p int, fn func(t *testing.T) *System) {
+	if p == 1 {
+		fn(t)
+		return
+	}
+	for _, arm := range fanoutArms {
+		t.Run(arm.name, func(t *testing.T) {
+			if !arm.force {
+				fn(t)
+				return
+			}
+			defer engine.SetFanoutThresholdForTest(0)()
+			requireFannedOut(t, fn(t))
+		})
+	}
+}
+
+// requireFannedOut fails unless some worker other than 0 processed events and
+// at least one compute phase took the fan-out path.
+func requireFannedOut(t testing.TB, sys *System) {
+	t.Helper()
+	m := sys.Metrics()
+	var others uint64
+	for _, w := range m.Workers[1:] {
+		others += w.EventsProcessed
+	}
+	if others == 0 || m.ComputePhasesFanout == 0 {
+		t.Fatalf("forced fan-out never reached the PE workers: %d fan-out phases, %d events on workers 1..%d",
+			m.ComputePhasesFanout, others, len(m.Workers)-1)
+	}
+}
 
 // difftestStream records a batch stream drawn against an evolving graph so
 // the identical updates can be replayed into every parallel configuration.
@@ -69,27 +118,30 @@ func TestDifferentialParallelism(t *testing.T) {
 			exact := a.Class() == algo.Selective
 			for _, p := range difftestParallelisms {
 				t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-					sys, err := New(g, makeAlgByName(t, name), WithTiming(false), WithParallelism(p))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sys.RunInitial()
-					for i, b := range stream {
-						if _, err := sys.ApplyBatch(b); err != nil {
-							t.Fatalf("batch %d: %v", i, err)
+					eachFanoutArm(t, p, func(t *testing.T) *System {
+						sys, err := New(g, makeAlgByName(t, name), WithTiming(false), WithParallelism(p))
+						if err != nil {
+							t.Fatal(err)
 						}
-						d := sys.Verify()
-						if exact {
-							if d != 0 {
-								t.Fatalf("batch %d: selective state deviates from reference by %v (want exact)", i, d)
+						sys.RunInitial()
+						for i, b := range stream {
+							if _, err := sys.ApplyBatch(b); err != nil {
+								t.Fatalf("batch %d: %v", i, err)
 							}
-							continue
+							d := sys.Verify()
+							if exact {
+								if d != 0 {
+									t.Fatalf("batch %d: selective state deviates from reference by %v (want exact)", i, d)
+								}
+								continue
+							}
+							tol := core.Tolerance(sys.alg, sys.Graph().NumEdges(), i+2)
+							if d > tol {
+								t.Fatalf("batch %d: accumulative state deviates by %v > tolerance %v", i, d, tol)
+							}
 						}
-						tol := core.Tolerance(sys.alg, sys.Graph().NumEdges(), i+2)
-						if d > tol {
-							t.Fatalf("batch %d: accumulative state deviates by %v > tolerance %v", i, d, tol)
-						}
-					}
+						return sys
+					})
 				})
 			}
 		})
@@ -106,7 +158,7 @@ func TestDifferentialParallelismAgainstSequentialState(t *testing.T) {
 			a := makeAlgByName(t, name)
 			g, stream := difftestStream(t, a, 31, 8, 20)
 
-			run := func(p int) []float64 {
+			run := func(t *testing.T, p int) *System {
 				sys, err := New(g, makeAlgByName(t, name), WithTiming(false), WithParallelism(p))
 				if err != nil {
 					t.Fatal(err)
@@ -117,23 +169,26 @@ func TestDifferentialParallelismAgainstSequentialState(t *testing.T) {
 						t.Fatalf("p=%d batch %d: %v", p, i, err)
 					}
 				}
-				return sys.State()
+				return sys
 			}
 
-			seq := run(1)
+			seq := run(t, 1).State()
 			for _, p := range difftestParallelisms[1:] {
-				par := run(p)
-				d := algo.MaxAbsDiff(seq, par)
-				if a.Class() == algo.Selective {
-					if d != 0 {
-						t.Errorf("p=%d: selective state differs from sequential by %v (want bitwise equal)", p, d)
+				eachFanoutArm(t, p, func(t *testing.T) *System {
+					sys := run(t, p)
+					d := algo.MaxAbsDiff(seq, sys.State())
+					if a.Class() == algo.Selective {
+						if d != 0 {
+							t.Errorf("p=%d: selective state differs from sequential by %v (want bitwise equal)", p, d)
+						}
+						return sys
 					}
-					continue
-				}
-				tol := core.Tolerance(a, g.NumEdges(), len(stream)+1)
-				if d > tol {
-					t.Errorf("p=%d: accumulative state differs from sequential by %v > %v", p, d, tol)
-				}
+					tol := core.Tolerance(a, g.NumEdges(), len(stream)+1)
+					if d > tol {
+						t.Errorf("p=%d: accumulative state differs from sequential by %v > %v", p, d, tol)
+					}
+					return sys
+				})
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"jetstream/internal/engine"
 	"jetstream/internal/wal"
 )
 
@@ -98,7 +99,9 @@ func FuzzApplyBatch(f *testing.F) {
 // engine: the same fuzzed batch stream is applied at parallelism 1 and 4 and
 // the SSSP states must match bit for bit — selective kernels converge to the
 // unique fixpoint regardless of event interleaving, so any divergence is a
-// races-or-routing bug in the sharded path, not numerical noise.
+// races-or-routing bug in the sharded path, not numerical noise. The parallel
+// side runs twice: as shipped (a 64-vertex graph never fans out on its own)
+// and with every compute phase forced onto the PE workers.
 func FuzzApplyBatchParallel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 2, 5})
@@ -109,7 +112,7 @@ func FuzzApplyBatchParallel(f *testing.F) {
 		b := fuzzBatch(data)
 		g := RMAT(RMATConfig{Vertices: 64, Edges: 256, Seed: 11})
 
-		run := func(p int) []float64 {
+		run := func(p int) *System {
 			sys, err := New(g, SSSP(0), WithTiming(false), WithParallelism(p), WithIngest(Repair))
 			if err != nil {
 				t.Fatal(err)
@@ -121,14 +124,25 @@ func FuzzApplyBatchParallel(f *testing.F) {
 			if d := sys.Verify(); d != 0 {
 				t.Fatalf("p=%d state diverged from reference by %v\nbatch: %+v", p, d, b)
 			}
-			return sys.State()
+			return sys
 		}
 
-		seq, par := run(1), run(4)
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("vertex %d: parallel state %v != sequential %v\nbatch: %+v", i, par[i], seq[i], b)
-			}
+		seq := run(1).State()
+		for _, arm := range fanoutArms {
+			func() {
+				if arm.force {
+					defer engine.SetFanoutThresholdForTest(0)()
+				}
+				sys := run(4)
+				if arm.force {
+					requireFannedOut(t, sys)
+				}
+				for i, par := range sys.State() {
+					if seq[i] != par {
+						t.Fatalf("%s: vertex %d: parallel state %v != sequential %v\nbatch: %+v", arm.name, i, par, seq[i], b)
+					}
+				}
+			}()
 		}
 	})
 }

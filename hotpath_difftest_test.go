@@ -48,27 +48,30 @@ func TestInlineAdjacencyAllKernelsAllParallelisms(t *testing.T) {
 			refState, refEdges := ref.State(), ref.Graph().Edges()
 			for _, p := range difftestParallelisms {
 				t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-					sys := run(p, WithInlineDegree(4))
-					de := sys.Graph().Edges()
-					if len(de) != len(refEdges) {
-						t.Fatalf("edge counts diverge: %d vs %d", len(de), len(refEdges))
-					}
-					for j := range de {
-						if de[j] != refEdges[j] {
-							t.Fatalf("edge %d diverges: %+v vs %+v", j, de[j], refEdges[j])
+					eachFanoutArm(t, p, func(t *testing.T) *System {
+						sys := run(p, WithInlineDegree(4))
+						de := sys.Graph().Edges()
+						if len(de) != len(refEdges) {
+							t.Fatalf("edge counts diverge: %d vs %d", len(de), len(refEdges))
 						}
-					}
-					d := algo.MaxAbsDiff(sys.State(), refState)
-					if p == 1 || a.Class() == algo.Selective {
-						if d != 0 {
-							t.Fatalf("p=%d: state differs from rebuild reference by %v (want bitwise equal)", p, d)
+						for j := range de {
+							if de[j] != refEdges[j] {
+								t.Fatalf("edge %d diverges: %+v vs %+v", j, de[j], refEdges[j])
+							}
 						}
-						return
-					}
-					tol := core.Tolerance(a, sys.Graph().NumEdges(), len(stream)+1)
-					if d > tol {
-						t.Fatalf("p=%d: accumulative state differs by %v > tolerance %v", p, d, tol)
-					}
+						d := algo.MaxAbsDiff(sys.State(), refState)
+						if p == 1 || a.Class() == algo.Selective {
+							if d != 0 {
+								t.Fatalf("p=%d: state differs from rebuild reference by %v (want bitwise equal)", p, d)
+							}
+							return sys
+						}
+						tol := core.Tolerance(a, sys.Graph().NumEdges(), len(stream)+1)
+						if d > tol {
+							t.Fatalf("p=%d: accumulative state differs by %v > tolerance %v", p, d, tol)
+						}
+						return sys
+					})
 				})
 			}
 		})

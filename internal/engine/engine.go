@@ -52,10 +52,12 @@ type Engine struct {
 	active  int
 	pending [][]event.Event
 
-	// Ownership cache for the parallel compute path: vertex -> worker for
-	// ownerK workers (see parallel.go).
+	// Parallel compute path (see parallel.go): the vertex -> worker map for
+	// ownerK workers, and the shards, links and workers built over it on the
+	// first phase that fans out. Both live as long as the engine.
 	owner  []int32
 	ownerK int
+	run    *peRun
 
 	// trace observes every event the sequential path processes, in order
 	// (golden-trace tests). Non-nil trace forces sequential execution.
@@ -66,6 +68,23 @@ type Engine struct {
 	// (see observe.go for the attribution contract).
 	ob    *Obs
 	obPub stats.Counters
+
+	// prop holds PropagateValue's arguments for propEdge, the per-edge
+	// callback built once in New: a closure literal handed through the
+	// GraphView interface would be heap-allocated on every call, and
+	// propagation is the inner loop of every compute phase. emitMk/emitEdge
+	// do the same for EmitAlongEdges, and computeH caches ComputeHandler.
+	prop struct {
+		u     graph.VertexID
+		x     float64
+		deg   int
+		wsum  float64
+		flags event.Flags
+	}
+	propEdge func(dst graph.VertexID, w graph.Weight)
+	emitMk   func(dst graph.VertexID, w graph.Weight) (event.Event, bool)
+	emitEdge func(dst graph.VertexID, w graph.Weight)
+	computeH Handler
 
 	// Per-row-batch recording for the timing layer.
 	batchTouched []graph.VertexID
@@ -118,6 +137,20 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 		}
 		if cfg.PipelineOverlap {
 			e.tm = newPipelined(e.tm)
+		}
+	}
+	acc, eps := alg.Class() == algo.Accumulative, alg.Epsilon()
+	e.propEdge = func(dst graph.VertexID, w graph.Weight) {
+		a := &e.prop
+		val := e.alg.Propagate(a.u, a.x, w, a.deg, a.wsum)
+		if acc && math.Abs(val) <= eps {
+			return
+		}
+		e.Emit(event.Event{Target: dst, Value: val, Source: a.u, Flags: a.flags})
+	}
+	e.emitEdge = func(dst graph.VertexID, w graph.Weight) {
+		if ev, ok := e.emitMk(dst, w); ok {
+			e.Emit(ev)
 		}
 	}
 	for _, o := range opts {
@@ -272,13 +305,17 @@ func (e *Engine) EmitAlongEdges(u graph.VertexID, mk func(dst graph.VertexID, w 
 	if deg == 0 {
 		return
 	}
+	e.chargeEdgeFetch(u, deg)
+	e.emitMk = mk
+	e.view.OutEdges(u, e.emitEdge)
+	e.emitMk = nil
+}
+
+// chargeEdgeFetch counts the read of u's deg out-edges and records the
+// adjacency range for the timing layer.
+func (e *Engine) chargeEdgeFetch(u graph.VertexID, deg int) {
 	e.st.EdgeReads += uint64(deg)
 	e.batchFetches = append(e.batchFetches, EdgeFetch{Offset: e.csr.EdgeOffset(u), Count: deg})
-	e.view.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-		if ev, ok := mk(dst, w); ok {
-			e.Emit(ev)
-		}
-	})
 }
 
 // PropagateValue sends x from u along every out-edge using the algorithm's
@@ -286,16 +323,12 @@ func (e *Engine) EmitAlongEdges(u graph.VertexID, mk func(dst graph.VertexID, w 
 // deltas below Epsilon are suppressed at generation (termination).
 func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) {
 	deg := e.view.OutDegree(u)
-	wsum := e.view.OutWeightSum(u)
-	eps := e.alg.Epsilon()
-	acc := e.alg.Class() == algo.Accumulative
-	e.EmitAlongEdges(u, func(dst graph.VertexID, w graph.Weight) (event.Event, bool) {
-		val := e.alg.Propagate(u, x, w, deg, wsum)
-		if acc && math.Abs(val) <= eps {
-			return event.Event{}, false
-		}
-		return event.Event{Target: dst, Value: val, Source: u, Flags: flags}, true
-	})
+	if deg == 0 {
+		return
+	}
+	e.prop.u, e.prop.x, e.prop.deg, e.prop.wsum, e.prop.flags = u, x, deg, e.view.OutWeightSum(u), flags
+	e.chargeEdgeFetch(u, deg)
+	e.view.OutEdges(u, e.propEdge)
 }
 
 // ComputeHandler returns the regular computation phase of Algorithm 1, with
@@ -303,6 +336,13 @@ func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) 
 // event propagates even when its state does not change (§3.5), and under
 // dependency tracking a state change records the contributing source (§5.2).
 func (e *Engine) ComputeHandler() Handler {
+	if e.computeH == nil {
+		e.computeH = e.newComputeHandler()
+	}
+	return e.computeH
+}
+
+func (e *Engine) newComputeHandler() Handler {
 	if e.alg.Class() == algo.Accumulative {
 		return func(ev event.Event) {
 			v := ev.Target
@@ -330,42 +370,58 @@ func (e *Engine) ComputeHandler() Handler {
 // RunPhase drains the queue to empty under h, handling drain rounds, slice
 // swaps and timing. It is one scheduler phase (§4.3).
 func (e *Engine) RunPhase(h Handler) {
-	e.st.Phases++
-	var seq, p0 uint64
-	if e.ob != nil {
-		seq = e.ob.nextSeq()
-		p0 = e.st.EventsProcessed
-		e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseStart, Seq: seq, Worker: -1, A: e.st.Phases})
-	}
+	seq, p0 := e.beginPhase()
 	for {
 		for !e.q.Empty() {
-			e.q.DrainRound(func(batch []event.Event) {
-				e.batchTouched = e.batchTouched[:0]
-				e.batchWritten = 0
-				e.batchFetches = e.batchFetches[:0]
-				e.batchGenT = e.batchGenT[:0]
-				for _, ev := range batch {
-					e.st.EventsProcessed++
-					if e.trace != nil {
-						e.trace(ev)
-					}
-					h(ev)
-				}
-				if e.tm != nil {
-					e.tm.Batch(e.batchTouched, e.batchWritten, e.batchFetches, e.batchGenT)
-				}
-			})
-			if e.tm != nil {
-				e.tm.RoundOverhead()
-			}
+			e.drainRound(h)
 		}
 		if !e.loadNextSlice() {
 			break
 		}
 	}
+	e.endPhase(seq, p0)
+}
+
+// beginPhase counts a scheduler phase and opens its trace span; endPhase
+// closes the span with the number of events the phase processed.
+func (e *Engine) beginPhase() (seq, p0 uint64) {
+	e.st.Phases++
+	if e.ob != nil {
+		seq = e.ob.nextSeq()
+		p0 = e.st.EventsProcessed
+		e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseStart, Seq: seq, Worker: -1, A: e.st.Phases})
+	}
+	return seq, p0
+}
+
+func (e *Engine) endPhase(seq, p0 uint64) {
 	if e.ob != nil {
 		e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseEnd, Seq: seq, Worker: -1,
 			A: e.st.Phases, B: e.st.EventsProcessed - p0})
+	}
+}
+
+// drainRound runs one drain round of the sequential queue under h, charging
+// each row batch and the round overhead to the timing model.
+func (e *Engine) drainRound(h Handler) {
+	e.q.DrainRound(func(batch []event.Event) {
+		e.batchTouched = e.batchTouched[:0]
+		e.batchWritten = 0
+		e.batchFetches = e.batchFetches[:0]
+		e.batchGenT = e.batchGenT[:0]
+		for _, ev := range batch {
+			e.st.EventsProcessed++
+			if e.trace != nil {
+				e.trace(ev)
+			}
+			h(ev)
+		}
+		if e.tm != nil {
+			e.tm.Batch(e.batchTouched, e.batchWritten, e.batchFetches, e.batchGenT)
+		}
+	})
+	if e.tm != nil {
+		e.tm.RoundOverhead()
 	}
 }
 
@@ -440,7 +496,6 @@ func (e *Engine) Repartition() int {
 	}
 	e.part = graph.PartitionGraph(e.csr, e.part.K)
 	e.active = 0
-	e.owner = nil // parallel ownership follows the same evolution cadence
 	return e.part.Cut
 }
 

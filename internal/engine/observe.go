@@ -39,6 +39,11 @@ type Obs struct {
 
 	pairs  *noc.Matrix
 	pairsK int
+
+	// Which path each compute phase took (RunCompute): entirely on the
+	// calling goroutine, or handed to the PE workers.
+	phasesCaller *obs.Counter
+	phasesFanout *obs.Counter
 }
 
 // workerObs holds one worker's registered series.
@@ -49,6 +54,7 @@ type workerObs struct {
 	forwarded *obs.Counter
 	rounds    *obs.Counter
 	idleSpins *obs.Counter
+	parks     *obs.Counter
 	shardHigh *obs.Max
 }
 
@@ -67,6 +73,9 @@ func NewObs(reg *obs.Registry, tr obs.Tracer) *Obs {
 		queueHigh: reg.Max("jetstream_queue_highwater"),
 		inlineOut: reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "out")),
 		inlineIn:  reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "in")),
+
+		phasesCaller: reg.Counter("jetstream_compute_phases_total", obs.L("mode", "caller")),
+		phasesFanout: reg.Counter("jetstream_compute_phases_total", obs.L("mode", "fanout")),
 	}
 }
 
@@ -90,6 +99,7 @@ func (o *Obs) worker(i int) *workerObs {
 			forwarded: o.Reg.Counter("jetstream_worker_events_forwarded_total", l),
 			rounds:    o.Reg.Counter("jetstream_worker_rounds_total", l),
 			idleSpins: o.Reg.Counter("jetstream_worker_idle_spins_total", l),
+			parks:     o.Reg.Counter("jetstream_worker_parks_total", l),
 			shardHigh: o.Reg.Max("jetstream_worker_shard_highwater", l),
 		})
 	}
@@ -126,6 +136,7 @@ type WorkerStats struct {
 	Forwarded      uint64
 	Rounds         uint64
 	IdleSpins      uint64
+	Parks          uint64
 	ShardHighWater uint64
 }
 
@@ -140,6 +151,7 @@ func (o *Obs) WorkerSnapshots() []WorkerStats {
 			Forwarded:      w.forwarded.Load(),
 			Rounds:         w.rounds.Load(),
 			IdleSpins:      w.idleSpins.Load(),
+			Parks:          w.parks.Load(),
 			ShardHighWater: w.shardHigh.Load(),
 		}
 	}
@@ -153,6 +165,12 @@ func (o *Obs) PairSnapshot() (int, []uint64) {
 		return 0, nil
 	}
 	return o.pairsK, o.pairs.Snapshot()
+}
+
+// ComputePhases returns how many compute phases ran entirely on the calling
+// goroutine and how many fanned out to the PE workers.
+func (o *Obs) ComputePhases() (caller, fanout uint64) {
+	return o.phasesCaller.Load(), o.phasesFanout.Load()
 }
 
 // QueuePeak returns the published queue high-water mark.
@@ -213,10 +231,22 @@ func (e *Engine) FlushObs() {
 	e.ob.inlineIn.Set(int64(in))
 }
 
+// countComputePhase records which path a finished compute phase took.
+func (e *Engine) countComputePhase(fanned bool) {
+	if e.ob == nil {
+		return
+	}
+	if fanned {
+		e.ob.phasesFanout.Inc()
+	} else {
+		e.ob.phasesCaller.Inc()
+	}
+}
+
 // publishWorker attributes one parallel worker's phase counters to its
 // series, advancing the published baseline so FlushObs does not re-attribute
 // them to worker 0.
-func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sent []uint64, shardHigh int, idle uint64) {
+func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sent []uint64, shardHigh int, idle, parks uint64) {
 	o := e.ob
 	e.obPub.Add(st)
 	w := o.worker(id)
@@ -226,6 +256,7 @@ func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sen
 	w.forwarded.Add(forwarded)
 	w.rounds.Add(st.Rounds)
 	w.idleSpins.Add(idle)
+	w.parks.Add(parks)
 	w.shardHigh.Observe(uint64(shardHigh))
 	if len(sent) > 0 {
 		m := o.pairMatrix(len(sent))

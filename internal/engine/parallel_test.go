@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"jetstream/internal/algo"
@@ -16,6 +19,34 @@ func parallelConfig(p int) Config {
 	return cfg
 }
 
+// fanoutArms are the two ways the p>1 tests below run: with the shipped
+// threshold — under which these 400-vertex graphs never leave the caller — and
+// with every compute phase forced onto the PE workers.
+var fanoutArms = [...]struct {
+	name      string
+	threshold int
+}{{"default", fanoutMinFrontier}, {"fanout", 0}}
+
+// observed attaches a private registry so a test can read per-worker totals
+// and the caller/fan-out phase split.
+func observed(e *Engine) *Engine {
+	e.SetObs(NewObs(nil, nil))
+	return e
+}
+
+// requireFannedOut fails unless workers other than 0 processed events, so a
+// forced arm cannot silently test the sequential drain.
+func requireFannedOut(t *testing.T, e *Engine) {
+	t.Helper()
+	var others uint64
+	for _, w := range e.Obs().WorkerSnapshots()[1:] {
+		others += w.Processed
+	}
+	if _, fanout := e.Obs().ComputePhases(); fanout == 0 || others == 0 {
+		t.Fatalf("forced fan-out never reached the PE workers: %d fan-out phases, %d events on workers 1..", fanout, others)
+	}
+}
+
 // TestParallelStaticMatchesSequential is the engine-level differential: a
 // from-scratch convergence at parallelism 8 against the same run at 1 —
 // bitwise for selective kernels, within the truncation bound for
@@ -27,17 +58,148 @@ func TestParallelStaticMatchesSequential(t *testing.T) {
 			g := testGraphFor(a, 42)
 			seq := New(g, a, parallelConfig(1), nil)
 			seq.RunToConvergence()
-			par := New(g, makeAlg(t, name), parallelConfig(8), nil)
-			par.RunToConvergence()
-			d := algo.MaxAbsDiff(seq.State(), par.State())
-			if a.Class() == algo.Selective {
-				if d != 0 {
-					t.Errorf("selective parallel state differs from sequential by %v", d)
-				}
-			} else if tol := tolFor(a, g); d > tol {
-				t.Errorf("accumulative parallel state differs by %v > %v", d, tol)
+			for _, arm := range fanoutArms {
+				t.Run(arm.name, func(t *testing.T) {
+					defer SetFanoutThresholdForTest(arm.threshold)()
+					par := observed(New(g, makeAlg(t, name), parallelConfig(8), nil))
+					par.RunToConvergence()
+					par.FlushObs()
+					if arm.threshold == 0 {
+						requireFannedOut(t, par)
+					}
+					d := algo.MaxAbsDiff(seq.State(), par.State())
+					if a.Class() == algo.Selective {
+						if d != 0 {
+							t.Errorf("selective parallel state differs from sequential by %v", d)
+						}
+					} else if tol := tolFor(a, g); d > tol {
+						t.Errorf("accumulative parallel state differs by %v > %v", d, tol)
+					}
+				})
 			}
 		})
+	}
+}
+
+// escalationGraph is large enough that a cascade grown from a single event
+// crosses fanoutMinFrontier, so the shipped threshold hands off mid-cascade.
+func escalationGraph(a algo.Algorithm) *graph.CSR {
+	g := graph.RMAT(graph.RMATConfig{Vertices: 3 * fanoutMinFrontier, Edges: 24 * fanoutMinFrontier, Seed: 11})
+	if algo.NeedsSymmetric(a) {
+		g = graph.Symmetrize(g)
+	}
+	return g
+}
+
+// TestEscalationDifferential runs every kernel from scratch at p 2 and 8 with
+// the hand-off placed at each point it can fall — before the first round,
+// after the first round, wherever the shipped threshold puts it (on a graph
+// large enough to cross it mid-cascade), and never — against the p=1 engine:
+// bitwise for selective kernels, the truncation bound for accumulative ones.
+func TestEscalationDifferential(t *testing.T) {
+	arms := []struct {
+		name      string
+		threshold int
+		big       bool
+	}{{"first-round", 0, false}, {"second-round", 1, false}, {"default", fanoutMinFrontier, true}, {"never", math.MaxInt, false}}
+	for _, name := range algo.Names() {
+		t.Run(name, func(t *testing.T) {
+			// One (kernel, graph, p=1 reference) per graph size. The large
+			// graph runs at a coarser epsilon so the accumulative kernels do
+			// not dominate the suite under the race detector.
+			type subject struct {
+				a   algo.Algorithm
+				g   *graph.CSR
+				seq *Engine
+			}
+			subjectFor := func(big bool) subject {
+				a := makeAlg(t, name)
+				if !big {
+					return subject{a: a, g: testGraphFor(a, 42)}
+				}
+				if a.Class() == algo.Accumulative {
+					var err error
+					if a, err = algo.New(name, 0, 1e-6); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return subject{a: a, g: escalationGraph(a)}
+			}
+			subjects := map[bool]subject{}
+			for _, big := range []bool{false, true} {
+				s := subjectFor(big)
+				s.seq = New(s.g, s.a, parallelConfig(1), nil)
+				s.seq.RunToConvergence()
+				subjects[big] = s
+			}
+			for _, p := range []int{2, 8} {
+				for _, arm := range arms {
+					t.Run(fmt.Sprintf("p%d/%s", p, arm.name), func(t *testing.T) {
+						defer SetFanoutThresholdForTest(arm.threshold)()
+						a, g, seq := subjects[arm.big].a, subjects[arm.big].g, subjects[arm.big].seq
+						st := &stats.Counters{}
+						par := observed(New(g, a, parallelConfig(p), st))
+						par.RunToConvergence()
+						par.FlushObs()
+						caller, fanout := par.Obs().ComputePhases()
+						switch arm.name {
+						case "first-round", "second-round":
+							requireFannedOut(t, par)
+						case "never":
+							if fanout != 0 || par.run != nil {
+								t.Errorf("threshold never: %d phases fanned out, run state built: %v", fanout, par.run != nil)
+							}
+						}
+						if caller+fanout != 1 {
+							t.Errorf("one compute phase counted as caller %d + fanout %d", caller, fanout)
+						}
+						if r := st.EventsUnaccounted(); r != 0 {
+							t.Errorf("%d events unaccounted", r)
+						}
+						var proc uint64
+						for _, w := range par.Obs().WorkerSnapshots() {
+							proc += w.Processed
+						}
+						if proc != st.EventsProcessed {
+							t.Errorf("per-worker processed sums to %d, total is %d", proc, st.EventsProcessed)
+						}
+						d := algo.MaxAbsDiff(seq.State(), par.State())
+						if a.Class() == algo.Selective {
+							if d != 0 {
+								t.Errorf("selective state differs from p=1 by %v (want bitwise equal)", d)
+							}
+						} else if tol := tolFor(a, g); d > tol {
+							t.Errorf("accumulative state differs from p=1 by %v > %v", d, tol)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultThresholdEscalatesMidCascade pins that the "default" arm of the
+// differential above really is the mid-cascade case: SSSP starts from one
+// event, so the phase must have run rounds on the caller (worker 0's residual
+// share) before its frontier crossed the threshold and the workers took over.
+func TestDefaultThresholdEscalatesMidCascade(t *testing.T) {
+	a := algo.NewSSSP(0)
+	st := &stats.Counters{}
+	e := observed(New(escalationGraph(a), a, parallelConfig(8), st))
+	e.SeedInitialEvents()
+	if n := e.Queue().Len(); n > fanoutThreshold {
+		t.Fatalf("phase starts with %d events, already over the threshold", n)
+	}
+	e.RunCompute()
+	if _, fanout := e.Obs().ComputePhases(); fanout != 1 {
+		t.Fatalf("phase did not fan out (frontier never exceeded %d?)", fanoutThreshold)
+	}
+	var onWorkers uint64
+	for _, w := range e.Obs().WorkerSnapshots() {
+		onWorkers += w.Processed
+	}
+	if onWorkers == 0 || onWorkers >= st.EventsProcessed {
+		t.Fatalf("workers processed %d of %d events: no caller-side rounds before the hand-off", onWorkers, st.EventsProcessed)
 	}
 }
 
@@ -79,6 +241,12 @@ func TestParallelismGates(t *testing.T) {
 	if got := New(tiny, a, parallelConfig(8), nil).parallelism(); got != 3 {
 		t.Errorf("vertex clamp: parallelism %d on a 3-vertex graph, want 3", got)
 	}
+
+	// Ownership is fixed for the engine's life: Repartition only re-slices
+	// (and slicing gates to sequential), so it must leave the map alone.
+	if owner := e.ownership(8); e.Repartition() != -1 || &e.ownership(8)[0] != &owner[0] {
+		t.Error("Repartition on an unsliced engine touched the parallel ownership map")
+	}
 }
 
 // TestParallelOwnershipCoversAllVertices checks the cached partition is a
@@ -119,20 +287,32 @@ func TestParallelOwnershipCoversAllVertices(t *testing.T) {
 // VertexReads == EventsProcessed survives the per-worker merge.
 func TestParallelCountersConserveEvents(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
-		a := algo.NewSSSP(0)
-		g := testGraphFor(a, 42)
-		st := &stats.Counters{}
-		e := New(g, a, parallelConfig(p), st)
-		e.RunToConvergence()
-		if r := st.EventsUnaccounted(); r != 0 {
-			t.Errorf("p=%d: %d events unaccounted (generated %d, processed %d, coalesced %d)",
-				p, r, st.EventsGenerated, st.EventsProcessed, st.EventsCoalesced)
-		}
-		if st.VertexReads != st.EventsProcessed {
-			t.Errorf("p=%d: VertexReads %d != EventsProcessed %d", p, st.VertexReads, st.EventsProcessed)
-		}
-		if st.Phases == 0 || st.Rounds == 0 {
-			t.Errorf("p=%d: phases/rounds not counted (%d/%d)", p, st.Phases, st.Rounds)
+		for _, arm := range fanoutArms {
+			t.Run(fmt.Sprintf("p%d/%s", p, arm.name), func(t *testing.T) {
+				defer SetFanoutThresholdForTest(arm.threshold)()
+				a := algo.NewSSSP(0)
+				g := testGraphFor(a, 42)
+				st := &stats.Counters{}
+				e := observed(New(g, a, parallelConfig(p), st))
+				e.RunToConvergence()
+				e.FlushObs()
+				if p > 1 && arm.threshold == 0 {
+					requireFannedOut(t, e)
+				}
+				if r := st.EventsUnaccounted(); r != 0 {
+					t.Errorf("%d events unaccounted (generated %d, processed %d, coalesced %d)",
+						r, st.EventsGenerated, st.EventsProcessed, st.EventsCoalesced)
+				}
+				if st.VertexReads != st.EventsProcessed {
+					t.Errorf("VertexReads %d != EventsProcessed %d", st.VertexReads, st.EventsProcessed)
+				}
+				if st.Phases == 0 || st.Rounds == 0 {
+					t.Errorf("phases/rounds not counted (%d/%d)", st.Phases, st.Rounds)
+				}
+				if caller, fanout := e.Obs().ComputePhases(); caller+fanout != st.Phases {
+					t.Errorf("compute phases: caller %d + fanout %d != %d phases run", caller, fanout, st.Phases)
+				}
+			})
 		}
 	}
 }
@@ -142,10 +322,13 @@ func TestParallelCountersConserveEvents(t *testing.T) {
 // every reached vertex records a source whose state plus edge weight
 // reproduces it.
 func TestParallelDependencyTracking(t *testing.T) {
+	defer SetFanoutThresholdForTest(0)()
 	a := algo.NewSSSP(0)
 	g := testGraphFor(a, 8)
-	e := New(g, a, parallelConfig(8), nil, WithDependencyTracking())
+	e := observed(New(g, a, parallelConfig(8), nil, WithDependencyTracking()))
 	e.RunToConvergence()
+	e.FlushObs()
+	requireFannedOut(t, e)
 	dep := e.Dep()
 	state := e.State()
 	for v := range state {
@@ -163,5 +346,134 @@ func TestParallelDependencyTracking(t *testing.T) {
 		if got := state[src] + w; got != state[v] {
 			t.Errorf("vertex %d: dep %d gives %v, state is %v", v, src, got, state[v])
 		}
+	}
+}
+
+// perturb emits k improving events at random reached vertices of both engines
+// (the same events, so their fixpoints stay comparable) and returns how many
+// it emitted.
+func perturb(rng *rand.Rand, k int, engines ...*Engine) int {
+	state := engines[0].State()
+	n := 0
+	for i := 0; i < k; i++ {
+		v := graph.VertexID(rng.Intn(len(state)))
+		if x := state[v]; x > 0 && !math.IsInf(x, 0) {
+			for _, e := range engines {
+				e.Emit(event.Event{Target: v, Value: x * 0.9, Source: event.NoSource})
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunStateReuse drives one p=8 engine through 200 compute phases that
+// alternate large and small frontiers, coalescing on and off, forced fan-out
+// and the shipped threshold, beside a p=1 engine fed the same events. Anything
+// a phase leaves behind in the engine-lifetime state — a stale slot or
+// overflow entry, an unreset high-water mark, a batch still in a mailbox —
+// shows up as a state mismatch, an unaccounted event, or one of the explicit
+// checks below.
+func TestRunStateReuse(t *testing.T) {
+	a := algo.NewSSSP(0)
+	g := testGraphFor(a, 42)
+	seqSt, parSt := &stats.Counters{}, &stats.Counters{}
+	seq := New(g, a, parallelConfig(1), seqSt)
+	par := observed(New(g, a, parallelConfig(8), parSt))
+	seq.RunToConvergence()
+	par.RunToConvergence() // stays on the caller: the run state is built by a later phase
+	if par.run != nil {
+		t.Fatal("a phase below the threshold built the parallel run state")
+	}
+	rng := rand.New(rand.NewSource(7))
+	var fannedSmall int
+	for phase := 0; phase < 200; phase++ {
+		big := phase%2 == 0
+		coalescing := phase%4 < 2
+		forced := phase%5 != 0
+		k := 2
+		if big {
+			k = 300
+		}
+		seq.Queue().SetCoalescing(coalescing)
+		par.Queue().SetCoalescing(coalescing)
+		emitted := perturb(rng, k, seq, par)
+		coalesced := parSt.EventsCoalesced
+		seq.RunCompute()
+		func() {
+			if forced {
+				defer SetFanoutThresholdForTest(0)()
+			}
+			par.RunCompute()
+		}()
+		if d := algo.MaxAbsDiff(seq.State(), par.State()); d != 0 {
+			t.Fatalf("phase %d (big=%v coalescing=%v forced=%v): state differs from p=1 by %v", phase, big, coalescing, forced, d)
+		}
+		if r := parSt.EventsUnaccounted(); r != 0 {
+			t.Fatalf("phase %d: %d events unaccounted", phase, r)
+		}
+		if n := parSt.EventsCoalesced - coalesced; !coalescing && n != 0 {
+			t.Fatalf("phase %d (forced=%v): %d events coalesced with coalescing off", phase, forced, n)
+		}
+		if par.run == nil {
+			continue
+		}
+		if n := par.run.outstanding.Load(); n != 0 {
+			t.Fatalf("phase %d: %d tokens outstanding after quiescence", phase, n)
+		}
+		for _, w := range par.run.workers {
+			if !w.shard.Empty() {
+				t.Fatalf("phase %d: worker %d shard holds %d events after quiescence", phase, w.id, w.shard.Len())
+			}
+			for d := range w.out {
+				if len(w.out[d].data) != 0 || len(w.staging[d]) != 0 {
+					t.Fatalf("phase %d: worker %d left mail for %d behind", phase, w.id, d)
+				}
+			}
+			// A small forced phase right after a big one: its shard peaks
+			// are bounded by its own cascade, not by the big phase's.
+			if forced && !big && emitted > 0 && w.shard.HighWater() > g.NumVertices()/4 {
+				t.Fatalf("phase %d: worker %d high-water %d survives from an earlier phase", phase, w.id, w.shard.HighWater())
+			}
+		}
+		if forced && !big && emitted > 0 {
+			fannedSmall++
+		}
+	}
+	par.FlushObs()
+	requireFannedOut(t, par)
+	if fannedSmall == 0 {
+		t.Fatal("no small phase ran on reused shards")
+	}
+}
+
+// TestComputePhaseAllocations pins what a steady-state compute phase costs in
+// allocations at p=8: nothing when it stays on the caller, and no more than
+// the goroutine starts plus a small constant when it fans out.
+func TestComputePhaseAllocations(t *testing.T) {
+	a := algo.NewSSSP(0)
+	g := testGraphFor(a, 42)
+	for _, arm := range fanoutArms {
+		t.Run(arm.name, func(t *testing.T) {
+			defer SetFanoutThresholdForTest(arm.threshold)()
+			e := New(g, a, parallelConfig(8), nil)
+			e.RunToConvergence()
+			rng := rand.New(rand.NewSource(3))
+			phase := func() {
+				perturb(rng, 8, e)
+				e.RunCompute()
+			}
+			for i := 0; i < 50; i++ { // warm the queue scratch, mail buffers, goroutine free list
+				phase()
+			}
+			allocs := testing.AllocsPerRun(100, phase)
+			limit := 0.0
+			if arm.threshold == 0 {
+				limit = 8 + 4
+			}
+			if allocs > limit {
+				t.Errorf("steady-state compute phase: %.1f allocs, want <= %.0f", allocs, limit)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // TestLazyAllocation pins the dormant-queue contract: construction allocates
 // no slot array; the first Insert does; the empty-queue read surface
-// (Len/Empty/Rows/DrainRound/TakeAll) works either way.
+// (Len/Empty/Rows/DrainRound) works either way.
 func TestLazyAllocation(t *testing.T) {
 	q := New(1024, Config{RowSize: 16}, sumCoalesce(), nil)
 	if q.occ != nil || q.slots != nil {
@@ -19,9 +19,6 @@ func TestLazyAllocation(t *testing.T) {
 	}
 	if got := q.Rows(); got != 64 {
 		t.Fatalf("Rows() = %d, want 64", got)
-	}
-	if evs := q.TakeAll(); len(evs) != 0 {
-		t.Fatalf("TakeAll on dormant queue returned %d events", len(evs))
 	}
 	if n := q.DrainRound(func([]event.Event) { t.Fatal("drain callback on dormant queue") }); n != 0 {
 		t.Fatalf("DrainRound on dormant queue emitted %d", n)

@@ -225,25 +225,6 @@ func (q *Coalescing) DrainRound(fn func(batch []event.Event)) int {
 	return emitted
 }
 
-// TakeAll removes and returns every pending event — slots in ascending
-// vertex order, then the overflow FIFO — without counting a drain round.
-// The parallel engine uses it to move a phase's seed events into the per-PE
-// shards before the workers start.
-func (q *Coalescing) TakeAll() []event.Event {
-	if q.occ == nil {
-		return nil
-	}
-	out := make([]event.Event, 0, q.Len())
-	for row := q.occ.nextRow(0); row >= 0; row = q.occ.nextRow(row + 1) {
-		q.occ.drainRow(row, func(slot int) {
-			out = append(out, q.slots[slot])
-		})
-	}
-	out = append(out, q.overflow...)
-	q.overflow = nil
-	return out
-}
-
 // Drain runs DrainRound until the queue is empty, which is the engines'
 // convergence loop ("processing continues until no more events are
 // available"). Returns total events emitted.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jetstream/internal/event"
+	"jetstream/internal/stats"
 )
 
 func shardMinCoalesce(old, in event.Event) event.Event {
@@ -165,4 +166,74 @@ func TestShardHighWater(t *testing.T) {
 	if got := s.HighWater(); got != 3 {
 		t.Fatalf("HighWater = %d after refill below peak, want 3", got)
 	}
+}
+
+// TestShardedAdopt moves a sequential queue's pending events — slots and the
+// non-coalescing overflow — into the shards: routed by owner, merged where a
+// target repeats, counted per destination, with no drain round charged and
+// the source left empty and reusable.
+func TestShardedAdopt(t *testing.T) {
+	st := &stats.Counters{}
+	q := New(8, Config{RowSize: 4}, shardMinCoalesce, st)
+	sq := NewSharded(2, stripedOwner(8, 2), Config{RowSize: 4}, shardMinCoalesce, true)
+	merged := make([]uint64, 2)
+
+	if live := sq.Adopt(q, merged); live != 0 {
+		t.Fatalf("adopting a dormant queue made %d records live", live)
+	}
+
+	q.SetCoalescing(false)
+	q.Insert(event.New(1, 5))
+	q.Insert(event.New(4, 9))
+	q.Insert(event.New(1, 3)) // overflow: slot 1 is taken and coalescing is off
+	if live := sq.Adopt(q, merged); live != 2 {
+		t.Fatalf("Adopt made %d records live, want 2 (vertex 1 merges in its shard)", live)
+	}
+	if merged[0] != 0 || merged[1] != 1 {
+		t.Fatalf("merged = %v, want the one merge attributed to shard 1", merged)
+	}
+	if !q.Empty() || q.OverflowLen() != 0 {
+		t.Fatalf("source queue still holds %d events", q.Len())
+	}
+	if st.Rounds != 0 {
+		t.Fatalf("Adopt charged %d drain rounds", st.Rounds)
+	}
+	if sq.Shard(0).Len() != 1 || sq.Shard(1).Len() != 1 {
+		t.Fatalf("shard lengths %d/%d, want 1/1", sq.Shard(0).Len(), sq.Shard(1).Len())
+	}
+	sq.Shard(1).DrainRound(func(b []event.Event) {
+		if len(b) != 1 || b[0].Target != 1 || b[0].Value != 3 {
+			t.Fatalf("shard 1 drained %+v, want vertex 1 at the merged minimum 3", b)
+		}
+	})
+
+	// The emptied queue takes new events.
+	q.Insert(event.New(1, 1))
+	if q.Len() != 1 {
+		t.Fatalf("source queue Len = %d after reuse, want 1", q.Len())
+	}
+}
+
+// TestShardedReset: a reset restarts the per-phase high-water marks and
+// re-selects the coalescing mode, and refuses shards that still hold events.
+func TestShardedReset(t *testing.T) {
+	sq := NewSharded(1, stripedOwner(4, 1), Config{RowSize: 4}, shardMinCoalesce, true)
+	s := sq.Shard(0)
+	s.Insert(event.New(0, 1))
+	s.Insert(event.New(1, 1))
+	s.DrainRound(func([]event.Event) {})
+	sq.Reset(false)
+	if s.HighWater() != 0 {
+		t.Fatalf("HighWater = %d after Reset, want 0", s.HighWater())
+	}
+	s.Insert(event.New(2, 1))
+	if s.Insert(event.New(2, 2)) {
+		t.Fatal("shard still coalescing after Reset(false)")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset accepted a shard holding live events")
+		}
+	}()
+	sq.Reset(true)
 }

@@ -65,8 +65,13 @@ type WorkerMetrics struct {
 	// shard through the mail channels (the NoC crossbar traffic).
 	EventsForwarded uint64
 	Rounds          uint64
-	IdleSpins       uint64
-	ShardHighWater  uint64
+	// IdleSpins counts scheduler passes in which this worker found nothing to
+	// do and yielded; Parks counts the times it then gave up polling and
+	// blocked until a neighbor mailed it or the phase ended. Both stay zero
+	// for phases that never left the calling goroutine.
+	IdleSpins      uint64
+	Parks          uint64
+	ShardHighWater uint64
 }
 
 // ChannelMetrics is one DRAM channel's cumulative traffic (timing model
@@ -104,6 +109,12 @@ type MetricsSnapshot struct {
 	// remain authoritative when parallelism never engaged. Sums over workers
 	// equal the Totals event counters.
 	Workers []WorkerMetrics
+	// ComputePhasesCaller and ComputePhasesFanout split the compute phases by
+	// the path they took: finished on the calling goroutine (always, at
+	// parallelism 1; above it, while the frontier stays small), or handed to
+	// the PE workers. Their sum is the number of compute phases run.
+	ComputePhasesCaller uint64
+	ComputePhasesFanout uint64
 	// QueueLive and QueueHighWater describe the coalescing queue occupancy
 	// (live events now / peak).
 	QueueLive      int64
@@ -139,6 +150,7 @@ func (s *System) Metrics() MetricsSnapshot {
 		BatchLatency: s.latency.Snapshot(),
 	}
 	if ob := eng.Obs(); ob != nil {
+		m.ComputePhasesCaller, m.ComputePhasesFanout = ob.ComputePhases()
 		for i, w := range ob.WorkerSnapshots() {
 			m.Workers = append(m.Workers, WorkerMetrics{
 				Worker:          i,
@@ -148,6 +160,7 @@ func (s *System) Metrics() MetricsSnapshot {
 				EventsForwarded: w.Forwarded,
 				Rounds:          w.Rounds,
 				IdleSpins:       w.IdleSpins,
+				Parks:           w.Parks,
 				ShardHighWater:  w.ShardHighWater,
 			})
 		}

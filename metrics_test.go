@@ -37,37 +37,51 @@ func runStream(t *testing.T, opts ...Option) *System {
 func TestMetricsConservation(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-			sys := runStream(t, WithTiming(false), WithParallelism(p))
-			m := sys.Metrics()
-			if len(m.Workers) == 0 {
-				t.Fatal("no worker series published")
-			}
-			var proc, coal, gen, rounds uint64
-			for _, w := range m.Workers {
-				proc += w.EventsProcessed
-				coal += w.EventsCoalesced
-				gen += w.EventsGenerated
-				rounds += w.Rounds
-			}
-			tot := m.Totals
-			if proc != tot.EventsProcessed {
-				t.Errorf("processed: workers sum %d != total %d", proc, tot.EventsProcessed)
-			}
-			if coal != tot.EventsCoalesced {
-				t.Errorf("coalesced: workers sum %d != total %d", coal, tot.EventsCoalesced)
-			}
-			if gen != tot.EventsGenerated {
-				t.Errorf("generated: workers sum %d != total %d", gen, tot.EventsGenerated)
-			}
-			if rounds != tot.Rounds {
-				t.Errorf("rounds: workers sum %d != total %d", rounds, tot.Rounds)
-			}
-			if m.SchemaVersion != MetricsSchemaVersion {
-				t.Errorf("schema version %d, want %d", m.SchemaVersion, MetricsSchemaVersion)
-			}
-			if m.Batches != 3 {
-				t.Errorf("batches %d, want 3", m.Batches)
-			}
+			eachFanoutArm(t, p, func(t *testing.T) *System {
+				sys := runStream(t, WithTiming(false), WithParallelism(p))
+				m := sys.Metrics()
+				if len(m.Workers) == 0 {
+					t.Fatal("no worker series published")
+				}
+				var proc, coal, gen, rounds uint64
+				for _, w := range m.Workers {
+					proc += w.EventsProcessed
+					coal += w.EventsCoalesced
+					gen += w.EventsGenerated
+					rounds += w.Rounds
+				}
+				tot := m.Totals
+				if proc != tot.EventsProcessed {
+					t.Errorf("processed: workers sum %d != total %d", proc, tot.EventsProcessed)
+				}
+				if coal != tot.EventsCoalesced {
+					t.Errorf("coalesced: workers sum %d != total %d", coal, tot.EventsCoalesced)
+				}
+				if gen != tot.EventsGenerated {
+					t.Errorf("generated: workers sum %d != total %d", gen, tot.EventsGenerated)
+				}
+				if rounds != tot.Rounds {
+					t.Errorf("rounds: workers sum %d != total %d", rounds, tot.Rounds)
+				}
+				// A selective kernel runs one compute phase for the initial
+				// evaluation and one per batch (the other phase of each batch
+				// is the delete recovery), and every compute phase is counted
+				// under exactly one mode.
+				if got, want := m.ComputePhasesCaller+m.ComputePhasesFanout, 1+m.Batches; got != want {
+					t.Errorf("compute phases: caller %d + fanout %d = %d, want %d (of %d phases in all)",
+						m.ComputePhasesCaller, m.ComputePhasesFanout, got, want, tot.Phases)
+				}
+				if p == 1 && m.ComputePhasesFanout != 0 {
+					t.Errorf("parallelism 1 fanned out %d phases", m.ComputePhasesFanout)
+				}
+				if m.SchemaVersion != MetricsSchemaVersion {
+					t.Errorf("schema version %d, want %d", m.SchemaVersion, MetricsSchemaVersion)
+				}
+				if m.Batches != 3 {
+					t.Errorf("batches %d, want 3", m.Batches)
+				}
+				return sys
+			})
 		})
 	}
 }
@@ -136,6 +150,9 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		"# TYPE jetstream_batch_latency_ns histogram",
 		"jetstream_batches_total 3",
 		"jetstream_queue_live_events",
+		`jetstream_compute_phases_total{mode="caller"}`,
+		`jetstream_compute_phases_total{mode="fanout"}`,
+		`jetstream_worker_parks_total{worker="0"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

@@ -97,7 +97,7 @@ func TestQuiescenceUnderAdversarialSchedules(t *testing.T) {
 				g := RMAT(RMATConfig{Vertices: nv, Edges: 1600, Seed: 9})
 				schedule := adversarialSchedule(kind, rand.New(rand.NewSource(17)), nv, 12, 30)
 
-				run := func(p int) Counters {
+				run := func(t *testing.T, p int) *System {
 					sys, err := New(g, al.mk(), WithTiming(false), WithParallelism(p), WithIngest(Repair))
 					if err != nil {
 						t.Fatal(err)
@@ -128,25 +128,29 @@ func TestQuiescenceUnderAdversarialSchedules(t *testing.T) {
 						t.Errorf("p=%d: conservation violated: %d events unaccounted (generated %d, processed %d, coalesced %d)",
 							p, r, st.EventsGenerated, st.EventsProcessed, st.EventsCoalesced)
 					}
-					return st
+					return sys
 				}
 
-				seq := run(1)
+				seq := run(t, 1).TotalStats()
 				for _, p := range []int{2, 8} {
-					par := run(p)
-					// The coalescing-allowed envelope: parallel sharding can
-					// only split coalescing opportunities, never create work
-					// out of thin air — arrivals (processed + coalesced) stay
-					// within a loose constant of the sequential schedule, and
-					// useful work cannot collapse below it either.
-					seqArrivals := seq.EventsProcessed + seq.EventsCoalesced
-					parArrivals := par.EventsProcessed + par.EventsCoalesced
-					if parArrivals > 16*seqArrivals {
-						t.Errorf("p=%d: %d event arrivals vs sequential %d — outside the coalescing bound", p, parArrivals, seqArrivals)
-					}
-					if par.EventsProcessed < seq.EventsProcessed/16 {
-						t.Errorf("p=%d: only %d events processed vs sequential %d", p, par.EventsProcessed, seq.EventsProcessed)
-					}
+					eachFanoutArm(t, p, func(t *testing.T) *System {
+						sys := run(t, p)
+						par := sys.TotalStats()
+						// The coalescing-allowed envelope: parallel sharding can
+						// only split coalescing opportunities, never create work
+						// out of thin air — arrivals (processed + coalesced) stay
+						// within a loose constant of the sequential schedule, and
+						// useful work cannot collapse below it either.
+						seqArrivals := seq.EventsProcessed + seq.EventsCoalesced
+						parArrivals := par.EventsProcessed + par.EventsCoalesced
+						if parArrivals > 16*seqArrivals {
+							t.Errorf("p=%d: %d event arrivals vs sequential %d — outside the coalescing bound", p, parArrivals, seqArrivals)
+						}
+						if par.EventsProcessed < seq.EventsProcessed/16 {
+							t.Errorf("p=%d: only %d events processed vs sequential %d", p, par.EventsProcessed, seq.EventsProcessed)
+						}
+						return sys
+					})
 				}
 			})
 		}

@@ -158,7 +158,9 @@ func TestWindowedDifferential(t *testing.T) {
 							base, batches := recordWindowedStream(t, name, kind, ttl, 7, 24, int64(101+ttl))
 							for _, p := range difftestParallelisms {
 								t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-									runWindowedDifferential(t, name, base, batches, ttl, p)
+									eachFanoutArm(t, p, func(t *testing.T) *System {
+										return runWindowedDifferential(t, name, base, batches, ttl, p)
+									})
 								})
 							}
 						})
@@ -169,7 +171,7 @@ func TestWindowedDifferential(t *testing.T) {
 	}
 }
 
-func runWindowedDifferential(t *testing.T, name string, base *Graph, batches []Batch, ttl, p int) {
+func runWindowedDifferential(t *testing.T, name string, base *Graph, batches []Batch, ttl, p int) *System {
 	a := makeAlgByName(t, name)
 	sys, err := New(base, a, WithTiming(false), WithParallelism(p), WithWindow(ttl))
 	if err != nil {
@@ -211,6 +213,7 @@ func runWindowedDifferential(t *testing.T, name string, base *Graph, batches []B
 			t.Fatalf("batch %d: accumulative state deviates by %v > tolerance %v", i, d, tol)
 		}
 	}
+	return sys
 }
 
 // TestWindowExpiresInitialGraph pins the epoch-0 rule: with TTL t and no
