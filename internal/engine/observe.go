@@ -3,6 +3,7 @@ package engine
 import (
 	"strconv"
 
+	"jetstream/internal/graph"
 	"jetstream/internal/mem"
 	"jetstream/internal/noc"
 	"jetstream/internal/obs"
@@ -36,6 +37,15 @@ type Obs struct {
 	// RepresentationMix), refreshed at every flush boundary.
 	inlineOut *obs.Gauge
 	inlineIn  *obs.Gauge
+
+	// Layout work of the delta mutation layer (graph.CSR LayoutStats),
+	// refreshed at the same boundary; layoutPub is the last published reading
+	// the two counters advance from.
+	relocations *obs.Counter
+	relayouts   *obs.Counter
+	edgeSlots   *obs.Gauge
+	deadSlots   *obs.Gauge
+	layoutPub   graph.LayoutStats
 
 	pairs  *noc.Matrix
 	pairsK int
@@ -73,6 +83,11 @@ func NewObs(reg *obs.Registry, tr obs.Tracer) *Obs {
 		queueHigh: reg.Max("jetstream_queue_highwater"),
 		inlineOut: reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "out")),
 		inlineIn:  reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "in")),
+
+		relocations: reg.Counter("jetstream_graph_relocations_total"),
+		relayouts:   reg.Counter("jetstream_graph_relayouts_total"),
+		edgeSlots:   reg.Gauge("jetstream_graph_edge_slots"),
+		deadSlots:   reg.Gauge("jetstream_graph_dead_slots"),
 
 		phasesCaller: reg.Counter("jetstream_compute_phases_total", obs.L("mode", "caller")),
 		phasesFanout: reg.Counter("jetstream_compute_phases_total", obs.L("mode", "fanout")),
@@ -229,6 +244,12 @@ func (e *Engine) FlushObs() {
 	out, in, _ := e.csr.RepresentationMix()
 	e.ob.inlineOut.Set(int64(out))
 	e.ob.inlineIn.Set(int64(in))
+	ls := e.csr.LayoutStats()
+	e.ob.relocations.Add(ls.Relocations - e.ob.layoutPub.Relocations)
+	e.ob.relayouts.Add(ls.Relayouts - e.ob.layoutPub.Relayouts)
+	e.ob.edgeSlots.Set(int64(ls.EdgeSlots))
+	e.ob.deadSlots.Set(int64(ls.DeadSlots))
+	e.ob.layoutPub = ls
 }
 
 // countComputePhase records which path a finished compute phase took.

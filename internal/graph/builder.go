@@ -42,37 +42,42 @@ func MustBuild(n int, edges []Edge) *CSR {
 // buildSorted builds from edges already sorted by (src, dst) and deduplicated.
 func buildSorted(n int, es []Edge) *CSR {
 	g := &CSR{
-		n:            n,
-		outPtr:       make([]uint64, n+1),
-		outDst:       make([]VertexID, len(es)),
-		outW:         make([]Weight, len(es)),
-		inPtr:        make([]uint64, n+1),
-		inSrc:        make([]VertexID, len(es)),
-		inW:          make([]Weight, len(es)),
+		n: n,
+		m: len(es),
+		out: adj{
+			ptr: make([]uint64, n+1),
+			ids: make([]VertexID, len(es)),
+			ws:  make([]Weight, len(es)),
+		},
+		in: adj{
+			ptr: make([]uint64, n+1),
+			ids: make([]VertexID, len(es)),
+			ws:  make([]Weight, len(es)),
+		},
 		outWeightSum: make([]float64, n),
 	}
 	for _, e := range es {
-		g.outPtr[e.Src+1]++
-		g.inPtr[e.Dst+1]++
+		g.out.ptr[e.Src+1]++
+		g.in.ptr[e.Dst+1]++
 		g.outWeightSum[e.Src] += e.Weight
 	}
 	for v := 0; v < n; v++ {
-		g.outPtr[v+1] += g.outPtr[v]
-		g.inPtr[v+1] += g.inPtr[v]
+		g.out.ptr[v+1] += g.out.ptr[v]
+		g.in.ptr[v+1] += g.in.ptr[v]
 	}
 	for i, e := range es {
-		g.outDst[i] = e.Dst
-		g.outW[i] = e.Weight
+		g.out.ids[i] = e.Dst
+		g.out.ws[i] = e.Weight
 	}
 	// Fill the in-index with a counting pass; a per-vertex cursor tracks the
 	// next free slot. Sources arrive in sorted order because es is sorted by
 	// src, so each in-adjacency ends up sorted by source automatically.
 	cursor := make([]uint64, n)
-	copy(cursor, g.inPtr[:n])
+	copy(cursor, g.in.ptr[:n])
 	for _, e := range es {
 		i := cursor[e.Dst]
-		g.inSrc[i] = e.Src
-		g.inW[i] = e.Weight
+		g.in.ids[i] = e.Src
+		g.in.ws[i] = e.Weight
 		cursor[e.Dst]++
 	}
 	// Symmetry count: the edge set is closed under reversal iff every vertex's
@@ -82,11 +87,10 @@ func buildSorted(n int, es []Edge) *CSR {
 	// per-vertex count (not just a bit) lets the delta mutation layer maintain
 	// symmetry incrementally: a batch only changes the asymmetric-vertex count
 	// at the vertices it touches.
-	g.m = len(es)
 	for v := 0; v < n; v++ {
-		lo, hi := g.outPtr[v], g.outPtr[v+1]
-		ilo, ihi := g.inPtr[v], g.inPtr[v+1]
-		if !segIDsEqual(g.outDst[lo:hi], g.inSrc[ilo:ihi]) {
+		lo, hi := g.out.ptr[v], g.out.ptr[v+1]
+		ilo, ihi := g.in.ptr[v], g.in.ptr[v+1]
+		if !segIDsEqual(g.out.ids[lo:hi], g.in.ids[ilo:ihi]) {
 			g.asymCount++
 		}
 	}

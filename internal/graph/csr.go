@@ -11,10 +11,12 @@
 //     (§4.7) where the host writes a complete new CSR and swaps the pointer.
 //     Cost O(V+E) per batch regardless of batch size.
 //   - ApplyDelta (delta.go) mutates only the adjacencies of the vertices a
-//     batch touches, using per-vertex slack gaps in the edge arrays, and
-//     preserves the versioned pointer-swap semantics by snapshotting the
+//     batch touches, using per-vertex slack gaps in the edge arrays (a vertex
+//     that outgrows its gap moves to tail headroom at the end of the slab),
+//     and preserves the versioned pointer-swap semantics by snapshotting the
 //     pre-mutation adjacencies onto the superseded version. Cost
-//     O(Σ deg(affected)) per batch, amortized.
+//     O(Σ deg(affected)) per batch; a whole-graph re-lay happens only when
+//     accumulated waste crosses DeltaConfig.CompactFrac or the tail runs out.
 package graph
 
 import (
@@ -37,16 +39,38 @@ type Edge struct {
 	Weight   Weight
 }
 
+// adj is one direction of the adjacency index: out-edges keyed by source or
+// in-edges keyed by destination.
+//
+// A dense adj (Build/buildSorted) stores vertex v's neighbors in
+// [ptr[v], ptr[v+1]); cap and len are nil. A slacked adj (the delta mutation
+// layer) gives every vertex its own segment [ptr[v], ptr[v]+cap[v]) of which
+// the first len[v] slots are used; the gap absorbs insertions without moving
+// other segments. Behind the packed segments the slab keeps tail headroom,
+// [tail, len(ids)) still unused: a vertex that outgrows its capacity moves
+// there and leaves its old slots dead. The slab slices themselves never move
+// or grow, so every version of a mutation chain shares them.
+type adj struct {
+	ptr []uint64 // n+1 entries; ptr[n] is the end of the packed region
+	cap []uint32 // slacked: segment capacity per vertex
+	len []uint32 // slacked: used slots per vertex (0 for inline vertices)
+	ids []VertexID
+	ws  []Weight
+
+	// Degree-adaptive layout (inline.go): vertices with at most CSR.inlCap
+	// neighbors keep them in their cache-line record instead of the slab.
+	// nil for dense builds and slab-only layouts.
+	inl    []inlineRec
+	inline int // vertices currently stored inline
+
+	tail uint64 // slacked: first unused slot of the tail headroom
+	dead int    // slacked: slots vacated by relocations since the last re-lay
+}
+
 // CSR is a compressed-sparse-row graph with both directions indexed.
 // JetStream requires the in-edge index for reapproximation request events
 // (paper §4.7: "JetStream requires access to the incoming edges for each
 // vertex, which are stored in another CSR structure").
-//
-// A CSR built by Build/buildSorted is dense: each vertex's adjacency is the
-// contiguous range [outPtr[v], outPtr[v+1]). A CSR produced by the delta
-// mutation layer additionally carries per-vertex slack: outPtr[v] is the
-// start of v's segment, outPtr[v+1] its capacity end, and outLen[v] the used
-// count — the gap absorbs future insertions without moving other segments.
 //
 // Logically every CSR version is immutable: readers of any version always
 // observe that version's edge set. Physically, ApplyDelta mutates the edge
@@ -58,15 +82,7 @@ type CSR struct {
 	n int
 	m int // logical directed edge count
 
-	outPtr []uint64
-	outLen []uint32 // used counts; nil for dense layouts (used == capacity)
-	outDst []VertexID
-	outW   []Weight
-
-	inPtr []uint64
-	inLen []uint32
-	inSrc []VertexID
-	inW   []Weight
+	out, in adj
 
 	// outWeightSum caches the total outgoing edge weight per vertex;
 	// Adsorption normalizes propagation by it.
@@ -77,18 +93,13 @@ type CSR struct {
 	// reversal. Maintained incrementally by the delta mutation layer.
 	asymCount int
 
-	// Degree-adaptive layout (inline.go): when inlCap > 0, vertices with at
-	// most inlCap neighbors in a direction store them directly in the
-	// per-vertex cache-line record instead of the slab, and outLen/inLen is 0
-	// for them. nil/0 for dense builds and slab-only layouts.
-	outInl []inlineRec
-	inInl  []inlineRec
+	// inlCap is the adaptive layout's inline capacity, shared by both
+	// directions; 0 for dense builds and slab-only layouts.
 	inlCap uint8
 
-	// outInline/inInline count vertices currently stored inline per
-	// direction; the representation-mix metric reads them in O(1).
-	outInline int
-	inInline  int
+	// relocations and relayouts count the layout work done along this
+	// version's mutation chain (LayoutStats).
+	relocations, relayouts uint64
 
 	// ver holds delta-mutation bookkeeping: nil for plain dense builds,
 	// otherwise the version's role in a mutation chain (head scratch state or
@@ -109,10 +120,33 @@ func (g *CSR) NumVertices() int { return g.n }
 func (g *CSR) NumEdges() int { return g.m }
 
 // EdgeSlots returns the physical size of the out-edge arrays — edge count
-// plus slack gaps for delta-mutated versions, exactly the edge count for
-// dense builds. The timing layer places the in-edge region after this many
-// out-edge records so modeled addresses never alias.
-func (g *CSR) EdgeSlots() int { return len(g.outDst) }
+// plus slack gaps and tail headroom for delta-mutated versions, exactly the
+// edge count for dense builds. The timing layer places the in-edge region
+// after this many out-edge records so modeled addresses never alias.
+func (g *CSR) EdgeSlots() int { return len(g.out.ids) }
+
+// LayoutStats describes the physical layout of a live version and the work
+// the delta mutation layer has spent on it.
+type LayoutStats struct {
+	// Relocations counts adjacency segments moved to tail headroom because a
+	// batch outgrew their capacity; Relayouts counts whole-graph re-lays
+	// (including the first, dense → slacked). Both are cumulative along the
+	// version chain and zero for dense builds.
+	Relocations, Relayouts uint64
+	// EdgeSlots is the physical slab size and DeadSlots the part of it
+	// vacated by relocations since the last re-lay, both directions summed.
+	EdgeSlots, DeadSlots int
+}
+
+// LayoutStats reports g's layout bookkeeping in O(1).
+func (g *CSR) LayoutStats() LayoutStats {
+	return LayoutStats{
+		Relocations: g.relocations,
+		Relayouts:   g.relayouts,
+		EdgeSlots:   len(g.out.ids) + len(g.in.ids),
+		DeadSlots:   g.out.dead + g.in.dead,
+	}
+}
 
 // outSeg returns v's out-adjacency (destinations and weights, sorted by
 // destination) as observed by this version. A superseded version consults
@@ -122,7 +156,7 @@ func (g *CSR) outSeg(v VertexID) ([]VertexID, []Weight) {
 	for {
 		vi := cur.ver
 		if vi == nil || !vi.frozen {
-			return cur.liveOut(v)
+			return cur.out.live(v)
 		}
 		if u := vi.lookupOut(v); u != nil {
 			return u.dst, u.w
@@ -138,7 +172,7 @@ func (g *CSR) inSeg(v VertexID) ([]VertexID, []Weight) {
 	for {
 		vi := cur.ver
 		if vi == nil || !vi.frozen {
-			return cur.liveIn(v)
+			return cur.in.live(v)
 		}
 		if u := vi.lookupIn(v); u != nil {
 			return u.src, u.w
@@ -212,8 +246,12 @@ func (g *CSR) InNeighbors(v VertexID) []Neighbor {
 }
 
 // HasEdge reports whether edge (u,v) exists and, if so, its weight. Out
-// adjacencies are sorted by destination so this is a binary search.
+// adjacencies are sorted by destination so this is a binary search. A source
+// outside the graph has no edges (batch validation probes unchecked ids).
 func (g *CSR) HasEdge(u, v VertexID) (Weight, bool) {
+	if int(u) >= g.n {
+		return 0, false
+	}
 	ids, ws := g.outSeg(u)
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
 	if i < len(ids) && ids[i] == v {
@@ -245,17 +283,17 @@ func (g *CSR) EdgeAt(i int) Edge {
 	if i < 0 || i >= g.m {
 		panic(fmt.Sprintf("graph: EdgeAt(%d) out of range", i))
 	}
-	if g.outLen == nil && (g.ver == nil || !g.ver.frozen) {
+	if g.out.len == nil && (g.ver == nil || !g.ver.frozen) {
 		// Dense layout: pointers double as the rank index.
-		u := sort.Search(g.n, func(v int) bool { return g.outPtr[v+1] > uint64(i) })
-		return Edge{VertexID(u), g.outDst[i], g.outW[i]}
+		u := sort.Search(g.n, func(v int) bool { return g.out.ptr[v+1] > uint64(i) })
+		return Edge{VertexID(u), g.out.ids[i], g.out.ws[i]}
 	}
 	if g.ver != nil && !g.ver.frozen {
 		cum := g.ver.rankIndex(g)
 		u := sort.Search(g.n, func(v int) bool { return cum[v+1] > uint64(i) })
 		// Index through the live segment rather than the slab directly: an
-		// inline vertex's edges live in its record, not at outPtr[u].
-		ids, ws := g.liveOut(VertexID(u))
+		// inline vertex's edges live in its record, not at ptr[u].
+		ids, ws := g.out.live(VertexID(u))
 		k := uint64(i) - cum[u]
 		return Edge{VertexID(u), ids[k], ws[k]}
 	}
@@ -285,15 +323,16 @@ func (g *CSR) Edges() []Edge {
 }
 
 // EdgeOffset returns the index of u's adjacency in the flat edge arrays;
-// the timing layer uses it to compute edge-cache addresses. Offsets are
-// stable across in-place delta mutation (segments never move between
-// compactions) and must be re-queried after a version swap.
-func (g *CSR) EdgeOffset(u VertexID) uint64 { return g.outPtr[u] }
+// the timing layer uses it to compute edge-cache addresses. A segment moves
+// only when a batch relocates it or re-lays the graph, so offsets must be
+// re-queried after a version swap; the offset arrays are shared along the
+// version chain, so a superseded version reports where the segment is now.
+func (g *CSR) EdgeOffset(u VertexID) uint64 { return g.out.ptr[u] }
 
 // InEdgeOffset returns the index of v's in-adjacency in the flat in-edge
 // arrays; the reapproximation phase charges its reads against a region
 // placed after the out-edge array.
-func (g *CSR) InEdgeOffset(v VertexID) uint64 { return g.inPtr[v] }
+func (g *CSR) InEdgeOffset(v VertexID) uint64 { return g.in.ptr[v] }
 
 // String summarizes the graph.
 func (g *CSR) String() string {
@@ -373,72 +412,102 @@ func (g *CSR) Validate() error {
 
 // validateLayout checks the physical array invariants of a live version.
 func (g *CSR) validateLayout() error {
-	if len(g.outPtr) != g.n+1 || len(g.inPtr) != g.n+1 {
-		return fmt.Errorf("graph: pointer array length mismatch")
-	}
-	if g.outPtr[0] != 0 || g.inPtr[0] != 0 {
-		return fmt.Errorf("graph: pointer arrays must start at 0")
-	}
-	if g.outPtr[g.n] != uint64(len(g.outDst)) || g.inPtr[g.n] != uint64(len(g.inSrc)) {
-		return fmt.Errorf("graph: pointer arrays must end at the array size")
-	}
-	if (g.outLen == nil) != (g.inLen == nil) {
+	if (g.out.len == nil) != (g.in.len == nil) {
 		return fmt.Errorf("graph: slack layout must cover both directions")
 	}
-	for v := 0; v < g.n; v++ {
-		if g.outPtr[v] > g.outPtr[v+1] || g.inPtr[v] > g.inPtr[v+1] {
-			return fmt.Errorf("graph: non-monotone pointers at vertex %d", v)
-		}
-		if g.outLen != nil {
-			if uint64(g.outLen[v]) > g.outPtr[v+1]-g.outPtr[v] {
-				return fmt.Errorf("graph: out segment of %d overflows its capacity", v)
-			}
-			if uint64(g.inLen[v]) > g.inPtr[v+1]-g.inPtr[v] {
-				return fmt.Errorf("graph: in segment of %d overflows its capacity", v)
-			}
-		}
-	}
-	if g.outLen == nil && g.m != len(g.outDst) {
-		return fmt.Errorf("graph: dense layout records %d edges over %d slots", g.m, len(g.outDst))
-	}
-	if (g.outInl == nil) != (g.inInl == nil) {
+	if (g.out.inl == nil) != (g.in.inl == nil) {
 		return fmt.Errorf("graph: adaptive layout must cover both directions")
 	}
-	if g.outInl != nil {
-		if g.outLen == nil {
+	if g.out.inl != nil && (g.inlCap == 0 || g.inlCap > inlineCapMax) {
+		return fmt.Errorf("graph: inline capacity %d out of range", g.inlCap)
+	}
+	if err := g.out.validate("out", g.n, g.m, int(g.inlCap)); err != nil {
+		return err
+	}
+	return g.in.validate("in", g.n, g.m, int(g.inlCap))
+}
+
+// validate checks one direction's physical invariants: dense pointers are a
+// prefix sum over exactly m slots; slacked segments hold len ≤ cap, lie inside
+// the slab below the tail, are pairwise disjoint, and together with the dead
+// slots and the free tail account for every slot of the slab; inline records
+// agree with the used counts and the inline tally.
+func (a *adj) validate(dir string, n, m, inlCap int) error {
+	if len(a.ptr) != n+1 {
+		return fmt.Errorf("graph: %s pointer array length mismatch", dir)
+	}
+	if len(a.ids) != len(a.ws) {
+		return fmt.Errorf("graph: %s id and weight arrays differ in length", dir)
+	}
+	if a.len == nil {
+		if a.inl != nil {
 			return fmt.Errorf("graph: adaptive layout requires a slacked layout")
 		}
-		if g.inlCap == 0 || g.inlCap > inlineCapMax {
-			return fmt.Errorf("graph: inline capacity %d out of range", g.inlCap)
+		if a.ptr[0] != 0 || a.ptr[n] != uint64(len(a.ids)) || m != len(a.ids) {
+			return fmt.Errorf("graph: dense %s layout records %d edges over %d slots", dir, m, len(a.ids))
 		}
-		if len(g.outInl) != g.n || len(g.inInl) != g.n {
-			return fmt.Errorf("graph: inline record array length mismatch")
-		}
-		outN, inN := 0, 0
-		for v := 0; v < g.n; v++ {
-			on, in := g.outInl[v].n, g.inInl[v].n
-			if on != inlineSpilled {
-				if on > g.inlCap {
-					return fmt.Errorf("graph: inline out record of %d holds %d > cap %d", v, on, g.inlCap)
-				}
-				if g.outLen[v] != 0 {
-					return fmt.Errorf("graph: vertex %d is inline but outLen is %d", v, g.outLen[v])
-				}
-				outN++
-			}
-			if in != inlineSpilled {
-				if in > g.inlCap {
-					return fmt.Errorf("graph: inline in record of %d holds %d > cap %d", v, in, g.inlCap)
-				}
-				if g.inLen[v] != 0 {
-					return fmt.Errorf("graph: vertex %d is inline but inLen is %d", v, g.inLen[v])
-				}
-				inN++
+		for v := 0; v < n; v++ {
+			if a.ptr[v] > a.ptr[v+1] {
+				return fmt.Errorf("graph: non-monotone %s pointers at vertex %d", dir, v)
 			}
 		}
-		if outN != g.outInline || inN != g.inInline {
-			return fmt.Errorf("graph: inline counts (%d,%d), recomputed (%d,%d)", g.outInline, g.inInline, outN, inN)
+		return nil
+	}
+	if len(a.cap) != n || len(a.len) != n {
+		return fmt.Errorf("graph: %s capacity/length array length mismatch", dir)
+	}
+	if a.tail > uint64(len(a.ids)) {
+		return fmt.Errorf("graph: %s tail %d beyond the slab (%d slots)", dir, a.tail, len(a.ids))
+	}
+	order := make([]int, n)
+	live := uint64(0)
+	for v := range order {
+		order[v] = v
+		if a.len[v] > a.cap[v] {
+			return fmt.Errorf("graph: %s segment of %d overflows its capacity", dir, v)
 		}
+		if a.ptr[v]+uint64(a.cap[v]) > a.tail {
+			return fmt.Errorf("graph: %s segment of %d reaches into the free tail", dir, v)
+		}
+		live += uint64(a.cap[v])
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if a.ptr[order[i]] != a.ptr[order[j]] {
+			return a.ptr[order[i]] < a.ptr[order[j]]
+		}
+		return a.cap[order[i]] < a.cap[order[j]] // empty segments first
+	})
+	for i := 1; i < n; i++ {
+		u, v := order[i-1], order[i]
+		if a.ptr[u]+uint64(a.cap[u]) > a.ptr[v] {
+			return fmt.Errorf("graph: %s segments of %d and %d overlap", dir, u, v)
+		}
+	}
+	if free := uint64(len(a.ids)) - a.tail; live+uint64(a.dead)+free != uint64(len(a.ids)) {
+		return fmt.Errorf("graph: %s slab of %d slots != %d live + %d dead + %d free", dir, len(a.ids), live, a.dead, free)
+	}
+	if a.inl == nil {
+		return nil
+	}
+	if len(a.inl) != n {
+		return fmt.Errorf("graph: %s inline record array length mismatch", dir)
+	}
+	inline := 0
+	for v := 0; v < n; v++ {
+		k := a.inl[v].n
+		if k == inlineSpilled {
+			continue
+		}
+		if int(k) > inlCap {
+			return fmt.Errorf("graph: inline %s record of %d holds %d > cap %d", dir, v, k, inlCap)
+		}
+		if a.len[v] != 0 {
+			return fmt.Errorf("graph: vertex %d is inline but its %s length is %d", v, dir, a.len[v])
+		}
+		inline++
+	}
+	if inline != a.inline {
+		return fmt.Errorf("graph: %s inline count %d, recomputed %d", dir, a.inline, inline)
 	}
 	return nil
 }

@@ -9,15 +9,17 @@ import (
 // DeltaConfig tunes the incremental mutation layer.
 type DeltaConfig struct {
 	// SlackMin is the minimum number of spare slots reserved per vertex per
-	// direction when a slacked layout is (re)built.
+	// direction when a slacked layout is laid out.
 	SlackMin int
-	// SlackFrac adds deg·SlackFrac spare slots on top of SlackMin, so
-	// high-degree vertices absorb proportionally more churn between rebuilds.
+	// SlackFrac reserves max(SlackMin, deg·SlackFrac) spare slots per vertex,
+	// so high-degree vertices absorb proportionally more churn between
+	// re-lays. The slab's tail headroom — where a vertex that outgrows its gap
+	// is relocated — is sized by the same rule applied to the whole slab.
 	SlackFrac float64
-	// CompactFrac bounds accumulated edits: once the number of updates applied
-	// in place since the last rebuild exceeds CompactFrac·E, the next batch
-	// triggers a compacting rebuild that restores fresh slack everywhere. This
-	// amortizes the O(V+E) rebuild over Θ(E) cheap updates.
+	// CompactFrac bounds accumulated waste: once the updates applied in place
+	// plus the slots left dead by relocations since the last re-lay exceed
+	// CompactFrac·E, the next batch re-lays the whole graph with fresh slack
+	// everywhere. This amortizes the O(V+E) re-lay over Θ(E) cheap updates.
 	CompactFrac float64
 	// InlineCap enables the degree-adaptive layout: vertices with at most
 	// InlineCap neighbors in a direction are stored directly in a per-vertex
@@ -53,7 +55,7 @@ type inUndo struct {
 // versionInfo is the delta-mutation bookkeeping hung off a CSR.
 //
 // On the live head of a mutation chain (frozen == false) it carries the
-// config, the edits-since-rebuild counter, reusable scratch buffers, and the
+// config, the edits-since-re-lay counter, reusable scratch buffers, and the
 // lazy EdgeAt rank index. When the head is superseded by ApplyDelta, it is
 // frozen in place: its undo lists (sorted by vertex) preserve the adjacencies
 // the mutation overwrote, and next links to the version that replaced it so
@@ -65,7 +67,7 @@ type versionInfo struct {
 	undoIn  []inUndo  // sorted by v; pre-mutation in segments
 	next    *CSR
 
-	edits   int // in-place updates applied since the last rebuild
+	edits   int // in-place updates applied since the last re-lay
 	scratch *deltaScratch
 	cum     []uint64 // lazy EdgeAt rank index; nil until first use
 }
@@ -204,7 +206,7 @@ func (a *undoArena) allocIn(n int) []inUndo {
 // rankIndex returns the prefix-degree array for EdgeAt on a slacked live
 // layout, building it on first use. Each ApplyDelta returns a fresh head with
 // cum == nil, and a superseded version's cum and scratch aliases are severed
-// when it is superseded (applyInPlace freezes it; rebuildSlacked detaches it),
+// when it is superseded (applyInPlace freezes it; relay detaches it),
 // so a cached index can never reflect another version's degrees. The backing
 // array is owned by the scratch when one is attached; a detached version
 // builds a private index.
@@ -223,8 +225,8 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 		cum := buf[:g.n+1]
 		cum[0] = 0
 		for v := 0; v < g.n; v++ {
-			// Logical degree, not outLen: inline vertices keep outLen == 0.
-			cum[v+1] = cum[v] + uint64(g.liveOutDeg(VertexID(v)))
+			// Logical degree, not len: inline vertices keep len == 0.
+			cum[v+1] = cum[v] + uint64(g.out.deg(VertexID(v)))
 		}
 		vi.cum = cum
 	}
@@ -233,8 +235,9 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 
 // ApplyDelta produces the next graph version G+Δ like Apply, but touches only
 // the adjacencies of vertices the batch mutates: updates are merged into each
-// affected vertex's segment within its slack gap, and outWeightSum, the edge
-// count, and the symmetry count are maintained incrementally. Cost is
+// affected vertex's segment within its slack gap, a vertex that outgrows its
+// gap moves to the slab's tail headroom, and outWeightSum, the edge count,
+// and the symmetry count are maintained incrementally. Cost is
 // O(Σ deg(affected) + |Δ| log |Δ|) per batch instead of O(V+E).
 //
 // The versioned pointer-swap contract is preserved: the receiver continues to
@@ -242,14 +245,15 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 // new versions simultaneously during a batch). Physically the edge arrays are
 // shared along the version chain and the receiver keeps snapshots of the
 // segments the mutation overwrote, so reads on superseded versions cost one
-// map probe per touched vertex. ApplyDelta must not race with readers of any
-// version in the chain; the single-threaded host mutation path is the
+// binary search per touched vertex. ApplyDelta must not race with readers of
+// any version in the chain; the single-threaded host mutation path is the
 // intended writer, and engine phases only run between mutations.
 //
-// ApplyDelta falls back to a full compacting rebuild — restoring fresh slack
-// everywhere — when the batch cannot be absorbed in place: a vertex's slack
-// is exhausted, the receiver is a dense build, or accumulated edits exceed
-// the configured amortization threshold. Validation errors match Apply's.
+// ApplyDelta re-lays the whole graph (relay) only when measured waste says
+// so — in-place edits plus dead slots past the configured threshold, or the
+// tail headroom cannot take this batch's relocations — or when the receiver
+// has no mutable slacked layout to edit (a dense build, a superseded
+// version). Validation errors match Apply's.
 //
 //jetlint:hotpath
 func (g *CSR) ApplyDelta(b Batch) (*CSR, error) {
@@ -261,19 +265,14 @@ func (g *CSR) ApplyDelta(b Batch) (*CSR, error) {
 }
 
 // ApplyDeltaCfg is ApplyDelta with an explicit tuning; tests use tiny slack
-// values to force the exhaustion and compaction paths.
+// values to force the relocation, tail-exhaustion and compaction paths.
 func (g *CSR) ApplyDeltaCfg(b Batch, cfg DeltaConfig) (*CSR, error) {
-	if g.ver != nil && g.ver.frozen {
-		// A superseded version must not mutate the shared arrays again;
-		// divergent histories (speculative replays, tests) rebuild.
-		if err := g.checkBatch(b, nil); err != nil {
-			return nil, err
-		}
-		return g.rebuildSlacked(b, cfg, nil)
-	}
+	// A superseded version must not mutate the shared arrays again; divergent
+	// histories (speculative replays, tests) re-lay into arrays of their own.
+	live := g.ver == nil || !g.ver.frozen
 	var sc *deltaScratch
 	edits := 0
-	if g.ver != nil {
+	if live && g.ver != nil {
 		sc = g.ver.scratch
 		edits = g.ver.edits
 	}
@@ -283,18 +282,19 @@ func (g *CSR) ApplyDeltaCfg(b Batch, cfg DeltaConfig) (*CSR, error) {
 	if err := g.checkBatch(b, sc); err != nil {
 		return nil, err
 	}
-	if g.outLen == nil || edits+b.Size() > compactThreshold(cfg, g.m) {
-		return g.rebuildSlacked(b, cfg, sc)
-	}
 	sc.load(b)
-	if !g.fitsInSlack(sc) {
-		return g.rebuildSlacked(b, cfg, sc)
+	edits += b.Size()
+	if live && g.out.len != nil &&
+		edits+g.out.dead+g.in.dead <= compactThreshold(cfg, g.m) &&
+		g.out.tailFits(sc.bySrc, srcOf, int(g.inlCap)) &&
+		g.in.tailFits(sc.byDst, dstOf, int(g.inlCap)) {
+		return g.applyInPlace(cfg, sc, edits), nil
 	}
-	return g.applyInPlace(cfg, sc, edits+b.Size()), nil
+	return g.relay(cfg, sc), nil
 }
 
-// compactThreshold returns the edit budget before a compacting rebuild; the
-// SlackMin floor keeps tiny graphs from rebuilding on every batch.
+// compactThreshold returns the waste budget before a re-lay; the SlackMin
+// floor keeps tiny graphs from re-laying on every batch.
 func compactThreshold(cfg DeltaConfig, m int) int {
 	t := int(cfg.CompactFrac * float64(m))
 	if t < cfg.SlackMin {
@@ -304,22 +304,16 @@ func compactThreshold(cfg DeltaConfig, m int) int {
 }
 
 // checkBatch validates b against g with the same rules and messages as Apply.
-// With a scratch it reuses the set maps across batches (cleared, not
-// reallocated); a nil scratch means a fallback path where allocation is moot.
+// The scratch's set maps are reused across batches (cleared, not
+// reallocated).
 func (g *CSR) checkBatch(b Batch, sc *deltaScratch) error {
-	var del, seen map[edgeKey]bool
-	if sc != nil {
-		if sc.del == nil {
-			sc.del = make(map[edgeKey]bool, len(b.Deletes))
-			sc.seen = make(map[edgeKey]bool, len(b.Inserts))
-		}
-		clear(sc.del)
-		clear(sc.seen)
-		del, seen = sc.del, sc.seen
-	} else {
-		del = make(map[edgeKey]bool, len(b.Deletes))
-		seen = make(map[edgeKey]bool, len(b.Inserts))
+	if sc.del == nil {
+		sc.del = make(map[edgeKey]bool, len(b.Deletes))
+		sc.seen = make(map[edgeKey]bool, len(b.Inserts))
 	}
+	clear(sc.del)
+	clear(sc.seen)
+	del, seen := sc.del, sc.seen
 	for _, e := range b.Deletes {
 		k := edgeKey{e.Src, e.Dst}
 		if del[k] {
@@ -349,7 +343,9 @@ func (g *CSR) checkBatch(b Batch, sc *deltaScratch) error {
 // load sorts the batch into the scratch buffers: bySrc ordered by
 // (src, dst, delete-first) for the out direction, byDst by
 // (dst, src, delete-first) for the in direction. Delete-before-insert on the
-// same edge makes a weight-change pair merge as remove-then-add.
+// same edge makes a weight-change pair merge as remove-then-add. affected
+// becomes the sorted union of the batch's sources and destinations: the only
+// vertices whose adjacency, and so whose symmetry status, can change.
 func (sc *deltaScratch) load(b Batch) {
 	sc.bySrc = sc.bySrc[:0]
 	for _, e := range b.Deletes {
@@ -379,6 +375,22 @@ func (sc *deltaScratch) load(b Batch) {
 		}
 		return cmpDel(x.del, y.del)
 	})
+	sc.affected = sc.affected[:0]
+	for i, j := 0, 0; i < len(sc.bySrc) || j < len(sc.byDst); {
+		var v VertexID
+		if j >= len(sc.byDst) || (i < len(sc.bySrc) && sc.bySrc[i].e.Src <= sc.byDst[j].e.Dst) {
+			v = sc.bySrc[i].e.Src
+		} else {
+			v = sc.byDst[j].e.Dst
+		}
+		sc.affected = append(sc.affected, v)
+		for i < len(sc.bySrc) && sc.bySrc[i].e.Src == v {
+			i++
+		}
+		for j < len(sc.byDst) && sc.byDst[j].e.Dst == v {
+			j++
+		}
+	}
 }
 
 func cmpID(a, b VertexID) int {
@@ -402,30 +414,20 @@ func cmpDel(x, y bool) int {
 	return 0
 }
 
-// fitsInSlack checks, per affected vertex and direction, that the post-batch
-// degree fits one of the vertex's representations: the inline record (degree
-// at most the layout's inline capacity) or the slab segment capacity. The
+// tailFits reports whether the tail headroom can take every relocation the
+// batch causes in this direction: a vertex whose post-batch degree fits
+// neither the inline record nor its segment needs relocCap fresh slots. The
 // batch is already validated, so every delete removes exactly one slot and
 // every insert adds exactly one.
-func (g *CSR) fitsInSlack(sc *deltaScratch) bool {
-	ok := true
-	inl := int(g.inlCap)
-	groupBy(sc.bySrc, srcOf, func(v VertexID, ops []edgeOp) {
-		deg := g.liveOutDeg(v) + netGrowth(ops)
-		if deg > inl && deg > int(g.outPtr[v+1]-g.outPtr[v]) {
-			ok = false
+func (a *adj) tailFits(ops []edgeOp, keyOf func(edgeOp) VertexID, inlCap int) bool {
+	need := a.tail
+	groupBy(ops, keyOf, func(v VertexID, ops []edgeOp) {
+		deg := a.deg(v) + netGrowth(ops)
+		if deg > inlCap && deg > int(a.cap[v]) {
+			need += uint64(relocCap(deg))
 		}
 	})
-	if !ok {
-		return false
-	}
-	groupBy(sc.byDst, dstOf, func(v VertexID, ops []edgeOp) {
-		deg := g.liveInDeg(v) + netGrowth(ops)
-		if deg > inl && deg > int(g.inPtr[v+1]-g.inPtr[v]) {
-			ok = false
-		}
-	})
-	return ok
+	return need <= uint64(len(a.ids))
 }
 
 func netGrowth(ops []edgeOp) int {
@@ -469,7 +471,7 @@ func groupBy(ops []edgeOp, keyOf func(edgeOp) VertexID, fn func(VertexID, []edge
 
 // applyInPlace mutates the shared edge arrays to the post-batch state and
 // returns the new head version. The receiver is frozen with undo snapshots of
-// every overwritten segment. The batch has been validated and capacity-checked.
+// every overwritten segment. The batch has been validated and tailFits holds.
 func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 	// Undo snapshots and entry lists come from the scratch arenas: the lists
 	// stay contiguous (sized by a group-count pre-pass) so frozen reads can
@@ -480,64 +482,52 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 	// Reserve the batch's total snapshot footprint up front so the per-vertex
 	// arena allocations below never split a batch across chunk switches.
 	slabN := 0
-	groupBy(sc.bySrc, srcOf, func(v VertexID, _ []edgeOp) { slabN += g.liveOutDeg(v) })
-	groupBy(sc.byDst, dstOf, func(v VertexID, _ []edgeOp) { slabN += g.liveInDeg(v) })
+	groupBy(sc.bySrc, srcOf, func(v VertexID, _ []edgeOp) { slabN += g.out.deg(v) })
+	groupBy(sc.byDst, dstOf, func(v VertexID, _ []edgeOp) { slabN += g.in.deg(v) })
 	sc.slab.reserve(slabN)
 
-	mDelta := 0
+	// One allocation for the new head: its CSR and versionInfo together. It
+	// shares every array with the receiver and owns the layout tallies
+	// (inline counts, tail, dead slots) from here on.
+	head := &csrWithVer{csr: *g}
+	ng := &head.csr
+	ng.ver = &head.vi
+	head.vi = versionInfo{cfg: cfg, edits: edits, scratch: sc}
+	inl := int(g.inlCap)
+
 	// Out direction: snapshot each affected vertex's segment (wherever its
 	// representation keeps it), merge it with its sorted updates into scratch,
-	// and store back — storeOut picks the post-merge representation and
-	// migrates inline↔slab in place when the degree crosses the threshold.
+	// and store back — store picks the post-merge representation, migrating
+	// inline↔slab or relocating to the tail when the degree calls for it.
 	groupBy(sc.bySrc, srcOf, func(v VertexID, ops []edgeOp) {
-		ids, ws := g.liveOut(v)
+		ids, ws := g.out.live(v)
 
 		snapIDs, snapWs := sc.slab.alloc(len(ids))
 		copy(snapIDs, ids)
 		copy(snapWs, ws)
 		undoOut = append(undoOut, outUndo{v: v, dst: snapIDs, w: snapWs, wsum: g.outWeightSum[v]})
 
-		newIDs, newWs, _ := mergeSeg(sc, ids, ws, ops, outNeighbor)
-		mDelta += len(newIDs) - len(ids)
-		g.storeOut(v, newIDs, newWs)
-		// Recompute the sum left-to-right over the merged segment rather than
-		// adding the batch's weight delta: float addition is order-dependent,
-		// and summing in segment order is exactly what a full rebuild does, so
-		// the two mutation paths stay bitwise identical (adsorption divides by
-		// this sum — an ulp here becomes visible state divergence).
-		var sum float64
-		for _, w := range newWs {
-			sum += w
+		newIDs, newWs := mergeSeg(sc, ids, ws, ops, outNeighbor)
+		ng.m += len(newIDs) - len(ids)
+		if ng.out.store(v, newIDs, newWs, inl) {
+			ng.relocations++
 		}
-		g.outWeightSum[v] = sum
+		ng.outWeightSum[v] = segSum(newWs)
 	})
 	// In direction.
 	groupBy(sc.byDst, dstOf, func(v VertexID, ops []edgeOp) {
-		ids, ws := g.liveIn(v)
+		ids, ws := g.in.live(v)
 
 		snapIDs, snapWs := sc.slab.alloc(len(ids))
 		copy(snapIDs, ids)
 		copy(snapWs, ws)
 		undoIn = append(undoIn, inUndo{v: v, src: snapIDs, w: snapWs})
 
-		newIDs, newWs, _ := mergeSeg(sc, ids, ws, ops, inNeighbor)
-		g.storeIn(v, newIDs, newWs)
+		newIDs, newWs := mergeSeg(sc, ids, ws, ops, inNeighbor)
+		if ng.in.store(v, newIDs, newWs, inl) {
+			ng.relocations++
+		}
 	})
-
-	// One allocation for the new head: its CSR and versionInfo together.
-	head := &csrWithVer{}
-	ng := &head.csr
-	*ng = CSR{
-		n: g.n, m: g.m + mDelta,
-		outPtr: g.outPtr, outLen: g.outLen, outDst: g.outDst, outW: g.outW,
-		inPtr: g.inPtr, inLen: g.inLen, inSrc: g.inSrc, inW: g.inW,
-		outInl: g.outInl, inInl: g.inInl, inlCap: g.inlCap,
-		outInline: g.outInline, inInline: g.inInline,
-		outWeightSum: g.outWeightSum,
-		asymCount:    g.asymCount,
-		ver:          &head.vi,
-	}
-	head.vi = versionInfo{cfg: cfg, edits: edits, scratch: sc}
 
 	// Freeze the receiver in place — its existing versionInfo becomes the
 	// frozen record, so pre-batch reads below go through the undo snapshots
@@ -552,40 +542,43 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 	vi.scratch = nil
 	vi.cum = nil
 
-	// Symmetry maintenance: only vertices whose adjacency changed can change
-	// their asymmetric status; diff each one's pre/post status. The affected
-	// set is the sorted union of the two undo lists' vertices.
-	sc.affected = sc.affected[:0]
-	for i, j := 0, 0; i < len(undoOut) || j < len(undoIn); {
-		switch {
-		case j >= len(undoIn) || (i < len(undoOut) && undoOut[i].v < undoIn[j].v):
-			sc.affected = append(sc.affected, undoOut[i].v)
-			i++
-		case i >= len(undoOut) || undoIn[j].v < undoOut[i].v:
-			sc.affected = append(sc.affected, undoIn[j].v)
-			j++
-		default: // equal
-			sc.affected = append(sc.affected, undoOut[i].v)
-			i++
-			j++
-		}
+	ng.asymCount += asymDelta(g, ng, sc.affected)
+	return ng
+}
+
+// segSum adds a segment's weights left to right. Both mutation paths and the
+// dense build sum in segment order rather than adding a batch's weight delta:
+// float addition is order-dependent, and adsorption divides by this sum, so
+// an ulp of difference between paths would become visible state divergence.
+func segSum(ws []Weight) float64 {
+	var sum float64
+	for _, w := range ws {
+		sum += w
 	}
-	for _, v := range sc.affected {
-		preOut, _ := g.outSeg(v)
-		preIn, _ := g.inSeg(v)
-		postOut, _ := ng.outSeg(v)
-		postIn, _ := ng.inSeg(v)
+	return sum
+}
+
+// asymDelta returns the change in the asymmetric-vertex count between the
+// pre-batch version old and the post-batch live head ng: only the affected
+// vertices can change status, so each one's pre/post status is diffed.
+func asymDelta(old, ng *CSR, affected []VertexID) int {
+	d := 0
+	for _, v := range affected {
+		preOut, _ := old.outSeg(v)
+		preIn, _ := old.inSeg(v)
+		postOut, _ := ng.out.live(v)
+		postIn, _ := ng.in.live(v)
 		pre := !segIDsEqual(preOut, preIn)
 		post := !segIDsEqual(postOut, postIn)
 		if pre != post {
 			if post {
-				ng.asymCount++
+				d++
 			} else {
-				ng.asymCount--
+				d--
 			}
 		}
 	}
-	return ng
+	return d
 }
 
 // outNeighbor and inNeighbor project an op onto the neighbor id for one merge
@@ -594,20 +587,18 @@ func outNeighbor(op edgeOp) VertexID { return op.e.Dst }
 func inNeighbor(op edgeOp) VertexID  { return op.e.Src }
 
 // mergeSeg merges one sorted adjacency segment with its sorted batch ops into
-// sc's reusable buffers, returning the merged ids/weights and the weight
-// delta. Validation guarantees every delete matches an existing id and no
-// insert duplicates a surviving id, so the merge is a plain two-pointer pass.
-func mergeSeg(sc *deltaScratch, ids []VertexID, ws []Weight, ops []edgeOp, idOf func(edgeOp) VertexID) ([]VertexID, []Weight, float64) {
+// sc's reusable buffers and returns the merged ids/weights. Validation
+// guarantees every delete matches an existing id and no insert duplicates a
+// surviving id, so the merge is a plain two-pointer pass.
+func mergeSeg(sc *deltaScratch, ids []VertexID, ws []Weight, ops []edgeOp, idOf func(edgeOp) VertexID) ([]VertexID, []Weight) {
 	sc.ids = sc.ids[:0]
 	sc.ws = sc.ws[:0]
-	var wDelta float64
 	i, j := 0, 0
 	for i < len(ids) || j < len(ops) {
 		if j >= len(ops) {
-			sc.ids = append(sc.ids, ids[i])
-			sc.ws = append(sc.ws, ws[i])
-			i++
-			continue
+			sc.ids = append(sc.ids, ids[i:]...)
+			sc.ws = append(sc.ws, ws[i:]...)
+			break
 		}
 		id := idOf(ops[j])
 		if i < len(ids) && ids[i] < id {
@@ -618,27 +609,25 @@ func mergeSeg(sc *deltaScratch, ids []VertexID, ws []Weight, ops []edgeOp, idOf 
 		}
 		if ops[j].del {
 			// Validated: the deleted id is present, so ids[i] == id here.
-			wDelta -= ws[i]
 			i++
 			j++
 			continue
 		}
 		sc.ids = append(sc.ids, id)
 		sc.ws = append(sc.ws, ops[j].e.Weight)
-		wDelta += ops[j].e.Weight
 		j++
 	}
-	return sc.ids, sc.ws, wDelta
+	return sc.ids, sc.ws
 }
 
-// rebuildSlacked is the compacting fallback: apply the batch logically, then
-// lay the result out with fresh slack per vertex. The receiver is untouched
-// (it keeps serving its pre-batch edge set without any undo machinery).
-func (g *CSR) rebuildSlacked(b Batch, cfg DeltaConfig, sc *deltaScratch) (*CSR, error) {
-	dense, err := g.Apply(b)
-	if err != nil {
-		return nil, err
-	}
+// relay lays the post-batch graph out afresh and is the only routine that
+// builds a slacked layout: every vertex gets its slack gap, each slab its tail
+// headroom, and the (validated, sorted) batch is merged in on the way — the
+// live adjacency of an untouched vertex is copied once, straight into its new
+// segment. A dense receiver is simply the re-lay of whatever batch arrives
+// first. The receiver keeps its own arrays and goes on serving its pre-batch
+// edge set without any undo machinery.
+func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 	if vi := g.ver; vi != nil && !vi.frozen {
 		// The scratch — including the rank-index buffer — moves on with the
 		// new head. Sever the superseded version's aliases: a cached cum
@@ -648,84 +637,90 @@ func (g *CSR) rebuildSlacked(b Batch, cfg DeltaConfig, sc *deltaScratch) (*CSR, 
 		vi.cum = nil
 		vi.scratch = nil
 	}
-	return slackify(dense, cfg, sc), nil
+	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
+	ng := &CSR{
+		n:            g.n,
+		m:            g.m + netGrowth(sc.bySrc),
+		outWeightSum: make([]float64, g.n),
+		inlCap:       uint8(inl),
+		relocations:  g.relocations,
+		relayouts:    g.relayouts + 1,
+		ver:          &versionInfo{cfg: cfg, scratch: sc},
+	}
+	// Untouched vertices keep their sum bit for bit; relayAdj recomputes the
+	// touched ones left to right over the merged segment.
+	for v := range ng.outWeightSum {
+		ng.outWeightSum[v] = g.OutWeightSum(VertexID(v))
+	}
+	ng.out = relayAdj(g.n, g.outSeg, sc.bySrc, srcOf, outNeighbor, cfg, inl, sc, ng.outWeightSum)
+	ng.in = relayAdj(g.n, g.inSeg, sc.byDst, dstOf, inNeighbor, cfg, inl, sc, nil)
+	ng.asymCount = g.asymCount + asymDelta(g, ng, sc.affected)
+	return ng
 }
 
-// slackify re-lays a dense CSR with per-vertex slack gaps, returning a live
-// head version with zero accumulated edits. The dense input's weight-sum and
-// symmetry aggregates carry over; its edge arrays are not retained.
-func slackify(dense *CSR, cfg DeltaConfig, sc *deltaScratch) *CSR {
-	n := dense.n
-	gap := func(deg int) int {
-		s := int(float64(deg) * cfg.SlackFrac)
-		if s < cfg.SlackMin {
-			s = cfg.SlackMin
-		}
-		return s
+// relayAdj lays out one direction: seg reads a vertex's current adjacency,
+// ops is the batch sorted for this direction. With sums non-nil, the entries
+// of vertices the batch touches are recomputed from their merged segment.
+func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []edgeOp, keyOf, idOf func(edgeOp) VertexID,
+	cfg DeltaConfig, inl int, sc *deltaScratch, sums []float64) adj {
+	gap := func(deg int) int { return max(int(float64(deg)*cfg.SlackFrac), cfg.SlackMin) }
+	a := adj{
+		ptr: make([]uint64, n+1),
+		cap: make([]uint32, n),
+		len: make([]uint32, n),
 	}
-	g := &CSR{
-		n: n, m: dense.m,
-		outPtr:       make([]uint64, n+1),
-		outLen:       make([]uint32, n),
-		inPtr:        make([]uint64, n+1),
-		inLen:        make([]uint32, n),
-		outWeightSum: dense.outWeightSum,
-		asymCount:    dense.asymCount,
+	if inl > 0 {
+		a.inl = make([]inlineRec, n)
 	}
+	// Pass 1: post-batch degrees fix every segment's start and capacity.
+	j := 0
 	for v := 0; v < n; v++ {
-		od := int(dense.outPtr[v+1] - dense.outPtr[v])
-		id := int(dense.inPtr[v+1] - dense.inPtr[v])
-		g.outPtr[v+1] = g.outPtr[v] + uint64(od+gap(od))
-		g.inPtr[v+1] = g.inPtr[v] + uint64(id+gap(id))
-		g.outLen[v] = uint32(od)
-		g.inLen[v] = uint32(id)
-	}
-	g.outDst = make([]VertexID, g.outPtr[n])
-	g.outW = make([]Weight, g.outPtr[n])
-	g.inSrc = make([]VertexID, g.inPtr[n])
-	g.inW = make([]Weight, g.inPtr[n])
-	for v := 0; v < n; v++ {
-		copy(g.outDst[g.outPtr[v]:], dense.outDst[dense.outPtr[v]:dense.outPtr[v+1]])
-		copy(g.outW[g.outPtr[v]:], dense.outW[dense.outPtr[v]:dense.outPtr[v+1]])
-		copy(g.inSrc[g.inPtr[v]:], dense.inSrc[dense.inPtr[v]:dense.inPtr[v+1]])
-		copy(g.inW[g.inPtr[v]:], dense.inW[dense.inPtr[v]:dense.inPtr[v+1]])
-	}
-	// Degree-adaptive layout: low-degree vertices move into inline records
-	// and release their slab segment (outLen 0, capacity stays reserved so a
-	// later spill is an in-place copy and edge offsets never change).
-	if inl := cfg.InlineCap; inl > 0 {
-		if inl > inlineCapMax {
-			inl = inlineCapMax
-		}
-		g.inlCap = uint8(inl)
-		g.outInl = make([]inlineRec, n)
-		g.inInl = make([]inlineRec, n)
-		for v := 0; v < n; v++ {
-			if od := int(g.outLen[v]); od <= inl {
-				r := &g.outInl[v]
-				lo := dense.outPtr[v]
-				r.n = uint8(copy(r.ids[:], dense.outDst[lo:lo+uint64(od)]))
-				copy(r.ws[:], dense.outW[lo:lo+uint64(od)])
-				g.outLen[v] = 0
-				g.outInline++
+		ids, _ := seg(VertexID(v))
+		deg := len(ids)
+		for ; j < len(ops) && keyOf(ops[j]) == VertexID(v); j++ {
+			if ops[j].del {
+				deg--
 			} else {
-				g.outInl[v].n = inlineSpilled
-			}
-			if id := int(g.inLen[v]); id <= inl {
-				r := &g.inInl[v]
-				lo := dense.inPtr[v]
-				r.n = uint8(copy(r.ids[:], dense.inSrc[lo:lo+uint64(id)]))
-				copy(r.ws[:], dense.inW[lo:lo+uint64(id)])
-				g.inLen[v] = 0
-				g.inInline++
-			} else {
-				g.inInl[v].n = inlineSpilled
+				deg++
 			}
 		}
+		a.len[v] = uint32(deg)
+		a.cap[v] = uint32(deg + gap(deg))
+		a.ptr[v+1] = a.ptr[v] + uint64(a.cap[v])
 	}
-	if sc == nil {
-		sc = &deltaScratch{}
+	a.tail = a.ptr[n]
+	slots := a.tail + uint64(gap(int(a.tail)))
+	a.ids = make([]VertexID, slots)
+	a.ws = make([]Weight, slots)
+	// Pass 2: copy or merge every adjacency into its representation. A
+	// low-degree vertex goes into its inline record and leaves its (still
+	// reserved) slab segment empty.
+	j = 0
+	for v := 0; v < n; v++ {
+		ids, ws := seg(VertexID(v))
+		k := j
+		for j < len(ops) && keyOf(ops[j]) == VertexID(v) {
+			j++
+		}
+		if j > k {
+			ids, ws = mergeSeg(sc, ids, ws, ops[k:j], idOf)
+			if sums != nil {
+				sums[v] = segSum(ws)
+			}
+		}
+		if a.inl != nil {
+			r := &a.inl[v]
+			if len(ids) <= inl {
+				r.n = uint8(copy(r.ids[:], ids))
+				copy(r.ws[:], ws)
+				a.len[v] = 0
+				a.inline++
+				continue
+			}
+			r.n = inlineSpilled
+		}
+		copy(a.ids[a.ptr[v]:], ids)
+		copy(a.ws[a.ptr[v]:], ws)
 	}
-	g.ver = &versionInfo{cfg: cfg, scratch: sc}
-	return g
+	return a
 }

@@ -80,31 +80,49 @@ func checkSame(t *testing.T, step int, dg, rg *CSR) {
 	}
 }
 
-// deltaConfigs exercises the in-place path, the exhaustion path (no slack to
-// absorb anything), and an aggressive compaction cadence.
-var deltaConfigs = map[string]DeltaConfig{
-	"default":       DefaultDeltaConfig(),
-	"no_slack":      {SlackMin: 0, SlackFrac: 0, CompactFrac: 1},
-	"tight_slack":   {SlackMin: 1, SlackFrac: 0, CompactFrac: 1},
-	"fast_compact":  {SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.01},
-	"huge_slack":    {SlackMin: 64, SlackFrac: 1, CompactFrac: 10},
-	"prop_only":     {SlackMin: 0, SlackFrac: 0.5, CompactFrac: 0.5},
-	"compact_floor": {SlackMin: 2, SlackFrac: 0, CompactFrac: 0},
+// deltaConfigs exercises the in-place path, relocation into the tail, tail
+// exhaustion (no or next to no headroom), and an aggressive compaction
+// cadence. relocate and tailRelay name the layout paths a run over the
+// config must take; a run that passes without them tested something else.
+var deltaConfigs = map[string]struct {
+	cfg                 DeltaConfig
+	relocate, tailRelay bool
+}{
+	"default":        {cfg: DefaultDeltaConfig(), relocate: true},
+	"no_slack":       {cfg: DeltaConfig{SlackMin: 0, SlackFrac: 0, CompactFrac: 1}, tailRelay: true},
+	"tight_slack":    {cfg: DeltaConfig{SlackMin: 1, SlackFrac: 0, CompactFrac: 1}, tailRelay: true},
+	"tiny_tail_min0": {cfg: DeltaConfig{SlackMin: 0, SlackFrac: 0.3, CompactFrac: 100}, relocate: true, tailRelay: true},
+	"tiny_tail_min1": {cfg: DeltaConfig{SlackMin: 1, SlackFrac: 0.05, CompactFrac: 100}, relocate: true, tailRelay: true},
+	"fast_compact":   {cfg: DeltaConfig{SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.01}},
+	"huge_slack":     {cfg: DeltaConfig{SlackMin: 64, SlackFrac: 1, CompactFrac: 10}},
+	"prop_only":      {cfg: DeltaConfig{SlackMin: 0, SlackFrac: 0.5, CompactFrac: 0.5}, relocate: true},
+	"compact_floor":  {cfg: DeltaConfig{SlackMin: 2, SlackFrac: 0, CompactFrac: 0}},
+}
+
+// tailExhausted reports whether the batch that turned g into ng re-laid the
+// graph although g had a slacked layout and its waste was under the
+// threshold — which leaves only one reason: the tail could not take the
+// batch's relocations.
+func tailExhausted(g, ng *CSR, b Batch, cfg DeltaConfig) bool {
+	return ng.relayouts > g.relayouts && g.out.len != nil && !g.ver.frozen &&
+		g.ver.edits+b.Size()+g.out.dead+g.in.dead <= compactThreshold(cfg, g.m)
 }
 
 // TestApplyDeltaMatchesApply runs randomized insert/delete sequences through
 // ApplyDeltaCfg and the rebuild Apply in lockstep and requires identical
-// logical graphs at every step, across slack configurations that force the
-// in-place, slack-exhaustion, and compaction-boundary paths.
+// logical graphs (and a valid physical layout) at every step, across slack
+// configurations that force the in-place, relocation, tail-exhaustion, and
+// compaction-boundary paths.
 func TestApplyDeltaMatchesApply(t *testing.T) {
-	for name, cfg := range deltaConfigs {
+	for name, tc := range deltaConfigs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			base := RMAT(RMATConfig{Vertices: 300, Edges: 1800, Seed: 11})
 			dg, rg := base, base
+			tailRelay := false
 			for step := 0; step < 25; step++ {
 				b := randomValidBatch(rng, rg, 40)
-				nd, err := dg.ApplyDeltaCfg(b, cfg)
+				nd, err := dg.ApplyDeltaCfg(b, tc.cfg)
 				if err != nil {
 					t.Fatalf("step %d: ApplyDeltaCfg: %v", step, err)
 				}
@@ -113,7 +131,15 @@ func TestApplyDeltaMatchesApply(t *testing.T) {
 					t.Fatalf("step %d: Apply: %v", step, err)
 				}
 				checkSame(t, step, nd, nr)
+				tailRelay = tailRelay || tailExhausted(dg, nd, b, tc.cfg)
 				dg, rg = nd, nr
+			}
+			t.Logf("relocations %d, re-lays %d, tail exhausted %v", dg.relocations, dg.relayouts, tailRelay)
+			if tc.relocate && dg.relocations == 0 {
+				t.Error("no vertex was ever relocated")
+			}
+			if tc.tailRelay && !tailRelay {
+				t.Error("the tail headroom was never exhausted")
 			}
 		})
 	}
@@ -162,7 +188,7 @@ func TestOldVersionsStayReadable(t *testing.T) {
 // once in both directions.
 func TestApplyDeltaWeightChange(t *testing.T) {
 	g := MustBuild(4, []Edge{{0, 1, 5}, {0, 2, 7}, {3, 1, 2}})
-	sl, err := g.ApplyDelta(Batch{}) // slackify with an empty batch first
+	sl, err := g.ApplyDelta(Batch{}) // lay out with slack: the re-lay of an empty batch
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 const inlineCapMax = 4
 
 // inlineSpilled marks a vertex whose adjacency lives in the slack slab — the
-// record is a tombstone and the slab segment [outPtr[v], outPtr[v]+outLen[v])
-// is authoritative. Any n ≤ inlineCapMax means the record itself is
-// authoritative and the vertex's slab slots are dead (but still reserved:
-// slackify sizes the slab identically with or without inline records, which
+// record is a tombstone and the slab segment [ptr[v], ptr[v]+len[v]) is
+// authoritative. Any n ≤ inlineCapMax means the record itself is
+// authoritative and the vertex's slab slots are idle (but still reserved: a
+// re-lay sizes the slab identically with or without inline records, which
 // is what makes inline↔slab migration an in-place copy in either direction
 // and keeps EdgeOffset — the timing model's address base — layout-invariant).
 const inlineSpilled = 0xFF
@@ -39,132 +39,94 @@ const (
 	_ = uint(unsafe.Sizeof(inlineRec{}) - pad.LineSize)
 )
 
-// liveOut returns v's out-adjacency as stored by the live layout: the inline
-// record when the vertex is inline, the slab segment otherwise. Callers must
-// hold a live (unfrozen) version — frozen versions read through their undo
-// snapshots in outSeg. The returned slices alias the graph's storage.
+// live returns v's adjacency as stored by the live layout: the inline record
+// when the vertex is inline, the slab segment otherwise. Callers must hold a
+// live (unfrozen) version — frozen versions read through their undo
+// snapshots in outSeg/inSeg. The returned slices alias the graph's storage.
 //
 //jetlint:hotpath
-func (g *CSR) liveOut(v VertexID) ([]VertexID, []Weight) {
-	if g.outInl != nil {
-		r := &g.outInl[v]
+func (a *adj) live(v VertexID) ([]VertexID, []Weight) {
+	if a.inl != nil {
+		r := &a.inl[v]
 		if r.n != inlineSpilled {
 			return r.ids[:r.n], r.ws[:r.n]
 		}
 	}
-	lo := g.outPtr[v]
-	hi := g.outPtr[v+1]
-	if g.outLen != nil {
-		hi = lo + uint64(g.outLen[v])
+	lo := a.ptr[v]
+	hi := a.ptr[v+1]
+	if a.len != nil {
+		hi = lo + uint64(a.len[v])
 	}
-	return g.outDst[lo:hi], g.outW[lo:hi]
+	return a.ids[lo:hi], a.ws[lo:hi]
 }
 
-// liveIn is the in-direction mirror of liveOut.
+// deg returns v's logical degree on the live layout. With inline records,
+// len[v] is zero for inline vertices, so degree questions must go through
+// here rather than reading len directly.
+func (a *adj) deg(v VertexID) int {
+	if a.inl != nil {
+		if n := a.inl[v].n; n != inlineSpilled {
+			return int(n)
+		}
+	}
+	if a.len != nil {
+		return int(a.len[v])
+	}
+	return int(a.ptr[v+1] - a.ptr[v])
+}
+
+// store writes v's post-merge adjacency into whichever representation now
+// fits: the inline record when the new degree is at most inlCap, the slab
+// segment otherwise. Inline↔slab migration is a plain copy, because every
+// vertex keeps a slab segment reserved while it is inline. A spilled vertex
+// that has outgrown its segment is relocated: it takes relocCap slots from
+// the tail headroom (the caller has checked they are there) and its old slots
+// are counted dead — nothing else moves, and no version can still read the
+// old slots, because the batch that relocates a vertex also snapshots it into
+// the superseded version's undo list. Reports whether v was relocated. The
+// ids/ws arguments must not alias the destination (callers pass the merge
+// scratch).
 //
 //jetlint:hotpath
-func (g *CSR) liveIn(v VertexID) ([]VertexID, []Weight) {
-	if g.inInl != nil {
-		r := &g.inInl[v]
-		if r.n != inlineSpilled {
-			return r.ids[:r.n], r.ws[:r.n]
-		}
-	}
-	lo := g.inPtr[v]
-	hi := g.inPtr[v+1]
-	if g.inLen != nil {
-		hi = lo + uint64(g.inLen[v])
-	}
-	return g.inSrc[lo:hi], g.inW[lo:hi]
-}
-
-// liveOutDeg returns v's logical out-degree on the live layout. With inline
-// records, outLen[v] is zero for inline vertices, so degree questions must go
-// through here rather than reading outLen directly.
-func (g *CSR) liveOutDeg(v VertexID) int {
-	if g.outInl != nil {
-		if n := g.outInl[v].n; n != inlineSpilled {
-			return int(n)
-		}
-	}
-	if g.outLen != nil {
-		return int(g.outLen[v])
-	}
-	return int(g.outPtr[v+1] - g.outPtr[v])
-}
-
-// liveInDeg is the in-direction mirror of liveOutDeg.
-func (g *CSR) liveInDeg(v VertexID) int {
-	if g.inInl != nil {
-		if n := g.inInl[v].n; n != inlineSpilled {
-			return int(n)
-		}
-	}
-	if g.inLen != nil {
-		return int(g.inLen[v])
-	}
-	return int(g.inPtr[v+1] - g.inPtr[v])
-}
-
-// storeOut writes v's post-merge out-adjacency into whichever representation
-// now fits: the inline record when the new degree is at most the layout's
-// inline capacity, the (always-reserved) slab segment otherwise. Migration in
-// either direction is a plain copy — no reallocation, no pointer movement —
-// because slackify reserves every vertex's slab capacity as if it were
-// spilled. The ids/ws arguments must not alias the destination (callers pass
-// the merge scratch).
-func (g *CSR) storeOut(v VertexID, ids []VertexID, ws []Weight) {
-	if g.outInl != nil && len(ids) <= int(g.inlCap) {
-		r := &g.outInl[v]
+func (a *adj) store(v VertexID, ids []VertexID, ws []Weight, inlCap int) (relocated bool) {
+	if a.inl != nil && len(ids) <= inlCap {
+		r := &a.inl[v]
 		if r.n == inlineSpilled {
-			g.outInline++
+			a.inline++
 		}
 		r.n = uint8(copy(r.ids[:], ids))
 		copy(r.ws[:], ws)
-		g.outLen[v] = 0
-		return
+		a.len[v] = 0
+		return false
 	}
-	if g.outInl != nil && g.outInl[v].n != inlineSpilled {
-		g.outInl[v].n = inlineSpilled
-		g.outInline--
+	if a.inl != nil && a.inl[v].n != inlineSpilled {
+		a.inl[v].n = inlineSpilled
+		a.inline--
 	}
-	lo := g.outPtr[v]
-	copy(g.outDst[lo:], ids)
-	copy(g.outW[lo:], ws)
-	g.outLen[v] = uint32(len(ids))
+	if len(ids) > int(a.cap[v]) {
+		a.dead += int(a.cap[v])
+		a.ptr[v] = a.tail
+		a.cap[v] = relocCap(len(ids))
+		a.tail += uint64(a.cap[v])
+		relocated = true
+	}
+	lo := a.ptr[v]
+	copy(a.ids[lo:], ids)
+	copy(a.ws[lo:], ws)
+	a.len[v] = uint32(len(ids))
+	return relocated
 }
 
-// storeIn is the in-direction mirror of storeOut.
-func (g *CSR) storeIn(v VertexID, ids []VertexID, ws []Weight) {
-	if g.inInl != nil && len(ids) <= int(g.inlCap) {
-		r := &g.inInl[v]
-		if r.n == inlineSpilled {
-			g.inInline++
-		}
-		r.n = uint8(copy(r.ids[:], ids))
-		copy(r.ws[:], ws)
-		g.inLen[v] = 0
-		return
-	}
-	if g.inInl != nil && g.inInl[v].n != inlineSpilled {
-		g.inInl[v].n = inlineSpilled
-		g.inInline--
-	}
-	lo := g.inPtr[v]
-	copy(g.inSrc[lo:], ids)
-	copy(g.inW[lo:], ws)
-	g.inLen[v] = uint32(len(ids))
-}
+// relocCap is the capacity a relocated segment of deg edges receives: room to
+// double before it has to move again.
+func relocCap(deg int) uint32 { return uint32(2 * deg) }
 
 // RepresentationMix reports how many vertices are currently stored inline in
 // each direction, plus the vertex count. All zeros (with n > 0) means the
 // layout is uniform slab/dense. Only meaningful on a live head; the
 // observability layer samples it after each batch.
 func (g *CSR) RepresentationMix() (outInline, inInline, n int) {
-	if g.outInl == nil {
-		return 0, 0, g.n
-	}
-	return g.outInline, g.inInline, g.n
+	return g.out.inline, g.in.inline, g.n
 }
 
 // InlineCap returns the layout's inline capacity (0 when the adaptive layout

@@ -1,0 +1,236 @@
+package graph
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Tests for the physical side of the delta mutation layer: what a re-lay
+// produces, and that relocation, inline↔slab migration and re-lays never
+// disturb a version somebody still holds.
+
+// relayOf forces b through the re-lay path whatever g's waste and tail say.
+func relayOf(t *testing.T, g *CSR, b Batch, cfg DeltaConfig) *CSR {
+	t.Helper()
+	sc := &deltaScratch{}
+	if err := g.checkBatch(b, sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.load(b)
+	return g.relay(cfg, sc)
+}
+
+// checkFreshLayout requires ng to be, field for field, the slacked layout of
+// the dense graph want under cfg: segment v starts where the segments before
+// it end, holds deg+gap(deg) slots, keeps its edges in the inline record when
+// deg ≤ the inline cap and in the slab otherwise, nothing is dead, the tail
+// begins behind the last segment, and the cached aggregates carry over bit
+// for bit. This is what the parent's slackify(Apply(b)) produced (the oracle
+// was checked against that routine before it was deleted), plus the tail.
+func checkFreshLayout(t *testing.T, ng, want *CSR, cfg DeltaConfig) {
+	t.Helper()
+	gap := func(deg int) int { return max(int(float64(deg)*cfg.SlackFrac), cfg.SlackMin) }
+	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
+	if ng.n != want.n || ng.m != want.m || ng.asymCount != want.asymCount || int(ng.inlCap) != inl {
+		t.Fatalf("aggregates: n %d/%d m %d/%d asym %d/%d inlCap %d/%d",
+			ng.n, want.n, ng.m, want.m, ng.asymCount, want.asymCount, ng.inlCap, inl)
+	}
+	for v := range want.outWeightSum {
+		if math.Float64bits(ng.outWeightSum[v]) != math.Float64bits(want.outWeightSum[v]) {
+			t.Fatalf("outWeightSum[%d] = %v, want %v bit for bit", v, ng.outWeightSum[v], want.outWeightSum[v])
+		}
+	}
+	for dir, p := range map[string][2]*adj{"out": {&ng.out, &want.out}, "in": {&ng.in, &want.in}} {
+		a, d := p[0], p[1]
+		start, inline := uint64(0), 0
+		for v := 0; v < want.n; v++ {
+			ids, ws := d.ids[d.ptr[v]:d.ptr[v+1]], d.ws[d.ptr[v]:d.ptr[v+1]]
+			deg := len(ids)
+			if a.ptr[v] != start || int(a.cap[v]) != deg+gap(deg) {
+				t.Fatalf("%s %d: segment [%d,+%d), want [%d,+%d)", dir, v, a.ptr[v], a.cap[v], start, deg+gap(deg))
+			}
+			var rec inlineRec
+			used := deg
+			if inl > 0 {
+				rec.n = inlineSpilled
+				if deg <= inl {
+					rec.n = uint8(copy(rec.ids[:], ids))
+					copy(rec.ws[:], ws)
+					used = 0
+					inline++
+				}
+				if a.inl[v] != rec {
+					t.Fatalf("%s %d: inline record %+v, want %+v", dir, v, a.inl[v], rec)
+				}
+			}
+			if int(a.len[v]) != used {
+				t.Fatalf("%s %d: used %d, want %d", dir, v, a.len[v], used)
+			}
+			if used > 0 {
+				gotIDs, gotWs := a.ids[start:start+uint64(deg)], a.ws[start:start+uint64(deg)]
+				for i := range ids {
+					if gotIDs[i] != ids[i] || math.Float64bits(gotWs[i]) != math.Float64bits(ws[i]) {
+						t.Fatalf("%s %d: slab slot %d holds (%d,%v), want (%d,%v)", dir, v, i, gotIDs[i], gotWs[i], ids[i], ws[i])
+					}
+				}
+			}
+			start += uint64(a.cap[v])
+		}
+		if a.ptr[want.n] != start || a.tail != start || a.dead != 0 || a.inline != inline ||
+			len(a.ids) != int(start)+gap(int(start)) || len(a.ws) != len(a.ids) {
+			t.Fatalf("%s: packed end %d tail %d dead %d inline %d slab %d, want %d %d 0 %d %d",
+				dir, a.ptr[want.n], a.tail, a.dead, a.inline, len(a.ids), start, start, inline, int(start)+gap(int(start)))
+		}
+	}
+}
+
+// TestRelayMatchesFreshLayout pins the one layout routine: re-laying any
+// receiver — a dense build, a live slacked head carrying relocations and dead
+// slots, a superseded version — with any batch yields exactly the fresh
+// layout of Apply(b), the rebuild oracle.
+func TestRelayMatchesFreshLayout(t *testing.T) {
+	cfgs := map[string]DeltaConfig{
+		"default":   DefaultDeltaConfig(),
+		"slab_only": {SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25},
+		"inline2":   {SlackMin: 1, SlackFrac: 0.3, CompactFrac: 100, InlineCap: 2},
+		"no_slack":  {CompactFrac: 1, InlineCap: inlineCapMax},
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				dense := RMAT(RMATConfig{Vertices: 200, Edges: 1000 + 200*int(seed), Seed: 30 + seed})
+				// A live head that has been edited in place, and the version
+				// it superseded last.
+				live := relayOf(t, dense, Batch{}, cfg)
+				var frozen *CSR
+				for step := 0; step < 4; step++ {
+					ng, err := live.ApplyDeltaCfg(randomValidBatch(rng, live, 30), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frozen, live = live, ng
+				}
+				for rname, g := range map[string]*CSR{"dense": dense, "live": live, "frozen": frozen} {
+					for _, size := range []int{0, 1, 50} {
+						b := randomValidBatch(rng, g, size)
+						want := g.MustApply(b)
+						ng := relayOf(t, g, b, cfg)
+						if err := ng.Validate(); err != nil {
+							t.Fatalf("seed %d %s batch %d: %v", seed, rname, size, err)
+						}
+						checkFreshLayout(t, ng, want, cfg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// versionPin is everything a held version must keep answering.
+type versionPin struct {
+	g         *CSR
+	edges     []Edge
+	sums      []float64
+	symmetric bool
+}
+
+func pinVersion(g *CSR) versionPin {
+	p := versionPin{g: g, edges: g.Edges(), symmetric: g.Symmetric()}
+	for v := 0; v < g.NumVertices(); v++ {
+		p.sums = append(p.sums, g.OutWeightSum(VertexID(v)))
+	}
+	return p
+}
+
+func (p versionPin) check(t *testing.T, name string) {
+	t.Helper()
+	if !edgesEqual(p.g.Edges(), p.edges) {
+		t.Fatalf("%s no longer serves its edge list", name)
+	}
+	for i, e := range p.edges {
+		if got := p.g.EdgeAt(i); got != e {
+			t.Fatalf("%s: EdgeAt(%d) = %+v, want %+v", name, i, got, e)
+		}
+	}
+	for v, want := range p.sums {
+		if got := p.g.OutWeightSum(VertexID(v)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: OutWeightSum(%d) = %v, want %v", name, v, got, want)
+		}
+	}
+	if p.g.Symmetric() != p.symmetric {
+		t.Fatalf("%s: Symmetric() flipped to %v", name, p.g.Symmetric())
+	}
+	if err := p.g.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// TestPinnedVersionsSurviveLayoutWork holds g0…g3 across three batches that,
+// in turn, relocate a vertex into the tail, migrate vertices between their
+// inline record and the slab, and re-lay the whole graph. Every held version
+// must keep returning its exact edge list, weight sums, symmetry bit and
+// rank-ordered edges afterwards; the test fails if a batch did not do the
+// layout work it was built to do.
+func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
+	cfg := DeltaConfig{SlackMin: 2, SlackFrac: 0.5, CompactFrac: 100, InlineCap: inlineCapMax}
+	var base []Edge
+	for d := 1; d <= 6; d++ { // vertex 0: out-degree 6, spilled
+		base = append(base, Edge{0, VertexID(d), Weight(d)})
+	}
+	for d := 4; d <= 7; d++ { // vertex 3: out-degree 4, inline, room to spill in place
+		base = append(base, Edge{3, VertexID(d), 0.5 * Weight(d)})
+	}
+	base = append(base, Edge{1, 2, 1.25}, Edge{2, 1, 1.25}) // a symmetric pair
+	g0, err := MustBuild(16, base).ApplyDeltaCfg(Batch{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Batch 1: vertex 1 grows 1 → 6, past its 3 slots: relocated.
+	var b1 Batch
+	for d := 8; d <= 12; d++ {
+		b1.Inserts = append(b1.Inserts, Edge{1, VertexID(d), 0.1 * Weight(d)})
+	}
+	// Batch 2: vertex 3 grows 4 → 5 (inline → its reserved slab segment),
+	// vertex 0 shrinks 6 → 3 (slab → inline).
+	b2 := Batch{
+		Inserts: []Edge{{3, 8, 2.5}},
+		Deletes: []Edge{{0, 1, 1}, {0, 3, 3}, {0, 5, 5}},
+	}
+	// Batch 3: vertex 2 grows past what is left of the tail: re-lay.
+	var b3 Batch
+	for d := 3; d <= 15; d++ {
+		b3.Inserts = append(b3.Inserts, Edge{2, VertexID(d), Weight(d) / 3})
+	}
+
+	pins := []versionPin{pinVersion(g0)}
+	for i, b := range []Batch{b1, b2, b3} {
+		g := pins[i].g
+		ng, err := g.ApplyDeltaCfg(b, cfg)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+		switch i {
+		case 0:
+			if ng.relocations == g.relocations || ng.relayouts != g.relayouts {
+				t.Fatalf("batch 1: relocations %d → %d, re-lays %d → %d; want a relocation in place",
+					g.relocations, ng.relocations, g.relayouts, ng.relayouts)
+			}
+		case 1:
+			if ng.relayouts != g.relayouts || ng.out.inl[3].n != inlineSpilled || ng.out.inl[0].n != 3 {
+				t.Fatalf("batch 2: want vertex 3 spilled and vertex 0 inline in place (records %d, %d)",
+					ng.out.inl[3].n, ng.out.inl[0].n)
+			}
+		case 2:
+			if !tailExhausted(g, ng, b, cfg) {
+				t.Fatal("batch 3: want a re-lay forced by the tail")
+			}
+		}
+		pins = append(pins, pinVersion(ng))
+	}
+	for i, p := range pins {
+		p.check(t, "g"+string(rune('0'+i)))
+	}
+}

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"jetstream"
@@ -23,7 +25,9 @@ import (
 //	GET    /healthz                    liveness probe
 //
 // Every non-2xx response is a JSON ErrorResponse. A full admission queue
-// answers 429 with a Retry-After hint so well-behaved clients back off.
+// answers 429 with a Retry-After hint so well-behaved clients back off. A
+// request body holds exactly one JSON value of at most maxBodyBytes: anything
+// but whitespace behind it is a 400, a longer body a 413.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tenants", s.handleCreate)
@@ -58,10 +62,13 @@ func writeError(w http.ResponseWriter, err error) {
 	var resp ErrorResponse
 	resp.Error = err.Error()
 	var be *jetstream.BatchError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &be):
 		code = http.StatusBadRequest
 		resp.Issues = be.Issues
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalid):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
@@ -77,19 +84,52 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, resp)
 }
 
+// maxBodyBytes bounds every request body. A 1<<22-vertex tenant declared
+// with an explicit edge list fits; nothing a client sends in one batch comes
+// close.
+const maxBodyBytes = 64 << 20
+
+// limitBody returns r's body capped at maxBodyBytes; a declared length
+// beyond the cap fails before a byte is read.
+func limitBody(w http.ResponseWriter, r *http.Request) (io.Reader, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, fmt.Errorf("%w: body: %w", ErrInvalid, &http.MaxBytesError{Limit: maxBodyBytes})
+	}
+	return http.MaxBytesReader(w, r.Body, maxBodyBytes), nil
+}
+
 // decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := limitBody(w, r)
+	if err != nil {
+		return err
+	}
+	if err := decodeStrict(body, v); err != nil {
 		return fmt.Errorf("%w: body: %w", ErrInvalid, err)
 	}
 	return nil
 }
 
+// readBatch reads a batch body in one go — into a buffer sized from the
+// declared length, so the common case is a single allocation — and scans it.
+func readBatch(w http.ResponseWriter, r *http.Request) (jetstream.Batch, error) {
+	body, err := limitBody(w, r)
+	if err != nil {
+		return jetstream.Batch{}, err
+	}
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
+		return jetstream.Batch{}, fmt.Errorf("%w: body: %w", ErrInvalid, err)
+	}
+	return decodeBatch(buf.Bytes())
+}
+
 func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -127,25 +167,16 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var wb WireBatch
-	if err := decodeBody(r, &wb); err != nil {
-		writeError(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	res, err := s.Ingest(name, wb.Batch())
+	b, err := readBatch(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	t, err := s.get(name)
+	res, batches, err := s.ingest(r.PathValue("name"), b)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	t.mu.Lock()
-	batches := t.sys.Batches()
-	t.mu.Unlock()
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Batches:  batches,
 		Cycles:   res.Cycles,

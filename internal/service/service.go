@@ -313,15 +313,24 @@ func (t *Tenant) startLocked() {
 // backpressure signal. Malformed batches surface the System's own
 // *jetstream.BatchError (Strict) or repair report.
 func (s *Service) Ingest(name string, b jetstream.Batch) (jetstream.Result, error) {
+	res, _, err := s.ingest(name, b)
+	return res, err
+}
+
+// ingest is Ingest that also returns the tenant's batch count as of this
+// batch, read under the same hold of the tenant lock that applied it — the
+// number the HTTP response reports, whatever other clients or a delete do
+// next.
+func (s *Service) ingest(name string, b jetstream.Batch) (jetstream.Result, uint64, error) {
 	t, err := s.get(name)
 	if err != nil {
-		return jetstream.Result{}, err
+		return jetstream.Result{}, 0, err
 	}
 	select {
 	case t.sem <- struct{}{}:
 	default:
 		s.throttledC.Inc()
-		return jetstream.Result{}, fmt.Errorf("%w: %q has %d batches in flight", ErrBusy, name, cap(t.sem))
+		return jetstream.Result{}, 0, fmt.Errorf("%w: %q has %d batches in flight", ErrBusy, name, cap(t.sem))
 	}
 	defer func() { <-t.sem }()
 
@@ -329,17 +338,17 @@ func (s *Service) Ingest(name string, b jetstream.Batch) (jetstream.Result, erro
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return jetstream.Result{}, ErrClosed
+		return jetstream.Result{}, 0, ErrClosed
 	}
 	t.startLocked()
 	res, err := t.sys.ApplyBatch(b)
 	if err != nil {
 		s.rejectedC.Inc()
-		return jetstream.Result{}, err
+		return jetstream.Result{}, 0, err
 	}
 	s.batchesC.Inc()
 	s.latency.Observe(uint64(time.Since(start).Nanoseconds()))
-	return res, nil
+	return res, t.sys.Batches(), nil
 }
 
 // State returns the tenant's converged per-vertex state (running the initial

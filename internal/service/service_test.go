@@ -10,7 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"jetstream"
 	"jetstream/internal/stream"
@@ -403,19 +405,184 @@ func TestMalformedBatch(t *testing.T) {
 		t.Fatalf("repair: repaired=%d issues=%d batches=%d, want 1/1/1", br.Repaired, len(br.Issues), br.Batches)
 	}
 
-	// Malformed JSON body.
-	resp, err = srv.Client().Post(srv.URL+"/v1/tenants/strict/batch", "application/json",
-		strings.NewReader(`{"inserts": [{"src": "zero"}]}`))
-	if err != nil {
-		t.Fatalf("bad json post: %v", err)
+	// Bodies the wire grammar refuses: every one a typed 400 that applies
+	// nothing.
+	for name, body := range map[string]string{
+		"wrong-type":     `{"inserts": [{"src": "zero"}]}`,
+		"unknown-field":  `{"inserts": [{"src": 0, "dst": 2, "weight": 1, "color": 3}]}`,
+		"trailing-value": `{"inserts": [{"src": 0, "dst": 3, "weight": 1}]} {}`,
+		"trailing-junk":  `{"inserts": [{"src": 0, "dst": 3, "weight": 1}]}]`,
+		"empty":          ``,
+	} {
+		resp, err = srv.Client().Post(srv.URL+"/v1/tenants/repair/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var eresp ErrorResponse
+		jerr := json.NewDecoder(resp.Body).Decode(&eresp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || jerr != nil || eresp.Error == "" {
+			t.Errorf("%s: status %d decode %v error %q, want a 400 ErrorResponse", name, resp.StatusCode, jerr, eresp.Error)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad json: status %d, want 400", resp.StatusCode)
+	if code, _ := httpJSON(t, srv, "GET", "/v1/tenants/repair", nil, &info); code != http.StatusOK || info.Batches != 1 {
+		t.Fatalf("repair after refused bodies: status %d batches %d, want 200/1", code, info.Batches)
 	}
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+// blanks is an endless body of JSON whitespace.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBodyLimit pins the one size limit on both endpoints that take a body:
+// past maxBodyBytes the answer is a typed 413, whether the length was declared
+// up front or only shows while reading.
+func TestBodyLimit(t *testing.T) {
+	svc := New(Options{})
+	if _, err := svc.Create(edgeListRequest("t", jetstream.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	for _, path := range []string{"/v1/tenants", "/v1/tenants/t/batch"} {
+		for _, declared := range []bool{true, false} {
+			req := httptest.NewRequest("POST", path, io.LimitReader(blanks{}, maxBodyBytes+1))
+			req.ContentLength = -1
+			if declared {
+				req.ContentLength = maxBodyBytes + 1
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var eresp ErrorResponse
+			if err := json.NewDecoder(rec.Body).Decode(&eresp); rec.Code != http.StatusRequestEntityTooLarge || err != nil || eresp.Error == "" {
+				t.Errorf("%s (length declared: %v): status %d decode %v error %q, want a 413 ErrorResponse",
+					path, declared, rec.Code, err, eresp.Error)
+			}
+		}
+	}
+	if _, n, err := svc.State("t"); err != nil || n != 0 {
+		t.Fatalf("after oversized bodies: batches %d err %v, want 0", n, err)
+	}
+}
+
+// raceBatch is the k-th batch of a racing client: 64 inserts into vertex 1
+// from sources nobody else uses, so batches are valid in whatever order they
+// land and applying one takes long enough for requests to overlap.
+func raceBatch(t *testing.T, k int) []byte {
+	var wb WireBatch
+	for j := 0; j < 64; j++ {
+		wb.Inserts = append(wb.Inserts, WireEdge{Src: uint32(2 + k*64 + j), Dst: 1, Weight: 1})
+	}
+	return mustMarshal(t, wb)
+}
+
+// TestBatchNumbersUnderConcurrency pins what a batch response reports: the
+// tenant's batch count as of that very batch. Four clients race 50 batches
+// each at one tenant; every number from 1 to 200 must come back exactly once.
+func TestBatchNumbersUnderConcurrency(t *testing.T) {
+	const clients, perClient = 4, 50
+	svc := New(Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	req := edgeListRequest("shared", jetstream.Config{})
+	req.Graph.Vertices = 2 + clients*perClient*64
+	if _, err := svc.Create(req); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make([][]uint64, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				resp, err := srv.Client().Post(srv.URL+"/v1/tenants/shared/batch", "application/json",
+					bytes.NewReader(raceBatch(t, c*perClient+k)))
+				if err != nil {
+					t.Errorf("client %d batch %d: %v", c, k, err)
+					return
+				}
+				var br BatchResponse
+				err = json.NewDecoder(resp.Body).Decode(&br)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("client %d batch %d: status %d decode %v", c, k, resp.StatusCode, err)
+					return
+				}
+				seen[c] = append(seen[c], br.Batches)
+			}
+		}(c)
+	}
+	wg.Wait()
+	count := make(map[uint64]int)
+	for _, s := range seen {
+		for _, n := range s {
+			count[n]++
+		}
+	}
+	for n := uint64(1); n <= clients*perClient; n++ {
+		if count[n] != 1 {
+			t.Errorf("batch number %d reported %d times, want once", n, count[n])
+		}
+	}
+}
+
+// TestDeleteRacingIngest: a batch that was applied answers 200 even when the
+// tenant is deleted the moment after — the response never looks the tenant
+// up a second time. Applied batches (the service's own counter) and 200s
+// must agree over many races.
+func TestDeleteRacingIngest(t *testing.T) {
+	svc := New(Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	ok := uint64(0)
+	for round := 0; round < 40; round++ {
+		req := edgeListRequest("doomed", jetstream.Config{})
+		req.Graph.Vertices = 1 << 16
+		if _, err := svc.Create(req); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for k := 0; ; k++ {
+				resp, err := srv.Client().Post(srv.URL+"/v1/tenants/doomed/batch", "application/json",
+					bytes.NewReader(raceBatch(t, k)))
+				if err != nil {
+					t.Errorf("round %d batch %d: %v", round, k, err)
+					return
+				}
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					ok++
+				case http.StatusNotFound, http.StatusServiceUnavailable:
+					return // deleted (or closing) before this batch was admitted
+				default:
+					t.Errorf("round %d batch %d: status %d", round, k, resp.StatusCode)
+					return
+				}
+			}
+		}()
+		// Not synchronization: the pause only varies where the delete lands.
+		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+		if err := svc.Delete("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+	if applied := svc.Stats().BatchesTotal; applied != ok {
+		t.Fatalf("%d batches applied but %d answered 200", applied, ok)
+	}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	blob, err := json.Marshal(v)
 	if err != nil {
@@ -453,6 +620,7 @@ func TestCreateErrors(t *testing.T) {
 		{"rebuild-graph-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"rebuild_graph":true}}`, 400},
 		{"unknown-body-field", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"surprise":1}`, 400},
 		{"too-many-vertices", `{"name":"t","graph":{"gen":"er","vertices":99999999,"edges":8},"algorithm":{"name":"sssp"}}`, 400},
+		{"trailing-data", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"}} {"name":"u"}`, 400},
 	}
 	for _, c := range cases {
 		if got := post(c.body); got != c.want {

@@ -73,6 +73,8 @@ type (
 	BatchError = graph.BatchError
 	// BatchIssue describes one invalid update within a rejected batch.
 	BatchIssue = graph.BatchIssue
+	// GraphLayout is the physical-layout bookkeeping of a graph version.
+	GraphLayout = graph.LayoutStats
 	// WatchdogConfig parameterizes the divergence watchdog (see WithWatchdog).
 	WatchdogConfig = core.WatchdogConfig
 )

@@ -119,6 +119,11 @@ type MetricsSnapshot struct {
 	// (live events now / peak).
 	QueueLive      int64
 	QueueHighWater uint64
+	// GraphLayout is the delta mutation layer's layout work so far: segments
+	// relocated into tail headroom, whole-graph re-lays (every applied batch
+	// is either in place or one re-lay), and the slab's physical and dead
+	// slots, both directions summed. All zero under WithGraphRebuild.
+	GraphLayout GraphLayout
 	// Channels is per-DRAM-channel traffic; nil with the timing model off.
 	Channels []ChannelMetrics
 	// NoC is the per-pair crossbar transfer matrix; nil until a parallel
@@ -147,6 +152,7 @@ func (s *System) Metrics() MetricsSnapshot {
 			}
 			return uint64(eng.Queue().HighWater())
 		}(),
+		GraphLayout:  s.js.Graph().LayoutStats(),
 		BatchLatency: s.latency.Snapshot(),
 	}
 	if ob := eng.Obs(); ob != nil {

@@ -84,6 +84,56 @@ func TestMetricsConservation(t *testing.T) {
 			})
 		})
 	}
+	// The graph layer accounts for every applied batch as exactly one of a
+	// whole-graph re-lay or an in-place application, and only the latter
+	// relocates; the registry series and the snapshot read the same tallies.
+	t.Run("layout", func(t *testing.T) {
+		sys := runStream(t, WithTiming(false))
+		prev := sys.Metrics().GraphLayout
+		if prev.Relayouts != 1 {
+			t.Fatalf("re-lays after the first batches: %d, want 1 (dense → slacked)", prev.Relayouts)
+		}
+		inPlace := sys.Batches() - 1
+		gen := NewStream(StreamConfig{BatchSize: 1000, InsertFrac: 0.8, Seed: 4})
+		for i := 0; i < 16; i++ {
+			if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
+				t.Fatal(err)
+			}
+			cur := sys.Metrics().GraphLayout
+			switch cur.Relayouts - prev.Relayouts {
+			case 0:
+				inPlace++
+			case 1:
+				if cur.Relocations != prev.Relocations || cur.DeadSlots != 0 {
+					t.Errorf("batch %d re-laid the graph yet relocated %d segments and left %d slots dead",
+						i, cur.Relocations-prev.Relocations, cur.DeadSlots)
+				}
+			default:
+				t.Errorf("batch %d: re-lays went %d → %d", i, prev.Relayouts, cur.Relayouts)
+			}
+			if cur.EdgeSlots < 2*sys.Graph().NumEdges()+cur.DeadSlots {
+				t.Errorf("batch %d: %d slots cannot hold %d edges twice plus %d dead slots",
+					i, cur.EdgeSlots, sys.Graph().NumEdges(), cur.DeadSlots)
+			}
+			prev = cur
+		}
+		if inPlace+prev.Relayouts != sys.Batches() {
+			t.Errorf("in place %d + re-lays %d != batches %d", inPlace, prev.Relayouts, sys.Batches())
+		}
+		if prev.Relocations == 0 || prev.Relayouts < 2 {
+			t.Errorf("run too tame to account for anything: %d relocations, %d re-lays", prev.Relocations, prev.Relayouts)
+		}
+		for name, want := range map[string]float64{
+			"jetstream_graph_relocations_total": float64(prev.Relocations),
+			"jetstream_graph_relayouts_total":   float64(prev.Relayouts),
+			"jetstream_graph_edge_slots":        float64(prev.EdgeSlots),
+			"jetstream_graph_dead_slots":        float64(prev.DeadSlots),
+		} {
+			if got, ok := sys.reg.Get(name); !ok || got != want {
+				t.Errorf("%s = %v (registered %v), snapshot says %v", name, got, ok, want)
+			}
+		}
+	})
 }
 
 // TestMetricsConservationWithTiming covers the sequential timed path (all
@@ -153,6 +203,10 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		`jetstream_compute_phases_total{mode="caller"}`,
 		`jetstream_compute_phases_total{mode="fanout"}`,
 		`jetstream_worker_parks_total{worker="0"}`,
+		"jetstream_graph_relocations_total",
+		"jetstream_graph_relayouts_total 1",
+		"jetstream_graph_edge_slots",
+		"jetstream_graph_dead_slots 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
