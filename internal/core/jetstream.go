@@ -131,6 +131,9 @@ type JetStream struct {
 	// current recovery phase, revisited to issue request events.
 	impact []graph.VertexID
 
+	// setup records what a phase's setup scan read, for the cycle model.
+	setup setupTrace
+
 	// cycleBase offsets the engine's cycle counter; a restored checkpoint
 	// sets it to the cycles accumulated before the process died so cumulative
 	// totals continue across restarts.
@@ -140,6 +143,37 @@ type JetStream struct {
 	// triggers); obs.Nop until Instrument attaches a real tracer.
 	tr    obs.Tracer
 	trSeq uint64
+}
+
+// setupTrace is the record of one phase-setup scan (the Stream Reader and
+// Impact Buffer activity between phases, §4.5): the vertex states it read and
+// the adjacency ranges it scanned, which is what engine.ChargeSetup charges.
+// Only a cycle model reads it, so it records only when the engine has one
+// (on, fixed in New); the buffers are reused from scan to scan.
+type setupTrace struct {
+	on      bool
+	touched []graph.VertexID
+	fetches []engine.EdgeFetch
+}
+
+func (s *setupTrace) touch(v graph.VertexID) {
+	if s.on {
+		s.touched = append(s.touched, v)
+	}
+}
+
+func (s *setupTrace) fetch(offset uint64, count int) {
+	if s.on {
+		s.fetches = append(s.fetches, engine.EdgeFetch{Offset: offset, Count: count})
+	}
+}
+
+// charge ends a scan: it hands the record to the engine's cycle model,
+// together with the events the engine saw emitted since the last charge, and
+// starts the next one empty.
+func (s *setupTrace) charge(e *engine.Engine) {
+	e.ChargeSetup(s.touched, s.fetches)
+	s.touched, s.fetches = s.touched[:0], s.fetches[:0]
 }
 
 // New builds a JetStream instance for query alg over initial graph g. st may
@@ -172,6 +206,7 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters) *JetS
 	if cfg.NoCoalesce {
 		j.eng.Queue().SetCoalescing(false)
 	}
+	j.setup.on = j.eng.Timing() != nil
 	j.tr = obs.Nop
 	return j
 }
@@ -292,25 +327,19 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 	if j.cfg.Opt == OptDAP {
 		j.setCoalescing(false)
 	}
-	var touched []graph.VertexID
 	for _, de := range b.Deletes {
 		val := j.alg.Identity()
 		if j.cfg.Opt == OptVAP {
 			// The contribution the deleted edge used to deliver, computed
 			// from the source's previous converged state.
 			j.st.VertexReads++
-			touched = append(touched, de.Src)
+			j.setup.touch(de.Src)
 			val = j.alg.Propagate(de.Src, j.eng.PeekVertex(de.Src), de.Weight,
 				j.g.OutDegree(de.Src), j.g.OutWeightSum(de.Src))
 		}
-		j.eng.Emit(event.Event{
-			Target: de.Dst,
-			Value:  val,
-			Source: de.Src,
-			Flags:  event.FlagDelete,
-		})
+		j.eng.EmitTo(de.Dst, val, de.Src, event.FlagDelete)
 	}
-	j.eng.ChargeSetup(touched, nil)
+	j.setup.charge(j.eng)
 
 	// Phase 2 — ResetImpacted: propagate the delete tags on the previous
 	// graph version until no delete events remain.
@@ -325,35 +354,7 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 	// surviving in-neighbor is asked; inserted in-edges are covered by the
 	// insertion events below.
 	j.eng.ChargeSpill(2 * len(j.impact)) // Impact Buffer round trip (§4.5)
-	var fetches []engine.EdgeFetch
-	requests := 0
-	inRegion := uint64(ng.EdgeSlots()) // in-CSR lives after the out-CSR (incl. slack)
-	for _, v := range j.impact {
-		// Re-seed the vertex's initial-event contribution: the converged
-		// state is the fixpoint over edge contributions AND initial events,
-		// and a reset erased the latter (e.g. CC's self-label, or the query
-		// root under the Base policy). Requests can only restore the former.
-		if val, ok := j.alg.InitialEventFor(v, ng); ok {
-			j.eng.Emit(event.Event{Target: v, Value: val, Source: event.NoSource})
-		}
-		deg := ng.InDegree(v)
-		if deg == 0 {
-			continue
-		}
-		j.st.EdgeReads += uint64(deg)
-		fetches = append(fetches, engine.EdgeFetch{Offset: inRegion + ng.InEdgeOffset(v), Count: deg})
-		ng.InEdges(v, func(src graph.VertexID, _ graph.Weight) {
-			j.st.RequestsIssued++
-			requests++
-			j.eng.Emit(event.Event{
-				Target: src,
-				Value:  j.alg.Identity(),
-				Source: event.NoSource,
-				Flags:  event.FlagRequest,
-			})
-		})
-	}
-	j.eng.ChargeSetup(nil, fetches)
+	j.requestImpacted(ng)
 
 	// Phase 4 — ProcessInsertions (Algorithm 2): one event per inserted
 	// edge, carrying the contribution computed from the source's previous
@@ -365,6 +366,36 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 	// computation flow to convergence.
 	j.eng.SetGraph(ng, nil)
 	j.eng.RunCompute()
+}
+
+// requestImpacted is the Reapproximate step: for every vertex in the Impact
+// Buffer, re-seed its initial-event contribution and send a request event to
+// each of its in-neighbors in ng.
+//
+//jetlint:hotpath
+func (j *JetStream) requestImpacted(ng *graph.CSR) {
+	identity := j.alg.Identity()
+	inRegion := uint64(ng.EdgeSlots()) // in-CSR lives after the out-CSR (incl. slack)
+	for _, v := range j.impact {
+		// Re-seed the vertex's initial-event contribution: the converged
+		// state is the fixpoint over edge contributions AND initial events,
+		// and a reset erased the latter (e.g. CC's self-label, or the query
+		// root under the Base policy). Requests can only restore the former.
+		if val, ok := j.alg.InitialEventFor(v, ng); ok {
+			j.eng.EmitTo(v, val, event.NoSource, 0)
+		}
+		srcs, _ := ng.InAdj(v)
+		if len(srcs) == 0 {
+			continue
+		}
+		j.st.EdgeReads += uint64(len(srcs))
+		j.st.RequestsIssued += uint64(len(srcs))
+		j.setup.fetch(inRegion+ng.InEdgeOffset(v), len(srcs))
+		for _, src := range srcs {
+			j.eng.EmitTo(src, identity, event.NoSource, event.FlagRequest)
+		}
+	}
+	j.setup.charge(j.eng)
 }
 
 // deleteHandler implements the Apply/Propagate logic of the recovery phase
@@ -402,15 +433,12 @@ func (j *JetStream) deleteHandler() engine.Handler {
 		j.st.VerticesReset++
 		j.impact = append(j.impact, v)
 
-		deg := j.eng.View().OutDegree(v)
-		wsum := j.eng.View().OutWeightSum(v)
-		j.eng.EmitAlongEdges(v, func(dst graph.VertexID, w graph.Weight) (event.Event, bool) {
-			out := event.Event{Target: dst, Value: identity, Source: v, Flags: event.FlagDelete}
-			if j.cfg.Opt == OptVAP {
-				out.Value = j.alg.Propagate(v, cur, w, deg, wsum)
-			}
-			return out, true
-		})
+		if j.cfg.Opt == OptVAP {
+			// The delete carries what v used to contribute along each edge.
+			j.eng.PropagateValue(v, cur, event.FlagDelete)
+		} else {
+			j.eng.EmitAlongEdges(v, identity, event.FlagDelete)
+		}
 	}
 }
 
@@ -420,17 +448,14 @@ func (j *JetStream) deleteHandler() engine.Handler {
 // take the accumulative path instead).
 func (j *JetStream) processInsertions(inserts []graph.Edge, ng *graph.CSR) {
 	j.eng.ChargeStreamRead(len(inserts))
-	var touched []graph.VertexID
-	emitted := 0
 	for _, e := range inserts {
 		j.st.VertexReads++
-		touched = append(touched, e.Src)
+		j.setup.touch(e.Src)
 		val := j.alg.Propagate(e.Src, j.eng.PeekVertex(e.Src), e.Weight,
 			ng.OutDegree(e.Src), ng.OutWeightSum(e.Src))
-		j.eng.Emit(event.Event{Target: e.Dst, Value: val, Source: e.Src})
-		emitted++
+		j.eng.EmitTo(e.Dst, val, e.Src, 0)
 	}
-	j.eng.ChargeSetup(touched, nil)
+	j.setup.charge(j.eng)
 }
 
 // ---------------------------------------------------------------------------
@@ -467,52 +492,54 @@ func (j *JetStream) applyAccumulative(b graph.Batch, ng *graph.CSR) {
 	// proportional to the actual structural change rather than to the full
 	// adjacency. This is the event-coalescing advantage §1 highlights over
 	// software frameworks, applied at the Stream Reader.
-	var touched []graph.VertexID
-	var fetches []engine.EdgeFetch
-	scanned, emitted := 0, 0
+	scanned := 0
 	net := map[graph.VertexID]float64{}
 	baseState := make([]float64, 0, len(order))
+	// emitNet sends dst's net delta, once: the entry is consumed.
+	emitNet := func(dst graph.VertexID) {
+		if val, ok := net[dst]; ok {
+			delete(net, dst)
+			if val != 0 {
+				j.eng.EmitTo(dst, val, event.NoSource, 0)
+			}
+		}
+	}
 	for _, u := range order {
 		j.st.VertexReads++
-		touched = append(touched, u)
+		j.setup.touch(u)
 		state := j.eng.PeekVertex(u)
 		baseState = append(baseState, state)
-		oldDeg, oldWsum := j.g.OutDegree(u), j.g.OutWeightSum(u)
-		newDeg, newWsum := ng.OutDegree(u), ng.OutWeightSum(u)
-		for k := range net {
-			delete(net, k)
-		}
+		oldIDs, oldWs := j.g.OutAdj(u)
+		newIDs, newWs := ng.OutAdj(u)
+		oldDeg, oldWsum := len(oldIDs), j.g.OutWeightSum(u)
+		newDeg, newWsum := len(newIDs), ng.OutWeightSum(u)
+		clear(net)
 		if oldDeg > 0 {
 			scanned += oldDeg
-			fetches = append(fetches, engine.EdgeFetch{Offset: j.g.EdgeOffset(u), Count: oldDeg})
+			j.setup.fetch(j.g.EdgeOffset(u), oldDeg)
 			j.st.EdgeReads += uint64(oldDeg)
-			j.g.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-				net[dst] -= j.alg.Propagate(u, state, w, oldDeg, oldWsum)
-			})
+			for i, dst := range oldIDs {
+				net[dst] -= j.alg.Propagate(u, state, oldWs[i], oldDeg, oldWsum)
+			}
 		}
 		if newDeg > 0 {
 			scanned += newDeg
-			fetches = append(fetches, engine.EdgeFetch{Offset: ng.EdgeOffset(u), Count: newDeg})
+			j.setup.fetch(ng.EdgeOffset(u), newDeg)
 			j.st.EdgeReads += uint64(newDeg)
-			ng.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-				net[dst] += j.alg.Propagate(u, state, w, newDeg, newWsum)
-			})
-		}
-		// Emit net events in the new-adjacency order for determinism.
-		emitNet := func(dst graph.VertexID) {
-			if val, ok := net[dst]; ok {
-				delete(net, dst)
-				if val != 0 {
-					emitted++
-					j.eng.Emit(event.New(dst, val))
-				}
+			for i, dst := range newIDs {
+				net[dst] += j.alg.Propagate(u, state, newWs[i], newDeg, newWsum)
 			}
 		}
-		ng.OutEdges(u, func(dst graph.VertexID, _ graph.Weight) { emitNet(dst) })
-		j.g.OutEdges(u, func(dst graph.VertexID, _ graph.Weight) { emitNet(dst) })
+		// Emit net events in the new-adjacency order for determinism.
+		for _, dst := range newIDs {
+			emitNet(dst)
+		}
+		for _, dst := range oldIDs {
+			emitNet(dst)
+		}
 	}
 	j.eng.ChargeStreamRead(scanned)
-	j.eng.ChargeSetup(touched, fetches)
+	j.setup.charge(j.eng)
 
 	// Phase 2 — compute on the intermediate graph: the new structure with
 	// every dirty vertex turned into a sink, which breaks cyclic paths
@@ -529,32 +556,29 @@ func (j *JetStream) applyAccumulative(b graph.Batch, ng *graph.CSR) {
 	// Phase 3 — while masked, each dirty vertex accumulated deltas it did
 	// not forward; forward them now against the new adjacency, exactly as
 	// if the events had arrived after the unmask.
-	touched = touched[:0]
-	fetches = fetches[:0]
-	emitted = 0
 	for i, u := range order {
 		j.st.VertexReads++
-		touched = append(touched, u)
+		j.setup.touch(u)
 		delta := j.eng.PeekVertex(u) - baseState[i]
 		if delta == 0 {
 			continue
 		}
-		deg, wsum := ng.OutDegree(u), ng.OutWeightSum(u)
+		ids, ws := ng.OutAdj(u)
+		deg, wsum := len(ids), ng.OutWeightSum(u)
 		if deg == 0 {
 			continue
 		}
-		fetches = append(fetches, engine.EdgeFetch{Offset: ng.EdgeOffset(u), Count: deg})
+		j.setup.fetch(ng.EdgeOffset(u), deg)
 		j.st.EdgeReads += uint64(deg)
-		ng.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-			val := j.alg.Propagate(u, delta, w, deg, wsum)
+		for k, dst := range ids {
+			val := j.alg.Propagate(u, delta, ws[k], deg, wsum)
 			if math.Abs(val) <= j.alg.Epsilon() {
-				return
+				continue
 			}
-			emitted++
-			j.eng.Emit(event.New(dst, val))
-		})
+			j.eng.EmitTo(dst, val, event.NoSource, 0)
+		}
 	}
-	j.eng.ChargeSetup(touched, fetches)
+	j.setup.charge(j.eng)
 
 	// Phase 4 — switch to the (unmasked) new graph and recompute.
 	j.eng.SetGraph(ng, nil)
@@ -583,29 +607,7 @@ func (j *JetStream) applyAccumulativeTwoPhase(b graph.Batch, ng *graph.CSR) {
 	sortVertexIDs(order)
 
 	// Phase 1 — negation events against the old degrees.
-	var touched []graph.VertexID
-	var fetches []engine.EdgeFetch
-	scanned, emitted := 0, 0
-	for _, u := range order {
-		j.st.VertexReads++
-		touched = append(touched, u)
-		state := j.eng.PeekVertex(u)
-		deg, wsum := j.g.OutDegree(u), j.g.OutWeightSum(u)
-		if deg == 0 {
-			continue
-		}
-		scanned += deg
-		fetches = append(fetches, engine.EdgeFetch{Offset: j.g.EdgeOffset(u), Count: deg})
-		j.st.EdgeReads += uint64(deg)
-		j.g.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-			if val := -j.alg.Propagate(u, state, w, deg, wsum); val != 0 {
-				emitted++
-				j.eng.Emit(event.New(dst, val))
-			}
-		})
-	}
-	j.eng.ChargeStreamRead(scanned)
-	j.eng.ChargeSetup(touched, fetches)
+	j.emitAdjacencies(order, j.g, -1)
 
 	// Phase 2 — rollback on the intermediate graph (dirty vertices are
 	// sinks; the old structure is used since only dirty rows differ).
@@ -618,33 +620,38 @@ func (j *JetStream) applyAccumulativeTwoPhase(b graph.Batch, ng *graph.CSR) {
 
 	// Phase 3 — re-insert every dirty vertex's new adjacency from the
 	// rolled-back state.
-	touched = touched[:0]
-	fetches = fetches[:0]
-	scanned, emitted = 0, 0
-	for _, u := range order {
-		j.st.VertexReads++
-		touched = append(touched, u)
-		state := j.eng.PeekVertex(u)
-		deg, wsum := ng.OutDegree(u), ng.OutWeightSum(u)
-		if deg == 0 {
-			continue
-		}
-		scanned += deg
-		fetches = append(fetches, engine.EdgeFetch{Offset: ng.EdgeOffset(u), Count: deg})
-		j.st.EdgeReads += uint64(deg)
-		ng.OutEdges(u, func(dst graph.VertexID, w graph.Weight) {
-			if val := j.alg.Propagate(u, state, w, deg, wsum); val != 0 {
-				emitted++
-				j.eng.Emit(event.New(dst, val))
-			}
-		})
-	}
-	j.eng.ChargeStreamRead(scanned)
-	j.eng.ChargeSetup(touched, fetches)
+	j.emitAdjacencies(order, ng, 1)
 
 	// Phase 4 — converge on the new graph.
 	j.eng.SetGraph(ng, nil)
 	j.eng.RunCompute()
+}
+
+// emitAdjacencies is one setup scan of the two-phase ablation: every vertex
+// of order sends sign × its full contribution (current state against g's
+// degrees) along each of its out-edges in g.
+func (j *JetStream) emitAdjacencies(order []graph.VertexID, g *graph.CSR, sign float64) {
+	scanned := 0
+	for _, u := range order {
+		j.st.VertexReads++
+		j.setup.touch(u)
+		state := j.eng.PeekVertex(u)
+		ids, ws := g.OutAdj(u)
+		deg, wsum := len(ids), g.OutWeightSum(u)
+		if deg == 0 {
+			continue
+		}
+		scanned += deg
+		j.setup.fetch(g.EdgeOffset(u), deg)
+		j.st.EdgeReads += uint64(deg)
+		for i, dst := range ids {
+			if val := sign * j.alg.Propagate(u, state, ws[i], deg, wsum); val != 0 {
+				j.eng.EmitTo(dst, val, event.NoSource, 0)
+			}
+		}
+	}
+	j.eng.ChargeStreamRead(scanned)
+	j.setup.charge(j.eng)
 }
 
 func sortVertexIDs(v []graph.VertexID) {

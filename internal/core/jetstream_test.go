@@ -587,3 +587,66 @@ func TestRepartitionKeepsResultsExact(t *testing.T) {
 		t.Error("unsliced Repartition should return -1")
 	}
 }
+
+// functionalCounters is the part of a stats sink that describes the work the
+// engine did, as opposed to what a cycle model made of it.
+func functionalCounters(st *stats.Counters) [11]uint64 {
+	return [11]uint64{st.EventsProcessed, st.EventsGenerated, st.EventsCoalesced,
+		st.VertexReads, st.VertexWrites, st.EdgeReads, st.VerticesReset,
+		st.RequestsIssued, st.DeletesDiscarded, st.Rounds, st.Phases}
+}
+
+// TestTimingDoesNotChangeFunctionalWork pins that the timing recorders — the
+// engine's per-batch lists and the setup scans recorded here — are recorders
+// only: the same stream with a cycle model attached and without one does the
+// same functional work, counter for counter and bit for bit, on every
+// recovery path (Base/VAP/DAP deletes, fused and two-phase accumulative).
+func TestTimingDoesNotChangeFunctionalWork(t *testing.T) {
+	cases := []struct {
+		name     string
+		alg      string
+		opt      OptLevel
+		twoPhase bool
+	}{
+		{"sssp/base", "sssp", OptBase, false},
+		{"sswp/vap", "sswp", OptVAP, false},
+		{"bfs/dap", "bfs", OptDAP, false},
+		{"pagerank/fused", "pagerank", OptDAP, false},
+		{"adsorption/two-phase", "adsorption", OptDAP, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(timing bool) ([11]uint64, []float64, uint64) {
+				a, err := algo.New(c.alg, 0, 1e-7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := cfgOpt(c.opt, timing)
+				cfg.TwoPhaseAccumulate = c.twoPhase
+				st := &stats.Counters{}
+				js := New(graph.RMAT(graph.RMATConfig{Vertices: 300, Edges: 2400, Seed: 53}), a, cfg, st)
+				js.RunInitial()
+				gen := stream.NewGenerator(stream.Config{BatchSize: 40, InsertFrac: 0.5, Seed: 59})
+				for i := 0; i < 3; i++ {
+					if err := js.ApplyBatch(gen.Next(js.Graph())); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return functionalCounters(st), append([]float64(nil), js.State()...), js.Cycles()
+			}
+			onWork, onState, onCycles := run(true)
+			offWork, offState, offCycles := run(false)
+			if onCycles == 0 || offCycles != 0 {
+				t.Fatalf("cycles with timing on %d, off %d: the arms are not what they claim", onCycles, offCycles)
+			}
+			if onWork != offWork {
+				t.Errorf("functional counters differ:\n timing on  %v\n timing off %v", onWork, offWork)
+			}
+			for v := range onState {
+				if math.Float64bits(onState[v]) != math.Float64bits(offState[v]) {
+					t.Fatalf("state of vertex %d: %v with timing, %v without", v, onState[v], offState[v])
+				}
+			}
+		})
+	}
+}

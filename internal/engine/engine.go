@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 
 	"jetstream/internal/algo"
 	"jetstream/internal/event"
@@ -19,12 +20,14 @@ type GraphView interface {
 	NumVertices() int
 	OutDegree(u graph.VertexID) int
 	OutWeightSum(u graph.VertexID) float64
-	OutEdges(u graph.VertexID, fn func(dst graph.VertexID, w graph.Weight))
+	// OutAdj returns u's out-neighbors and edge weights as two slices of
+	// equal length (empty for a sink); the engine reads them, never writes.
+	OutAdj(u graph.VertexID) (ids []graph.VertexID, ws []graph.Weight)
 }
 
 // Handler processes one event during a phase. Handlers use the engine's
-// ReadVertex/WriteVertex/EmitAlongEdges helpers so that work counting and
-// timing see every access.
+// ReadVertex/WriteVertex/PropagateValue/EmitAlongEdges helpers so that work
+// counting and timing see every access.
 type Handler func(ev event.Event)
 
 // Engine executes event-driven phases over a graph: the GraphPulse compute
@@ -33,6 +36,10 @@ type Handler func(ev event.Event)
 type Engine struct {
 	cfg Config
 	alg algo.Algorithm
+	// acc and eps cache the kernel's class and threshold for the per-edge
+	// suppression test of PropagateValue.
+	acc bool
+	eps float64
 
 	csr  *graph.CSR // backing CSR of the active view (for edge offsets)
 	view GraphView
@@ -54,10 +61,12 @@ type Engine struct {
 
 	// Parallel compute path (see parallel.go): the vertex -> worker map for
 	// ownerK workers, and the shards, links and workers built over it on the
-	// first phase that fans out. Both live as long as the engine.
+	// first phase that fans out. Both live as long as the engine. cores is
+	// GOMAXPROCS as New found it, the second input of the escalation rule.
 	owner  []int32
 	ownerK int
 	run    *peRun
+	cores  int
 
 	// trace observes every event the sequential path processes, in order
 	// (golden-trace tests). Non-nil trace forces sequential execution.
@@ -69,24 +78,11 @@ type Engine struct {
 	ob    *Obs
 	obPub stats.Counters
 
-	// prop holds PropagateValue's arguments for propEdge, the per-edge
-	// callback built once in New: a closure literal handed through the
-	// GraphView interface would be heap-allocated on every call, and
-	// propagation is the inner loop of every compute phase. emitMk/emitEdge
-	// do the same for EmitAlongEdges, and computeH caches ComputeHandler.
-	prop struct {
-		u     graph.VertexID
-		x     float64
-		deg   int
-		wsum  float64
-		flags event.Flags
-	}
-	propEdge func(dst graph.VertexID, w graph.Weight)
-	emitMk   func(dst graph.VertexID, w graph.Weight) (event.Event, bool)
-	emitEdge func(dst graph.VertexID, w graph.Weight)
-	computeH Handler
+	computeH Handler // cached ComputeHandler
 
-	// Per-row-batch recording for the timing layer.
+	// Per-row-batch recording for the timing layer: what CycleModel.Batch is
+	// charged with. Appended to only while a cycle model is attached (tm !=
+	// nil) — nothing else reads them.
 	batchTouched []graph.VertexID
 	batchWritten int
 	batchFetches []EdgeFetch
@@ -122,11 +118,14 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 		st = &stats.Counters{}
 	}
 	e := &Engine{
-		cfg:  cfg,
-		alg:  alg,
-		csr:  g,
-		view: g,
-		st:   st,
+		cfg:   cfg,
+		alg:   alg,
+		acc:   alg.Class() == algo.Accumulative,
+		eps:   alg.Epsilon(),
+		csr:   g,
+		view:  g,
+		st:    st,
+		cores: runtime.GOMAXPROCS(0),
 	}
 	e.q = queue.New(g.NumVertices(), cfg.Queue, queue.ReduceCoalesce(alg.Reduce), st)
 	if cfg.Timing {
@@ -137,20 +136,6 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 		}
 		if cfg.PipelineOverlap {
 			e.tm = newPipelined(e.tm)
-		}
-	}
-	acc, eps := alg.Class() == algo.Accumulative, alg.Epsilon()
-	e.propEdge = func(dst graph.VertexID, w graph.Weight) {
-		a := &e.prop
-		val := e.alg.Propagate(a.u, a.x, w, a.deg, a.wsum)
-		if acc && math.Abs(val) <= eps {
-			return
-		}
-		e.Emit(event.Event{Target: dst, Value: val, Source: a.u, Flags: a.flags})
-	}
-	e.emitEdge = func(dst graph.VertexID, w graph.Weight) {
-		if ev, ok := e.emitMk(dst, w); ok {
-			e.Emit(ev)
 		}
 	}
 	for _, o := range opts {
@@ -254,7 +239,9 @@ func (e *Engine) View() GraphView { return e.view }
 func (e *Engine) ReadVertex(v graph.VertexID) float64 {
 	e.materialize()
 	e.st.VertexReads++
-	e.batchTouched = append(e.batchTouched, v)
+	if e.tm != nil {
+		e.batchTouched = append(e.batchTouched, v)
+	}
 	return e.state[v]
 }
 
@@ -282,53 +269,78 @@ func (e *Engine) SetDep(v, src graph.VertexID) {
 	e.dep[v] = src
 }
 
-// Emit inserts ev into the event queue, or spills it to the pending list of
-// its slice when slicing is active and ev targets an inactive slice.
-func (e *Engine) Emit(ev event.Event) {
+// Emit queues ev; see EmitTo.
+func (e *Engine) Emit(ev event.Event) { e.EmitTo(ev.Target, ev.Value, ev.Source, ev.Flags) }
+
+// EmitTo generates one event from its fields: it is counted, recorded for
+// the cycle model, and merged into the queue slot of its target — or spilled
+// to the pending list of its slice when slicing is active and the target
+// lies in an inactive slice. Every emitter ends here.
+//
+//jetlint:hotpath
+func (e *Engine) EmitTo(t graph.VertexID, val float64, src graph.VertexID, fl event.Flags) {
 	e.st.EventsGenerated++
-	e.batchGenT = append(e.batchGenT, ev.Target)
+	if e.tm != nil {
+		e.batchGenT = append(e.batchGenT, t) //jetlint:allow hotpathalloc -- timing runs only; reset to [:0] per row batch, so it grows to the largest batch once
+	}
 	if e.part != nil {
-		if s := e.part.SliceOf(ev.Target); s != e.active {
-			e.pending[s] = append(e.pending[s], ev)
+		if s := e.part.SliceOf(t); s != e.active {
+			e.pending[s] = append(e.pending[s], event.Event{Target: t, Value: val, Source: src, Flags: fl}) //jetlint:allow hotpathalloc -- sliced runs only: the off-chip spill list of an inactive slice
 			return
 		}
 	}
-	e.q.Insert(ev)
+	e.q.Put(t, val, src, fl)
 }
 
-// EmitAlongEdges walks u's out-adjacency in the active view, charging the
-// edge fetch, and emits the event mk returns for each edge (or none when mk
-// reports false). This is the generation-stream primitive all phases build
-// on.
-func (e *Engine) EmitAlongEdges(u graph.VertexID, mk func(dst graph.VertexID, w graph.Weight) (event.Event, bool)) {
-	deg := e.view.OutDegree(u)
-	if deg == 0 {
-		return
+// outAdj fetches u's out-adjacency in the active view for a generation
+// stream: it counts the edge reads and, for the cycle model, records the
+// adjacency range. ws is cut to len(ids) so a loop over ids indexes it
+// without a bounds check.
+//
+//jetlint:hotpath
+func (e *Engine) outAdj(u graph.VertexID) (ids []graph.VertexID, ws []graph.Weight) {
+	ids, ws = e.view.OutAdj(u)
+	if len(ids) == 0 {
+		return nil, nil
 	}
-	e.chargeEdgeFetch(u, deg)
-	e.emitMk = mk
-	e.view.OutEdges(u, e.emitEdge)
-	e.emitMk = nil
+	e.st.EdgeReads += uint64(len(ids))
+	if e.tm != nil {
+		e.batchFetches = append(e.batchFetches, EdgeFetch{Offset: e.csr.EdgeOffset(u), Count: len(ids)}) //jetlint:allow hotpathalloc -- timing runs only; reset to [:0] per row batch
+	}
+	return ids, ws[:len(ids)]
 }
 
-// chargeEdgeFetch counts the read of u's deg out-edges and records the
-// adjacency range for the timing layer.
-func (e *Engine) chargeEdgeFetch(u graph.VertexID, deg int) {
-	e.st.EdgeReads += uint64(deg)
-	e.batchFetches = append(e.batchFetches, EdgeFetch{Offset: e.csr.EdgeOffset(u), Count: deg})
+// EmitAlongEdges sends val unchanged along every out-edge of u in the active
+// view, tagging the events with source u and flags — the delete tag of the
+// recovery phase (Algorithm 4), which carries no per-edge contribution.
+//
+//jetlint:hotpath
+func (e *Engine) EmitAlongEdges(u graph.VertexID, val float64, flags event.Flags) {
+	ids, _ := e.outAdj(u)
+	for _, dst := range ids {
+		e.EmitTo(dst, val, u, flags)
+	}
 }
 
 // PropagateValue sends x from u along every out-edge using the algorithm's
 // Propagate, tagging events with source u and the given flags. Accumulative
-// deltas below Epsilon are suppressed at generation (termination).
+// deltas below Epsilon are suppressed at generation (termination). This is
+// the inner loop of every compute phase: per edge, one Propagate and one put.
+//
+//jetlint:hotpath
 func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) {
-	deg := e.view.OutDegree(u)
-	if deg == 0 {
+	ids, ws := e.outAdj(u)
+	if len(ids) == 0 {
 		return
 	}
-	e.prop.u, e.prop.x, e.prop.deg, e.prop.wsum, e.prop.flags = u, x, deg, e.view.OutWeightSum(u), flags
-	e.chargeEdgeFetch(u, deg)
-	e.view.OutEdges(u, e.propEdge)
+	deg, wsum := len(ids), e.view.OutWeightSum(u)
+	for i, dst := range ids {
+		val := e.alg.Propagate(u, x, ws[i], deg, wsum)
+		if e.acc && math.Abs(val) <= e.eps {
+			continue
+		}
+		e.EmitTo(dst, val, u, flags)
+	}
 }
 
 // ComputeHandler returns the regular computation phase of Algorithm 1, with

@@ -248,6 +248,52 @@ func TestWorkCountersPopulated(t *testing.T) {
 	}
 }
 
+// TestWorkCountersIgnoreTiming runs every kernel's static evaluation, and
+// then a phase of delete tags emitted along edges, with a cycle model attached
+// and without: the recorders the model reads are built only in the first arm,
+// and the functional counters and the state must not notice.
+func TestWorkCountersIgnoreTiming(t *testing.T) {
+	for _, name := range algo.Names() {
+		t.Run(name, func(t *testing.T) {
+			run := func(timing bool) (stats.Counters, []float64) {
+				a := makeAlg(t, name)
+				st := &stats.Counters{}
+				e := New(testGraphFor(a, 5), a, testConfig(timing), st)
+				e.RunToConvergence()
+				for v := graph.VertexID(0); v < 40; v++ {
+					e.Emit(event.Event{Target: v, Value: a.Identity(), Source: event.NoSource, Flags: event.FlagDelete})
+				}
+				hops := 0
+				e.RunPhase(func(ev event.Event) {
+					e.ReadVertex(ev.Target)
+					if hops++; hops < 500 {
+						e.EmitAlongEdges(ev.Target, a.Identity(), event.FlagDelete)
+					}
+				})
+				if (e.Cycles() != 0) != timing {
+					t.Fatalf("timing %v accumulated %d cycles", timing, e.Cycles())
+				}
+				work := *st
+				work.BytesTransferred, work.BytesUsed, work.DRAMAccesses, work.RowHits, work.SpillBytes, work.Cycles = 0, 0, 0, 0, 0, 0
+				return work, append([]float64(nil), e.State()...)
+			}
+			onWork, onState := run(true)
+			offWork, offState := run(false)
+			if onWork != offWork {
+				t.Errorf("functional counters differ:\n timing on  %+v\n timing off %+v", onWork, offWork)
+			}
+			if onWork.EdgeReads == 0 || onWork.Phases != 2 {
+				t.Errorf("the run did not do the work it was built to do: %+v", onWork)
+			}
+			for v := range onState {
+				if math.Float64bits(onState[v]) != math.Float64bits(offState[v]) {
+					t.Fatalf("state of vertex %d: %v with timing, %v without", v, onState[v], offState[v])
+				}
+			}
+		})
+	}
+}
+
 func TestSliceCapacityShrinksWithEventSize(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EventMode = event.ModeGraphPulse

@@ -87,19 +87,33 @@ const recycleCap = 256
 // read the wall clock (jetlint determinism).
 const idleSpinLimit = 16
 
-// fanoutMinFrontier is the frontier size — live events in the queue at a
-// drain-round boundary — above which a compute phase at parallelism > 1
-// leaves the calling goroutine for the PE workers. It is the measured
-// break-even of one fan-out (start and join the workers, route the frontier
-// into the shards, cross-partition mail for the rest of the cascade) against
-// draining the same cascade sequentially; DESIGN.md §7 records the sweep. The
-// frontier is a property of the input the engine observes, so this is a
-// constant, not a knob.
-const fanoutMinFrontier = 2048
+// A compute phase at parallelism > 1 leaves the calling goroutine for the PE
+// workers iff both hold at a drain-round boundary:
+//
+//   - the frontier — live events in the queue — exceeds fanoutMinFrontier,
+//     the least work that can repay starting and joining the workers and
+//     routing the frontier into their shards; and
+//   - the process has at least fanoutMinCores cores (GOMAXPROCS when the
+//     engine was built) to run them on. An event on the PE path costs 2.4
+//     to 3.7 caller events of CPU (ownership lookup, staging, mail, token
+//     accounting, idle polling), so the workers only win once that many of
+//     them really run at once; with fewer cores fan-out loses at every
+//     frontier and the phase stays on the caller however large it grows.
+//
+// Both inputs are things the engine observes, and both constants are read
+// off BenchmarkFanoutBreakEven (table and reasoning in DESIGN.md §7), so
+// neither is a knob.
+const (
+	fanoutMinFrontier = 2048
+	fanoutMinCores    = 4
+)
 
-// fanoutThreshold is what RunCompute compares the frontier against. Only
-// tests assign it (SetFanoutThresholdForTest), to pin a phase to one path.
-var fanoutThreshold = fanoutMinFrontier
+// fanoutThreshold and fanoutCores are what RunCompute compares against. Only
+// tests assign them (SetFanoutThresholdForTest), to pin a phase to one path.
+var (
+	fanoutThreshold = fanoutMinFrontier
+	fanoutCores     = fanoutMinCores
+)
 
 // link is the one-way fabric from one worker to another: data carries event
 // batches to the receiver, free carries the emptied buffers back so a
@@ -169,16 +183,6 @@ type peWorker struct {
 	// Per-batch token bookkeeping (see quiescence comment above).
 	newLive int64 // records that became live while processing the current batch
 
-	// prop holds propagate's arguments for propEdge, the per-edge callback
-	// built once with the worker (see Engine.prop).
-	prop struct {
-		u    graph.VertexID
-		x    float64
-		deg  int
-		wsum float64
-	}
-	propEdge func(dst graph.VertexID, wt graph.Weight)
-
 	// backlog reports that the last flush left a batch staged behind a full
 	// channel. Nobody signals when the channel drains, so a worker with a
 	// backlog keeps polling instead of blocking.
@@ -218,15 +222,16 @@ func (e *Engine) parallelism() int {
 
 // RunCompute runs the regular computation phase (Algorithm 1 with
 // JetStream's request/dependency extensions) to quiescence. Parallelism 1 is
-// byte-for-byte the sequential engine. Above 1 the phase still starts as the
-// sequential drain on the calling goroutine, and moves to the PE workers at
-// the first drain-round boundary where the frontier exceeds
+// byte-for-byte the sequential engine, and so is any parallelism on a box
+// with fewer than fanoutMinCores cores. Otherwise the phase still starts as
+// the sequential drain on the calling goroutine, and moves to the PE workers
+// at the first drain-round boundary where the frontier exceeds
 // fanoutMinFrontier — so a phase costs what its events cost, and a small
 // batch never pays a fan-out.
 func (e *Engine) RunCompute() {
 	e.materialize()
 	p := e.parallelism()
-	if p == 1 {
+	if p == 1 || e.cores < fanoutCores {
 		e.RunPhase(e.ComputeHandler())
 		e.countComputePhase(false)
 		return
@@ -288,14 +293,6 @@ func (e *Engine) peState(p int) *peRun {
 			out:     make([]link, p),
 			wake:    make(chan struct{}, 1),
 			sent:    make([]uint64, p),
-		}
-		w.propEdge = func(dst graph.VertexID, wt graph.Weight) {
-			a := &w.prop
-			val := r.alg.Propagate(a.u, a.x, wt, a.deg, a.wsum)
-			if r.acc && math.Abs(val) <= r.eps {
-				return
-			}
-			w.emit(event.Event{Target: dst, Value: val, Source: a.u})
 		}
 		r.workers[i] = w
 	}
@@ -491,32 +488,42 @@ func (w *peWorker) process(ev event.Event) {
 
 // propagate sends x from u along every out-edge in the active view — the
 // parallel twin of Engine.PropagateValue.
+//
+//jetlint:hotpath
 func (w *peWorker) propagate(u graph.VertexID, x float64) {
 	r := w.run
-	deg := r.view.OutDegree(u)
-	if deg == 0 {
+	ids, ws := r.view.OutAdj(u)
+	if len(ids) == 0 {
 		return
 	}
-	w.prop.u, w.prop.x, w.prop.deg, w.prop.wsum = u, x, deg, r.view.OutWeightSum(u)
-	r.view.OutEdges(u, w.propEdge)
+	deg, wsum := len(ids), r.view.OutWeightSum(u)
+	ws = ws[:deg]
+	for i, dst := range ids {
+		val := r.alg.Propagate(u, x, ws[i], deg, wsum)
+		if r.acc && math.Abs(val) <= r.eps {
+			continue
+		}
+		w.emit(dst, val, u)
+	}
 	w.st.EdgeReads += uint64(deg)
 }
 
-// emit routes ev to its owner: the local shard directly, other workers via
-// the staged per-pair channels.
-func (w *peWorker) emit(ev event.Event) {
+// emit routes an event to the owner of its target: merged into the local
+// shard directly, staged for the per-pair channel of another worker.
+//
+//jetlint:hotpath
+func (w *peWorker) emit(t graph.VertexID, val float64, src graph.VertexID) {
 	w.st.EventsGenerated++
-	r := w.run
-	d := r.sq.Owner(ev.Target)
+	d := w.run.sq.Owner(t)
 	if d == w.id {
-		if w.shard.Insert(ev) {
+		if w.shard.Put(t, val, src, 0) {
 			w.st.EventsCoalesced++
 		} else {
 			w.newLive++
 		}
 		return
 	}
-	w.staging[d] = append(w.staging[d], ev)
+	w.staging[d] = append(w.staging[d], event.Event{Target: t, Value: val, Source: src}) //jetlint:allow hotpathalloc -- the mail buffer: recycled through link.free up to recycleCap, left to the collector beyond (see recycleCap)
 	w.newLive++
 	w.sent[d]++
 	w.forwarded++

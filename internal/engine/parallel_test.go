@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"jetstream/internal/algo"
 	"jetstream/internal/event"
 	"jetstream/internal/graph"
+	"jetstream/internal/obs"
 	"jetstream/internal/stats"
 )
 
@@ -20,8 +22,10 @@ func parallelConfig(p int) Config {
 }
 
 // fanoutArms are the two ways the p>1 tests below run: with the shipped
-// threshold — under which these 400-vertex graphs never leave the caller — and
-// with every compute phase forced onto the PE workers.
+// frontier threshold — under which these 400-vertex graphs never leave the
+// caller — and with every compute phase forced onto the PE workers. The hook
+// waives the core-count condition in both, so the arms mean the same thing
+// on a 2-core box as on a 64-core one.
 var fanoutArms = [...]struct {
 	name      string
 	threshold int
@@ -183,6 +187,7 @@ func TestEscalationDifferential(t *testing.T) {
 // event, so the phase must have run rounds on the caller (worker 0's residual
 // share) before its frontier crossed the threshold and the workers took over.
 func TestDefaultThresholdEscalatesMidCascade(t *testing.T) {
+	defer SetFanoutThresholdForTest(fanoutMinFrontier)() // shipped frontier, any core count
 	a := algo.NewSSSP(0)
 	st := &stats.Counters{}
 	e := observed(New(escalationGraph(a), a, parallelConfig(8), st))
@@ -475,5 +480,79 @@ func TestComputePhaseAllocations(t *testing.T) {
 				t.Errorf("steady-state compute phase: %.1f allocs, want <= %.0f", allocs, limit)
 			}
 		})
+	}
+}
+
+// TestEscalationRule is the truth table of RunCompute's hand-off at
+// parallelism 8: a phase leaves the caller iff its frontier exceeds
+// fanoutMinFrontier and the engine found at least fanoutMinCores cores; the
+// test hook replaces the frontier threshold and waives the core condition.
+// Asserted on the series an operator reads, jetstream_compute_phases_total.
+func TestEscalationRule(t *testing.T) {
+	const noHook = -1
+	a := algo.NewSSSP(0)
+	g := escalationGraph(a)
+	// Seeded events that share a target coalesce, so the live frontier is
+	// smaller than the number seeded; each row checks which side it landed on.
+	small, big := fanoutMinFrontier/32, 2*fanoutMinFrontier
+	rows := []struct {
+		frontier, cores, hook int
+		fanout                bool
+	}{
+		{small, 64, noHook, false},
+		{big, 64, noHook, true},
+		{big, fanoutMinCores, noHook, true},
+		{big, fanoutMinCores - 1, noHook, false},
+		{big, 2, noHook, false},
+		{big, 1, noHook, false},
+		{small, 1, 0, true},
+		{big, 1, fanoutMinFrontier, true},
+		{small, 64, fanoutMinFrontier, false},
+		{big, 64, math.MaxInt, false},
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("frontier=%d/cores=%d/hook=%d", r.frontier, r.cores, r.hook), func(t *testing.T) {
+			s := newBenchSubject(g, a, parallelConfig(8), halve)
+			if r.hook != noHook {
+				defer SetFanoutThresholdForTest(r.hook)()
+			}
+			s.e.cores = r.cores
+			reg := obs.NewRegistry()
+			s.e.SetObs(NewObs(reg, nil))
+			s.seed(rand.New(rand.NewSource(3)), r.frontier)
+			if n := s.e.Queue().Len(); (n > fanoutMinFrontier) != (r.frontier == big) {
+				t.Fatalf("frontier of %d events holds %d live ones: wrong side of %d", r.frontier, n, fanoutMinFrontier)
+			}
+			s.e.RunCompute()
+			caller, _ := reg.Get("jetstream_compute_phases_total", obs.L("mode", "caller"))
+			fanout, _ := reg.Get("jetstream_compute_phases_total", obs.L("mode", "fanout"))
+			if want := map[bool][2]float64{false: {1, 0}, true: {0, 1}}[r.fanout]; [2]float64{caller, fanout} != want {
+				t.Errorf("phases{caller, fanout} = {%v, %v}, want %v", caller, fanout, want)
+			}
+			if !s.e.Queue().Empty() {
+				t.Errorf("phase left %d events queued", s.e.Queue().Len())
+			}
+		})
+	}
+}
+
+// TestSingleCoreNeverStartsWorkers pins the serving default (parallelism 8)
+// on a one-core process: however large the frontier, the engine finds
+// GOMAXPROCS below fanoutMinCores, so no phase builds the PE run state —
+// whose workers are the only goroutines a compute phase ever starts.
+func TestSingleCoreNeverStartsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := algo.NewSSSP(0)
+	e := observed(New(escalationGraph(a), a, parallelConfig(8), nil))
+	before := runtime.NumGoroutine()
+	e.RunToConvergence() // a cascade that crosses fanoutMinFrontier (TestDefaultThresholdEscalatesMidCascade)
+	if caller, fanout := e.Obs().ComputePhases(); caller != 1 || fanout != 0 {
+		t.Errorf("phases: caller %d, fanout %d; want 1, 0", caller, fanout)
+	}
+	if e.run != nil {
+		t.Error("PE run state was built on one core")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the phase, %d after", before, after)
 	}
 }

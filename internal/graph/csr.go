@@ -148,10 +148,13 @@ func (g *CSR) LayoutStats() LayoutStats {
 	}
 }
 
-// outSeg returns v's out-adjacency (destinations and weights, sorted by
-// destination) as observed by this version. A superseded version consults
-// its undo snapshots before deferring to the next version in the chain.
-func (g *CSR) outSeg(v VertexID) ([]VertexID, []Weight) {
+// OutAdj returns v's out-adjacency (destinations and weights, sorted by
+// destination, equal length) as observed by this version. A superseded version
+// consults its undo snapshots before deferring to the next version in the
+// chain. The slices alias the graph's storage: read them, do not keep them
+// across a mutation of the chain's head. This is the engines' generation
+// stream — one sequential burst per vertex (paper §4.3).
+func (g *CSR) OutAdj(v VertexID) ([]VertexID, []Weight) {
 	cur := g
 	for {
 		vi := cur.ver
@@ -165,9 +168,9 @@ func (g *CSR) outSeg(v VertexID) ([]VertexID, []Weight) {
 	}
 }
 
-// inSeg returns v's in-adjacency (sources and weights, sorted by source) as
-// observed by this version.
-func (g *CSR) inSeg(v VertexID) ([]VertexID, []Weight) {
+// InAdj returns v's in-adjacency (sources and weights, sorted by source) as
+// observed by this version, under the same aliasing rule as OutAdj.
+func (g *CSR) InAdj(v VertexID) ([]VertexID, []Weight) {
 	cur := g
 	for {
 		vi := cur.ver
@@ -183,13 +186,13 @@ func (g *CSR) inSeg(v VertexID) ([]VertexID, []Weight) {
 
 // OutDegree returns the number of outgoing edges of v.
 func (g *CSR) OutDegree(v VertexID) int {
-	ids, _ := g.outSeg(v)
+	ids, _ := g.OutAdj(v)
 	return len(ids)
 }
 
 // InDegree returns the number of incoming edges of v.
 func (g *CSR) InDegree(v VertexID) int {
-	ids, _ := g.inSeg(v)
+	ids, _ := g.InAdj(v)
 	return len(ids)
 }
 
@@ -214,10 +217,10 @@ type Neighbor struct {
 	W Weight
 }
 
-// OutEdges calls fn for every outgoing edge of u. It avoids allocation so the
-// engines can use it on hot paths.
+// OutEdges calls fn for every outgoing edge of u, without allocating. Loops
+// that run per event iterate OutAdj instead and save the call per edge.
 func (g *CSR) OutEdges(u VertexID, fn func(dst VertexID, w Weight)) {
-	ids, ws := g.outSeg(u)
+	ids, ws := g.OutAdj(u)
 	for i, dst := range ids {
 		fn(dst, ws[i])
 	}
@@ -225,7 +228,7 @@ func (g *CSR) OutEdges(u VertexID, fn func(dst VertexID, w Weight)) {
 
 // InEdges calls fn for every incoming edge of v.
 func (g *CSR) InEdges(v VertexID, fn func(src VertexID, w Weight)) {
-	ids, ws := g.inSeg(v)
+	ids, ws := g.InAdj(v)
 	for i, src := range ids {
 		fn(src, ws[i])
 	}
@@ -252,7 +255,7 @@ func (g *CSR) HasEdge(u, v VertexID) (Weight, bool) {
 	if int(u) >= g.n {
 		return 0, false
 	}
-	ids, ws := g.outSeg(u)
+	ids, ws := g.OutAdj(u)
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
 	if i < len(ids) && ids[i] == v {
 		return ws[i], true
@@ -263,7 +266,7 @@ func (g *CSR) HasEdge(u, v VertexID) (Weight, bool) {
 // searchIn reports whether (u,v) exists as an in edge of v and, if so, its
 // weight — the in-direction mirror of HasEdge, used by Validate.
 func (g *CSR) searchIn(u, v VertexID) (Weight, bool) {
-	ids, ws := g.inSeg(v)
+	ids, ws := g.InAdj(v)
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= u })
 	if i < len(ids) && ids[i] == u {
 		return ws[i], true
@@ -299,7 +302,7 @@ func (g *CSR) EdgeAt(i int) Edge {
 	}
 	// Superseded version: rare path, scan the logical segments.
 	for v := 0; v < g.n; v++ {
-		ids, ws := g.outSeg(VertexID(v))
+		ids, ws := g.OutAdj(VertexID(v))
 		if i < len(ids) {
 			return Edge{VertexID(v), ids[i], ws[i]}
 		}
@@ -314,7 +317,7 @@ func (g *CSR) EdgeAt(i int) Edge {
 func (g *CSR) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
 	for u := 0; u < g.n; u++ {
-		ids, ws := g.outSeg(VertexID(u))
+		ids, ws := g.OutAdj(VertexID(u))
 		for i, dst := range ids {
 			out = append(out, Edge{VertexID(u), dst, ws[i]})
 		}
@@ -357,7 +360,7 @@ func (g *CSR) Validate() error {
 	outCount, inCount := 0, 0
 	asym := 0
 	for v := 0; v < g.n; v++ {
-		ids, ws := g.outSeg(VertexID(v))
+		ids, ws := g.OutAdj(VertexID(v))
 		outCount += len(ids)
 		for i, dst := range ids {
 			if int(dst) >= g.n {
@@ -374,7 +377,7 @@ func (g *CSR) Validate() error {
 				return fmt.Errorf("graph: weight mismatch on edge (%d,%d)", v, dst)
 			}
 		}
-		inIDs, _ := g.inSeg(VertexID(v))
+		inIDs, _ := g.InAdj(VertexID(v))
 		inCount += len(inIDs)
 		for i, src := range inIDs {
 			if int(src) >= g.n {

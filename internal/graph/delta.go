@@ -564,8 +564,8 @@ func segSum(ws []Weight) float64 {
 func asymDelta(old, ng *CSR, affected []VertexID) int {
 	d := 0
 	for _, v := range affected {
-		preOut, _ := old.outSeg(v)
-		preIn, _ := old.inSeg(v)
+		preOut, _ := old.OutAdj(v)
+		preIn, _ := old.InAdj(v)
 		postOut, _ := ng.out.live(v)
 		postIn, _ := ng.in.live(v)
 		pre := !segIDsEqual(preOut, preIn)
@@ -652,8 +652,8 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 	for v := range ng.outWeightSum {
 		ng.outWeightSum[v] = g.OutWeightSum(VertexID(v))
 	}
-	ng.out = relayAdj(g.n, g.outSeg, sc.bySrc, srcOf, outNeighbor, cfg, inl, sc, ng.outWeightSum)
-	ng.in = relayAdj(g.n, g.inSeg, sc.byDst, dstOf, inNeighbor, cfg, inl, sc, nil)
+	ng.out = relayAdj(g.n, g.OutAdj, sc.bySrc, srcOf, outNeighbor, cfg, inl, sc, ng.outWeightSum)
+	ng.in = relayAdj(g.n, g.InAdj, sc.byDst, dstOf, inNeighbor, cfg, inl, sc, nil)
 	ng.asymCount = g.asymCount + asymDelta(g, ng, sc.affected)
 	return ng
 }

@@ -42,7 +42,7 @@ const (
 // live returns v's adjacency as stored by the live layout: the inline record
 // when the vertex is inline, the slab segment otherwise. Callers must hold a
 // live (unfrozen) version — frozen versions read through their undo
-// snapshots in outSeg/inSeg. The returned slices alias the graph's storage.
+// snapshots in OutAdj/InAdj. The returned slices alias the graph's storage.
 //
 //jetlint:hotpath
 func (a *adj) live(v VertexID) ([]VertexID, []Weight) {

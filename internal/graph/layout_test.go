@@ -132,6 +132,7 @@ func TestRelayMatchesFreshLayout(t *testing.T) {
 type versionPin struct {
 	g         *CSR
 	edges     []Edge
+	in        [][]Neighbor
 	sums      []float64
 	symmetric bool
 }
@@ -140,8 +141,40 @@ func pinVersion(g *CSR) versionPin {
 	p := versionPin{g: g, edges: g.Edges(), symmetric: g.Symmetric()}
 	for v := 0; v < g.NumVertices(); v++ {
 		p.sums = append(p.sums, g.OutWeightSum(VertexID(v)))
+		p.in = append(p.in, g.InNeighbors(VertexID(v)))
 	}
 	return p
+}
+
+// checkAdjSlices holds the slice adjacency of every vertex of g — what the
+// engines iterate — against the callback enumeration and the degree, in both
+// directions.
+func checkAdjSlices(t *testing.T, name string, g *CSR) {
+	t.Helper()
+	for v := 0; v < g.NumVertices(); v++ {
+		u := VertexID(v)
+		for _, dir := range []struct {
+			name  string
+			adj   func(VertexID) ([]VertexID, []Weight)
+			each  func(VertexID, func(VertexID, Weight))
+			count func(VertexID) int
+		}{{"out", g.OutAdj, g.OutEdges, g.OutDegree}, {"in", g.InAdj, g.InEdges, g.InDegree}} {
+			ids, ws := dir.adj(u)
+			if len(ids) != len(ws) || len(ids) != dir.count(u) {
+				t.Fatalf("%s: %s-adjacency of %d has %d ids, %d weights, degree %d", name, dir.name, v, len(ids), len(ws), dir.count(u))
+			}
+			i := 0
+			dir.each(u, func(x VertexID, w Weight) {
+				if i >= len(ids) || ids[i] != x || math.Float64bits(ws[i]) != math.Float64bits(w) {
+					t.Fatalf("%s: %s-edge %d of %d enumerates as (%d, %v), the slices disagree", name, dir.name, i, v, x, w)
+				}
+				i++
+			})
+			if i != len(ids) {
+				t.Fatalf("%s: %s-adjacency of %d lists %d, enumeration yields %d", name, dir.name, v, len(ids), i)
+			}
+		}
+	}
 }
 
 func (p versionPin) check(t *testing.T, name string) {
@@ -159,6 +192,31 @@ func (p versionPin) check(t *testing.T, name string) {
 			t.Fatalf("%s: OutWeightSum(%d) = %v, want %v", name, v, got, want)
 		}
 	}
+	// The slice adjacency a frozen version hands the engines is the one it
+	// had when it was live, per vertex and in both directions.
+	checkAdjSlices(t, name, p.g)
+	k := 0
+	for v := 0; v < p.g.NumVertices(); v++ {
+		ids, ws := p.g.OutAdj(VertexID(v))
+		for i, dst := range ids {
+			if want := (Edge{VertexID(v), dst, ws[i]}); k >= len(p.edges) || p.edges[k] != want {
+				t.Fatalf("%s: OutAdj(%d)[%d] = %+v, not the pinned edge %d", name, v, i, want, k)
+			}
+			k++
+		}
+		ids, ws = p.g.InAdj(VertexID(v))
+		if len(ids) != len(p.in[v]) {
+			t.Fatalf("%s: InAdj(%d) has %d sources, pinned %d", name, v, len(ids), len(p.in[v]))
+		}
+		for i, src := range ids {
+			if (Neighbor{src, ws[i]}) != p.in[v][i] {
+				t.Fatalf("%s: InAdj(%d)[%d] = (%d, %v), pinned %+v", name, v, i, src, ws[i], p.in[v][i])
+			}
+		}
+	}
+	if k != len(p.edges) {
+		t.Fatalf("%s: out-adjacencies hold %d edges, pinned %d", name, k, len(p.edges))
+	}
 	if p.g.Symmetric() != p.symmetric {
 		t.Fatalf("%s: Symmetric() flipped to %v", name, p.g.Symmetric())
 	}
@@ -170,9 +228,9 @@ func (p versionPin) check(t *testing.T, name string) {
 // TestPinnedVersionsSurviveLayoutWork holds g0…g3 across three batches that,
 // in turn, relocate a vertex into the tail, migrate vertices between their
 // inline record and the slab, and re-lay the whole graph. Every held version
-// must keep returning its exact edge list, weight sums, symmetry bit and
-// rank-ordered edges afterwards; the test fails if a batch did not do the
-// layout work it was built to do.
+// must keep returning its exact edge list, per-vertex adjacency slices (both
+// directions), weight sums, symmetry bit and rank-ordered edges afterwards;
+// the test fails if a batch did not do the layout work it was built to do.
 func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 	cfg := DeltaConfig{SlackMin: 2, SlackFrac: 0.5, CompactFrac: 100, InlineCap: inlineCapMax}
 	var base []Edge
@@ -183,6 +241,7 @@ func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 		base = append(base, Edge{3, VertexID(d), 0.5 * Weight(d)})
 	}
 	base = append(base, Edge{1, 2, 1.25}, Edge{2, 1, 1.25}) // a symmetric pair
+	checkAdjSlices(t, "dense build", MustBuild(16, base))
 	g0, err := MustBuild(16, base).ApplyDeltaCfg(Batch{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,5 +291,27 @@ func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 	}
 	for i, p := range pins {
 		p.check(t, "g"+string(rune('0'+i)))
+	}
+
+	// A View over the live head — inline and spilled vertices both — serves
+	// the same slices, except that a masked vertex has none.
+	head := pins[len(pins)-1].g
+	if head.out.inline == 0 || head.out.inline == head.n {
+		t.Fatalf("head stores %d of %d vertices inline; want both representations", head.out.inline, head.n)
+	}
+	view := NewView(head)
+	for _, u := range []VertexID{0, 2} { // one inline, one spilled
+		want, _ := head.OutAdj(u)
+		if got, _ := view.OutAdj(u); len(want) == 0 || !segIDsEqual(got, want) {
+			t.Fatalf("view.OutAdj(%d) = %v, graph has %v", u, got, want)
+		}
+		view.Mask(u)
+		if ids, ws := view.OutAdj(u); len(ids) != 0 || len(ws) != 0 || view.OutDegree(u) != 0 {
+			t.Fatalf("masked vertex %d: OutAdj has %d ids, %d weights, OutDegree %d; want a sink", u, len(ids), len(ws), view.OutDegree(u))
+		}
+		view.Unmask(u)
+		if got, _ := view.OutAdj(u); !segIDsEqual(got, want) {
+			t.Fatalf("unmasked vertex %d serves %v, want %v", u, got, want)
+		}
 	}
 }

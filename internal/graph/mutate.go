@@ -99,7 +99,7 @@ func NewView(g *CSR) *View {
 	return &View{CSR: g, masked: make([]bool, g.NumVertices())}
 }
 
-// Mask turns u into a sink: OutEdges(u) yields nothing.
+// Mask turns u into a sink: OutAdj(u) is empty and OutDegree(u) is 0.
 func (v *View) Mask(u VertexID) { v.masked[u] = true }
 
 // Unmask restores u's out-edges.
@@ -108,12 +108,19 @@ func (v *View) Unmask(u VertexID) { v.masked[u] = false }
 // Masked reports whether u is currently a sink.
 func (v *View) Masked(u VertexID) bool { return v.masked[u] }
 
+// OutAdj respects the mask: a masked vertex has no out-adjacency.
+func (v *View) OutAdj(u VertexID) ([]VertexID, []Weight) {
+	if v.masked[u] {
+		return nil, nil
+	}
+	return v.CSR.OutAdj(u)
+}
+
 // OutEdges yields u's out-edges unless u is masked.
 func (v *View) OutEdges(u VertexID, fn func(dst VertexID, w Weight)) {
-	if v.masked[u] {
-		return
+	if !v.masked[u] {
+		v.CSR.OutEdges(u, fn)
 	}
-	v.CSR.OutEdges(u, fn)
 }
 
 // OutDegree respects the mask.

@@ -22,8 +22,33 @@ import (
 	"jetstream/internal/stats"
 )
 
-// Coalesce combines two events destined for the same vertex.
-type Coalesce func(old, incoming event.Event) event.Event
+// Coalesce is how the queue combines an arriving event with the one resident
+// in its slot; build one with ReduceCoalesce.
+type Coalesce struct {
+	reduce func(a, b float64) float64
+}
+
+// ReduceCoalesce builds the standard Coalesce for an application Reduce
+// function: payloads are combined with Reduce, flags are OR-ed (so a request
+// bit survives coalescing with an insertion event, §3.5), and the source id
+// of the dominating payload is retained (DAP dependency tracking, §5.2).
+func ReduceCoalesce(reduce func(a, b float64) float64) Coalesce {
+	return Coalesce{reduce: reduce}
+}
+
+// merge folds an arriving (value, source, flags) into the resident event in
+// place — the hardware combines in the slot (§4.2), and so does this: one
+// indirect call, no record copied.
+func (c Coalesce) merge(slot *event.Event, val float64, src graph.VertexID, fl event.Flags) {
+	v := c.reduce(slot.Value, val)
+	// Track the source whose contribution dominates. For accumulative
+	// algorithms (sum) this is meaningless and unused.
+	if v == val && v != slot.Value {
+		slot.Source = src
+	}
+	slot.Value = v
+	slot.Flags |= fl
+}
 
 // Config sizes the queue.
 type Config struct {
@@ -59,7 +84,7 @@ type Coalescing struct {
 	drain []event.Event
 
 	coalescingOn bool
-	overflow     []event.Event // non-coalescing mode: extra events, FIFO
+	overflow     overflow // non-coalescing mode: extra events, FIFO
 
 	highWater int // peak live events; sizes the on-chip memory requirement
 
@@ -125,25 +150,29 @@ func (q *Coalescing) CoalescingEnabled() bool { return q.coalescingOn }
 
 // Insert adds e to the queue, coalescing with any resident event for the
 // same target.
-func (q *Coalescing) Insert(e event.Event) {
-	t := e.Target
+func (q *Coalescing) Insert(e event.Event) { q.Put(e.Target, e.Value, e.Source, e.Flags) }
+
+// Put is Insert with the event's fields as scalars, for emitters that compute
+// them per edge: an occupied slot is merged in place and an empty one written
+// field by field, so no event record is built to be copied.
+//
+//jetlint:hotpath
+func (q *Coalescing) Put(t graph.VertexID, val float64, src graph.VertexID, fl event.Flags) {
 	if int(t) >= q.n {
 		panic(fmt.Sprintf("queue: target %d out of range (%d slots)", t, q.n))
 	}
 	q.ensure()
 	if !q.occ.set(int(t)) {
 		if q.coalescingOn {
-			q.slots[t] = q.coalesce(q.slots[t], e)
+			q.coalesce.merge(&q.slots[t], val, src, fl)
 			q.st.EventsCoalesced++
 			return
 		}
-		q.overflow = append(q.overflow, e)
-		if live := q.Len(); live > q.highWater {
-			q.highWater = live
-		}
-		return
+		q.overflow.push(t, val, src, fl)
+	} else {
+		s := &q.slots[t]
+		s.Target, s.Value, s.Source, s.Flags = t, val, src, fl
 	}
-	q.slots[t] = e
 	if live := q.Len(); live > q.highWater {
 		q.highWater = live
 	}
@@ -154,7 +183,7 @@ func (q *Coalescing) Len() int {
 	if q.occ == nil {
 		return 0
 	}
-	return q.occ.count + len(q.overflow)
+	return q.occ.count + len(q.overflow.fill)
 }
 
 // Empty reports whether no events are pending.
@@ -165,7 +194,7 @@ func (q *Coalescing) HighWater() int { return q.highWater }
 
 // OverflowLen returns the number of events parked in the overflow buffer;
 // the timing layer charges off-chip block transfers for them.
-func (q *Coalescing) OverflowLen() int { return len(q.overflow) }
+func (q *Coalescing) OverflowLen() int { return len(q.overflow.fill) }
 
 // Rows returns the number of rows covering the vertex space.
 func (q *Coalescing) Rows() int {
@@ -208,21 +237,39 @@ func (q *Coalescing) DrainRound(fn func(batch []event.Event)) int {
 			fn(batch)
 		}
 	}
-	// Overflow snapshot: events appended during this round wait for the
-	// next one.
-	pend := q.overflow
-	q.overflow = nil
-	for lo := 0; lo < len(pend); lo += q.cfg.RowSize {
-		hi := lo + q.cfg.RowSize
-		if hi > len(pend) {
-			hi = len(pend)
-		}
-		emitted += hi - lo
-		fn(pend[lo:hi])
-	}
+	emitted += q.overflow.drainRound(q.cfg.RowSize, fn)
 	q.st.Rounds++
 	q.publishObs()
 	return emitted
+}
+
+// overflow is the FIFO of the non-coalescing mode: events whose slot was
+// already taken. It keeps two buffers — fill, which Put appends to, and
+// spare, which the last round drained — and a drain round swaps them, so a
+// recovery phase grows them to its peak once instead of from nil every round.
+type overflow struct {
+	fill, spare []event.Event
+}
+
+func (o *overflow) push(t graph.VertexID, val float64, src graph.VertexID, fl event.Flags) {
+	o.fill = append(o.fill, event.Event{Target: t, Value: val, Source: src, Flags: fl})
+}
+
+// drainRound emits the events parked before the call, FIFO in rowSize
+// batches; events fn parks wait for the next round. Returns the number
+// emitted.
+func (o *overflow) drainRound(rowSize int, fn func(batch []event.Event)) int {
+	pend := o.fill
+	o.fill, o.spare = o.spare[:0], nil
+	for lo := 0; lo < len(pend); lo += rowSize {
+		hi := lo + rowSize
+		if hi > len(pend) {
+			hi = len(pend)
+		}
+		fn(pend[lo:hi])
+	}
+	o.spare = pend[:0]
+	return len(pend)
 }
 
 // Drain runs DrainRound until the queue is empty, which is the engines'
@@ -235,25 +282,3 @@ func (q *Coalescing) Drain(fn func(batch []event.Event)) int {
 	}
 	return total
 }
-
-// ReduceCoalesce builds the standard Coalesce for an application Reduce
-// function: payloads are combined with Reduce, flags are OR-ed (so a request
-// bit survives coalescing with an insertion event, §3.5), and the source id
-// of the dominating payload is retained (DAP dependency tracking, §5.2).
-func ReduceCoalesce(reduce func(a, b float64) float64) Coalesce {
-	return func(old, in event.Event) event.Event {
-		v := reduce(old.Value, in.Value)
-		out := old
-		out.Value = v
-		out.Flags = old.Flags | in.Flags
-		// Track the source whose contribution dominates. For accumulative
-		// algorithms (sum) this is meaningless and unused.
-		if v == in.Value && v != old.Value {
-			out.Source = in.Source
-		}
-		return out
-	}
-}
-
-// SourceOf is a helper for tests: the source a coalesced event retains.
-func SourceOf(e event.Event) graph.VertexID { return e.Source }

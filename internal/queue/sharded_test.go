@@ -7,14 +7,7 @@ import (
 	"jetstream/internal/stats"
 )
 
-func shardMinCoalesce(old, in event.Event) event.Event {
-	if in.Value < old.Value {
-		old.Value = in.Value
-		old.Source = in.Source
-	}
-	old.Flags |= in.Flags
-	return old
-}
+var shardMinCoalesce = minCoalesce()
 
 // stripedOwner assigns vertex v to shard v % k.
 func stripedOwner(n, k int) []int32 {
