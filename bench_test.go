@@ -306,6 +306,49 @@ func BenchmarkDRAMModel(b *testing.B) {
 // into compaction. The acceptance target is >=5x fewer ns/op and >=10x fewer
 // allocs/op for the delta arm at batch sizes <=1k.
 func BenchmarkGraphApplyBatch(b *testing.B) {
+	// The two daemon streams of benchmark/ (durable-bulk's tenants and
+	// delete-window's sssp tenant): deletes drawn uniformly over edges, so
+	// they land on hubs, inserts uniformly over vertices. One op is what the
+	// graph layer does for one batch — SanitizeBatch, then ApplyDelta — with
+	// generation outside the timer. Nobody reads the superseded versions here,
+	// so rebuilt-segments/op reads 0: an unread version costs its ops only.
+	for _, row := range []struct {
+		name            string
+		vertices, edges int
+		batch           int
+	}{{"bulk/V4k_E64k_b1024", 4000, 64000, 1024}, {"hubdelete/V20k_E160k_b256", 20000, 160000, 256}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cur, err := RMAT(RMATConfig{Vertices: row.vertices, Edges: row.edges, Seed: 7000}).ApplyDelta(Batch{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := NewStream(StreamConfig{BatchSize: row.batch, InsertFrac: 0.5, Seed: 7500})
+			before := cur.LayoutStats()
+			updates := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch := gen.Next(cur)
+				b.StartTimer()
+				clean, issues := cur.SanitizeBatch(batch)
+				if len(issues) > 0 {
+					b.Fatal(issues[0])
+				}
+				ng, err := cur.ApplyDelta(clean)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur = ng
+				updates += clean.Size()
+			}
+			b.StopTimer()
+			after := cur.LayoutStats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(updates), "ns/update")
+			b.ReportMetric(float64(after.UndoRebuilt-before.UndoRebuilt)/float64(b.N), "rebuilt-segments/op")
+			b.ReportMetric(float64(after.Relayouts-before.Relayouts)/float64(b.N), "relayouts/op")
+		})
+	}
 	g := RMAT(RMATConfig{Vertices: 100000, Edges: 800000, Seed: 1})
 	for _, bs := range []int{100, 1000} {
 		gen := NewStream(StreamConfig{BatchSize: bs, InsertFrac: 0.5, Seed: 3})

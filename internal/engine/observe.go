@@ -40,9 +40,11 @@ type Obs struct {
 
 	// Layout work of the delta mutation layer (graph.CSR LayoutStats),
 	// refreshed at the same boundary; layoutPub is the last published reading
-	// the two counters advance from.
+	// the counters advance from.
 	relocations *obs.Counter
 	relayouts   *obs.Counter
+	undoRecords *obs.Counter
+	undoRebuilt *obs.Counter
 	edgeSlots   *obs.Gauge
 	deadSlots   *obs.Gauge
 	layoutPub   graph.LayoutStats
@@ -86,6 +88,8 @@ func NewObs(reg *obs.Registry, tr obs.Tracer) *Obs {
 
 		relocations: reg.Counter("jetstream_graph_relocations_total"),
 		relayouts:   reg.Counter("jetstream_graph_relayouts_total"),
+		undoRecords: reg.Counter("jetstream_graph_undo_records_total"),
+		undoRebuilt: reg.Counter("jetstream_graph_undo_rebuilds_total"),
 		edgeSlots:   reg.Gauge("jetstream_graph_edge_slots"),
 		deadSlots:   reg.Gauge("jetstream_graph_dead_slots"),
 
@@ -247,6 +251,8 @@ func (e *Engine) FlushObs() {
 	ls := e.csr.LayoutStats()
 	e.ob.relocations.Add(ls.Relocations - e.ob.layoutPub.Relocations)
 	e.ob.relayouts.Add(ls.Relayouts - e.ob.layoutPub.Relayouts)
+	e.ob.undoRecords.Add(ls.UndoRecords - e.ob.layoutPub.UndoRecords)
+	e.ob.undoRebuilt.Add(ls.UndoRebuilt - e.ob.layoutPub.UndoRebuilt)
 	e.ob.edgeSlots.Set(int64(ls.EdgeSlots))
 	e.ob.deadSlots.Set(int64(ls.DeadSlots))
 	e.ob.layoutPub = ls

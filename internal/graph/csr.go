@@ -10,13 +10,14 @@
 //   - Apply rebuilds a dense CSR from scratch — the paper's "simplest case"
 //     (§4.7) where the host writes a complete new CSR and swaps the pointer.
 //     Cost O(V+E) per batch regardless of batch size.
-//   - ApplyDelta (delta.go) mutates only the adjacencies of the vertices a
-//     batch touches, using per-vertex slack gaps in the edge arrays (a vertex
-//     that outgrows its gap moves to tail headroom at the end of the slab),
-//     and preserves the versioned pointer-swap semantics by snapshotting the
-//     pre-mutation adjacencies onto the superseded version. Cost
-//     O(Σ deg(affected)) per batch; a whole-graph re-lay happens only when
-//     accumulated waste crosses DeltaConfig.CompactFrac or the tail runs out.
+//   - ApplyDelta (delta.go) edits the adjacencies a batch touches where they
+//     lie, using per-vertex slack gaps in the edge arrays (a vertex that
+//     outgrows its gap moves to tail headroom at the end of the slab), and
+//     preserves the versioned pointer-swap semantics by leaving the batch's
+//     ops with the superseded version, which rebuilds a pre-batch adjacency
+//     only when somebody reads it. Cost O(|Δ|·log d + slots shifted) per
+//     batch; a whole-graph re-lay happens only when accumulated waste crosses
+//     DeltaConfig.CompactFrac or the tail runs out.
 package graph
 
 import (
@@ -74,10 +75,10 @@ type adj struct {
 //
 // Logically every CSR version is immutable: readers of any version always
 // observe that version's edge set. Physically, ApplyDelta mutates the edge
-// arrays shared along a version chain and preserves old versions by
-// snapshotting the overwritten adjacencies (see delta.go), so reads on a
-// superseded version consult the snapshot chain. A version that has never
-// been superseded reads straight from its arrays.
+// arrays shared along a version chain and a superseded version keeps the ops
+// of the batch that superseded it (see delta.go), so reads on it take those
+// ops back from the next version's adjacency. A version that has never been
+// superseded reads straight from its arrays.
 type CSR struct {
 	n int
 	m int // logical directed edge count
@@ -97,13 +98,13 @@ type CSR struct {
 	// directions; 0 for dense builds and slab-only layouts.
 	inlCap uint8
 
-	// relocations and relayouts count the layout work done along this
-	// version's mutation chain (LayoutStats).
-	relocations, relayouts uint64
+	// relocations, relayouts and undoRecords count the layout work done along
+	// this version's mutation chain (LayoutStats).
+	relocations, relayouts, undoRecords uint64
 
 	// ver holds delta-mutation bookkeeping: nil for plain dense builds,
 	// otherwise the version's role in a mutation chain (head scratch state or
-	// the undo snapshots of a superseded version). See delta.go.
+	// the undo records of a superseded version). See delta.go.
 	ver *versionInfo
 }
 
@@ -136,79 +137,87 @@ type LayoutStats struct {
 	// EdgeSlots is the physical slab size and DeadSlots the part of it
 	// vacated by relocations since the last re-lay, both directions summed.
 	EdgeSlots, DeadSlots int
+	// UndoRecords counts the per-vertex undo records in-place batches left
+	// with the versions they superseded, UndoRebuilt how many of them a reader
+	// of an old version ever turned back into an adjacency — the traffic that
+	// decides whether keeping ops instead of copies pays. Cumulative along the
+	// chain; UndoRebuilt keeps growing while superseded versions are read.
+	UndoRecords, UndoRebuilt uint64
 }
 
 // LayoutStats reports g's layout bookkeeping in O(1).
 func (g *CSR) LayoutStats() LayoutStats {
-	return LayoutStats{
+	ls := LayoutStats{
 		Relocations: g.relocations,
 		Relayouts:   g.relayouts,
 		EdgeSlots:   len(g.out.ids) + len(g.in.ids),
 		DeadSlots:   g.out.dead + g.in.dead,
+		UndoRecords: g.undoRecords,
 	}
+	if g.ver != nil {
+		ls.UndoRebuilt = g.ver.rebuilt.Load()
+	}
+	return ls
 }
 
 // OutAdj returns v's out-adjacency (destinations and weights, sorted by
 // destination, equal length) as observed by this version. A superseded version
-// consults its undo snapshots before deferring to the next version in the
-// chain. The slices alias the graph's storage: read them, do not keep them
-// across a mutation of the chain's head. This is the engines' generation
-// stream — one sequential burst per vertex (paper §4.3).
+// answers from its undo records — the first read of a vertex the superseding
+// batch touched rebuilds its pre-batch adjacency — and defers to the next
+// version in the chain for every other vertex. The slices alias the graph's
+// storage: read them, do not keep them across a mutation of the chain's head.
+// This is the engines' generation stream — one sequential burst per vertex
+// (paper §4.3).
 func (g *CSR) OutAdj(v VertexID) ([]VertexID, []Weight) {
-	cur := g
-	for {
-		vi := cur.ver
-		if vi == nil || !vi.frozen {
-			return cur.out.live(v)
-		}
-		if u := vi.lookupOut(v); u != nil {
-			return u.dst, u.w
-		}
-		cur = vi.next
+	if !g.superseded() {
+		return g.out.live(v)
 	}
+	return g.adjOf(v, outDir)
 }
+
+// superseded reports whether ApplyDelta has frozen g in place. The per-vertex
+// readers test it first: the engines call them once per event, and a version
+// that reads straight from its arrays should pay for nothing else.
+func (g *CSR) superseded() bool { return g.ver != nil && g.ver.frozen }
 
 // InAdj returns v's in-adjacency (sources and weights, sorted by source) as
 // observed by this version, under the same aliasing rule as OutAdj.
 func (g *CSR) InAdj(v VertexID) ([]VertexID, []Weight) {
-	cur := g
-	for {
-		vi := cur.ver
-		if vi == nil || !vi.frozen {
-			return cur.in.live(v)
-		}
-		if u := vi.lookupIn(v); u != nil {
-			return u.src, u.w
-		}
-		cur = vi.next
+	if !g.superseded() {
+		return g.in.live(v)
 	}
+	return g.adjOf(v, inDir)
+}
+
+// degree returns v's degree in direction d as this version observes it; a
+// superseded version reads it off the undo record without rebuilding anything.
+func (g *CSR) degree(v VertexID, d direction) int {
+	if !g.superseded() {
+		return g.adj(d).deg(v)
+	}
+	cur, r := g.at(v, d)
+	if r == nil {
+		return cur.adj(d).deg(v)
+	}
+	return int(r.deg)
 }
 
 // OutDegree returns the number of outgoing edges of v.
-func (g *CSR) OutDegree(v VertexID) int {
-	ids, _ := g.OutAdj(v)
-	return len(ids)
-}
+func (g *CSR) OutDegree(v VertexID) int { return g.degree(v, outDir) }
 
 // InDegree returns the number of incoming edges of v.
-func (g *CSR) InDegree(v VertexID) int {
-	ids, _ := g.InAdj(v)
-	return len(ids)
-}
+func (g *CSR) InDegree(v VertexID) int { return g.degree(v, inDir) }
 
 // OutWeightSum returns the sum of weights on v's outgoing edges.
 func (g *CSR) OutWeightSum(v VertexID) float64 {
-	cur := g
-	for {
-		vi := cur.ver
-		if vi == nil || !vi.frozen {
-			return cur.outWeightSum[v]
-		}
-		if u := vi.lookupOut(v); u != nil {
-			return u.wsum
-		}
-		cur = vi.next
+	if !g.superseded() {
+		return g.outWeightSum[v]
 	}
+	cur, r := g.at(v, outDir)
+	if r == nil {
+		return cur.outWeightSum[v]
+	}
+	return r.wsum
 }
 
 // Neighbor is one endpoint+weight pair of an adjacency list.
@@ -256,8 +265,7 @@ func (g *CSR) HasEdge(u, v VertexID) (Weight, bool) {
 		return 0, false
 	}
 	ids, ws := g.OutAdj(u)
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
-	if i < len(ids) && ids[i] == v {
+	if i := searchID(ids, v); i < len(ids) && ids[i] == v {
 		return ws[i], true
 	}
 	return 0, false
@@ -267,8 +275,7 @@ func (g *CSR) HasEdge(u, v VertexID) (Weight, bool) {
 // weight — the in-direction mirror of HasEdge, used by Validate.
 func (g *CSR) searchIn(u, v VertexID) (Weight, bool) {
 	ids, ws := g.InAdj(v)
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= u })
-	if i < len(ids) && ids[i] == u {
+	if i := searchID(ids, u); i < len(ids) && ids[i] == u {
 		return ws[i], true
 	}
 	return 0, false
@@ -300,13 +307,15 @@ func (g *CSR) EdgeAt(i int) Edge {
 		k := uint64(i) - cum[u]
 		return Edge{VertexID(u), ids[k], ws[k]}
 	}
-	// Superseded version: rare path, scan the logical segments.
+	// Superseded version: rare path, scan the logical degrees (which rebuild
+	// nothing) and read the one adjacency the rank falls into.
 	for v := 0; v < g.n; v++ {
-		ids, ws := g.OutAdj(VertexID(v))
-		if i < len(ids) {
+		deg := g.OutDegree(VertexID(v))
+		if i < deg {
+			ids, ws := g.OutAdj(VertexID(v))
 			return Edge{VertexID(v), ids[i], ws[i]}
 		}
-		i -= len(ids)
+		i -= deg
 	}
 	panic("graph: EdgeAt rank exceeded edge count") // unreachable: i < g.m
 }

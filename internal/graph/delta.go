@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"slices"
-	"sort"
+	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // DeltaConfig tunes the incremental mutation layer.
@@ -35,172 +36,226 @@ func DefaultDeltaConfig() DeltaConfig {
 	return DeltaConfig{SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25, InlineCap: inlineCapMax}
 }
 
-// outUndo snapshots one vertex's pre-mutation out-adjacency. When ApplyDelta
-// mutates arrays shared with an older version, the older version keeps
-// serving its original edge set through these snapshots.
-type outUndo struct {
-	v    VertexID
-	dst  []VertexID
-	w    []Weight
-	wsum float64
+// direction indexes the per-direction halves of a version's undo state.
+type direction uint8
+
+const (
+	outDir direction = iota
+	inDir
+)
+
+func (g *CSR) adj(d direction) *adj {
+	if d == outDir {
+		return &g.out
+	}
+	return &g.in
 }
 
-// inUndo is the in-direction snapshot.
-type inUndo struct {
-	v   VertexID
-	src []VertexID
-	w   []Weight
+// segOp is one batch update seen from one of its endpoints: the adjacency of
+// vertex v gains or loses neighbor id. In the out direction v is the edge's
+// source and id its destination, in the in direction the other way round, so
+// every routine below serves both directions without knowing which it has.
+// A weight change is a (delete, insert) pair on one (v, id); del keeps the two
+// apart and the ordering puts the delete first.
+type segOp struct {
+	v, id VertexID
+	w     Weight
+	idx   uint32 // position in the batch as loaded: deletes, then inserts, each in batch order
+	del   bool
+}
+
+func (op *segOp) key(byV bool) VertexID {
+	if byV {
+		return op.v
+	}
+	return op.id
+}
+
+// undoRec is what a superseded version keeps of one vertex the batch that
+// superseded it touched, in one direction: the batch's ops on the vertex —
+// deletes carrying the weight the edge was stored with — not a copy of the
+// adjacency. The adjacency is rebuilt from the next version's by taking the
+// ops back, the first time a reader asks, and served from seg from then on.
+// Records are filled in place and never copied (seg is an atomic).
+type undoRec struct {
+	ops  []segOp // ordered by (id, delete first)
+	deg  uint32  // pre-batch degree
+	wsum float64 // pre-batch outWeightSum (out direction)
+	seg  atomic.Pointer[segment]
+}
+
+// segment is a rebuilt pre-batch adjacency.
+type segment struct {
+	ids []VertexID
+	ws  []Weight
+}
+
+// undoDir is one direction of a frozen version's undo state: the vertices the
+// superseding batch touched, ascending, and their records.
+type undoDir struct {
+	vs   []VertexID
+	recs []undoRec // parallel to vs
+}
+
+func (u *undoDir) find(v VertexID) *undoRec {
+	if i := searchID(u.vs, v); i < len(u.vs) && u.vs[i] == v {
+		return &u.recs[i]
+	}
+	return nil
 }
 
 // versionInfo is the delta-mutation bookkeeping hung off a CSR.
 //
 // On the live head of a mutation chain (frozen == false) it carries the
 // config, the edits-since-re-lay counter, reusable scratch buffers, and the
-// lazy EdgeAt rank index. When the head is superseded by ApplyDelta, it is
-// frozen in place: its undo lists (sorted by vertex) preserve the adjacencies
-// the mutation overwrote, and next links to the version that replaced it so
-// reads walk forward for vertices the local undo does not cover.
+// lazy EdgeAt rank index. When the head is superseded in place by ApplyDelta,
+// it is frozen where it stands: undo keeps what the batch did to each vertex
+// it touched, and next links to the version that replaced it, so reads take
+// the batch back for those vertices and walk forward for all others.
 type versionInfo struct {
-	cfg     DeltaConfig
-	frozen  bool
-	undoOut []outUndo // sorted by v; pre-mutation out segments
-	undoIn  []inUndo  // sorted by v; pre-mutation in segments
-	next    *CSR
+	cfg    DeltaConfig
+	frozen bool
+	undo   [2]undoDir
+	next   *CSR
+	arena  segArena // rebuilt segments of this (frozen) version
+
+	// rebuilt counts the segments rebuilt for old-version reads anywhere along
+	// the chain (LayoutStats.UndoRebuilt). Readers of superseded versions bump
+	// it long after the head has moved on, so the chain shares one counter.
+	rebuilt *atomic.Uint64
 
 	edits   int // in-place updates applied since the last re-lay
 	scratch *deltaScratch
 	cum     []uint64 // lazy EdgeAt rank index; nil until first use
 }
 
-// lookupOut returns the frozen out-snapshot for v, or nil if v's out-adjacency
-// was not touched by the batch that superseded this version.
-func (vi *versionInfo) lookupOut(v VertexID) *outUndo {
-	s := vi.undoOut
-	i := sort.Search(len(s), func(i int) bool { return s[i].v >= v })
-	if i < len(s) && s[i].v == v {
-		return &s[i]
+// at walks the chain from g to the version that answers for v's adjacency in
+// direction d: a frozen version holding an undo record for v (returned with
+// the record), or — nil record — the version whose arrays are authoritative.
+func (g *CSR) at(v VertexID, d direction) (*CSR, *undoRec) {
+	for cur := g; ; cur = cur.ver.next {
+		vi := cur.ver
+		if vi == nil || !vi.frozen {
+			return cur, nil
+		}
+		if r := vi.undo[d].find(v); r != nil {
+			return cur, r
+		}
 	}
-	return nil
 }
 
-// lookupIn is the in-direction mirror of lookupOut.
-func (vi *versionInfo) lookupIn(v VertexID) *inUndo {
-	s := vi.undoIn
-	i := sort.Search(len(s), func(i int) bool { return s[i].v >= v })
-	if i < len(s) && s[i].v == v {
-		return &s[i]
+// adjOf returns v's adjacency in direction d as version g observes it.
+func (g *CSR) adjOf(v VertexID, d direction) ([]VertexID, []Weight) {
+	cur, r := g.at(v, d)
+	if r == nil {
+		return cur.adj(d).live(v)
 	}
-	return nil
+	return cur.ver.segment(r, v, d)
+}
+
+// segment returns the pre-batch adjacency r stands for, rebuilding it on
+// first use: the next version's adjacency (itself rebuilt if that version has
+// been superseded too) with r's ops taken back. Any number of readers may ask
+// at once — a compute phase fanned out over a superseded version does — so
+// the result is published through an atomic pointer; a reader that loses the
+// race drops its copy and serves the winner's.
+func (vi *versionInfo) segment(r *undoRec, v VertexID, d direction) ([]VertexID, []Weight) {
+	if s := r.seg.Load(); s != nil {
+		return s.ids, s.ws
+	}
+	ids, ws := vi.next.adjOf(v, d)
+	s := vi.arena.alloc(int(r.deg))
+	s.ids, s.ws = mergeSeg(s.ids, s.ws, ids, ws, r.ops, true)
+	if r.seg.CompareAndSwap(nil, s) {
+		vi.rebuilt.Add(1)
+	} else {
+		s = r.seg.Load()
+	}
+	return s.ids, s.ws
+}
+
+// segArena chunk-allocates the segments a frozen version rebuilds, so a
+// rebuild costs a fraction of an allocation instead of three. The chunks
+// belong to the version and die with it.
+type segArena struct {
+	mu   sync.Mutex
+	segs []segment
+	ids  []VertexID
+	ws   []Weight
+}
+
+func (a *segArena) alloc(n int) *segment {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	s := &carve(&a.segs, 1, max(2*cap(a.segs), 32))[0]
+	s.ids = carve(&a.ids, n, max(2*cap(a.ids), 1024))[:0]
+	s.ws = carve(&a.ws, n, max(2*cap(a.ws), 1024))[:0]
+	return s
+}
+
+// carve hands out the next n elements of *chunk. Chunks are append-only: a
+// sub-slice handed out is never overwritten, and when the next request does
+// not fit, the chunk is dropped for a fresh one of max(n, grow) elements — the
+// garbage collector reclaims it with the last version referencing it.
+func carve[T any](chunk *[]T, n, grow int) []T {
+	if len(*chunk)+n > cap(*chunk) {
+		*chunk = make([]T, 0, max(n, grow))
+	}
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+n]
+	return (*chunk)[i : i+n : i+n]
 }
 
 // csrWithVer bundles a head CSR with its versionInfo so the steady-state
-// in-place path allocates exactly one object per batch (undo snapshots come
-// from the scratch arenas, amortized across batches).
+// in-place path allocates exactly one object per batch (what the superseded
+// version keeps comes from the scratch's chunks, amortized across batches).
 type csrWithVer struct {
 	csr CSR
 	vi  versionInfo
 }
 
-// edgeOp is one batch update tagged with its operation; a weight change is a
-// (delete, insert) pair on the same edge and the tag keeps them distinct
-// after sorting.
-type edgeOp struct {
-	e   Edge
-	del bool
-}
-
 // deltaScratch holds buffers reused across batches so steady-state in-place
-// application allocates only the head object; even the undo snapshots old
-// versions retain come from chunked arenas whose allocations amortize away.
+// application allocates only the head object; the undo state old versions
+// retain is carved from chunks whose allocations amortize away.
 type deltaScratch struct {
-	bySrc, byDst []edgeOp   // batch updates sorted for each direction
-	ids          []VertexID // merge buffer: neighbor ids
-	ws           []Weight   // merge buffer: weights
-	affected     []VertexID // vertices whose adjacency changed this batch
-	cumBuf       []uint64   // backing array for the live head's rank index
+	out, in  []segOp    // the batch ordered for each direction
+	tmp      []segOp    // radix ping-pong buffer
+	verdict  []uint8    // audit result per op, by segOp.idx: 0 valid, else IssueKind+1
+	ids      []VertexID // merge buffer: neighbor ids
+	ws       []Weight   // merge buffer: weights
+	affected []VertexID // vertices whose adjacency changed this batch
+	asym     []bool     // pre-batch symmetry status, parallel to affected
+	cumBuf   []uint64   // backing array for the live head's rank index
 
-	del, seen map[edgeKey]bool // checkBatch sets, cleared per batch
-
-	slab    slabArena // undo segment snapshots
-	entries undoArena // undo entry lists
+	// Chunks the undo state of superseded versions is carved from.
+	undoVs   []VertexID
+	undoRecs []undoRec
+	undoOps  []segOp
 }
 
-type edgeKey struct{ u, v VertexID }
+// undoChunk sizes a fresh undo chunk for a batch needing n elements (both
+// directions together): four batches' worth, so the three chunks cost under
+// one allocation per batch between them. A chunk stays pinned until the last
+// version carved from it dies, so larger chunks buy fewer allocations with
+// resident memory: at eight batches' worth the two durable-bulk tenants of
+// benchmark/ peak 3 MB (9 %) higher.
+func undoChunk(n int) int { return max(4*n, 1<<10) }
 
-// slabArena hands out paired (id, weight) snapshot buffers from shared
-// chunks. Chunks are append-only: once a sub-slice is handed to a frozen
-// version it is never overwritten, and a chunk is dropped for a fresh one
-// when the next request does not fit — the garbage collector reclaims it
-// when the last frozen version referencing it dies.
-type slabArena struct {
-	ids []VertexID
-	ws  []Weight
-}
-
-const slabChunkMin = 1 << 15
-
-// reserve guarantees the next n elements fit in the current chunk, so a batch
-// that pre-computes its total snapshot footprint takes at most one chunk
-// allocation (amortized to a fraction by the 8x over-allocation).
-func (a *slabArena) reserve(n int) {
-	if len(a.ids)+n > cap(a.ids) {
-		c := 8 * n
-		if c < slabChunkMin {
-			c = slabChunkMin
-		}
-		a.ids = make([]VertexID, 0, c)
-		a.ws = make([]Weight, 0, c)
+// sized returns buf with length n, regrown with headroom when it is short.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
 	}
+	return buf[:n]
 }
 
-func (a *slabArena) alloc(n int) ([]VertexID, []Weight) {
-	if len(a.ids)+n > cap(a.ids) {
-		c := 8 * n
-		if c < slabChunkMin {
-			c = slabChunkMin
-		}
-		a.ids = make([]VertexID, 0, c)
-		a.ws = make([]Weight, 0, c)
+// hostScratch returns the scratch of the chain g heads, or a fresh one when g
+// heads none (a dense build, a superseded version).
+func (g *CSR) hostScratch() *deltaScratch {
+	if vi := g.ver; vi != nil && !vi.frozen && vi.scratch != nil {
+		return vi.scratch
 	}
-	i := len(a.ids)
-	a.ids = a.ids[:i+n]
-	a.ws = a.ws[:i+n]
-	return a.ids[i : i+n : i+n], a.ws[i : i+n : i+n]
-}
-
-// undoArena chunk-allocates the per-batch undo entry lists; each batch's list
-// must be one contiguous run so frozen lookups can binary-search it.
-type undoArena struct {
-	out []outUndo
-	in  []inUndo
-}
-
-const entryChunkMin = 1 << 10
-
-func (a *undoArena) allocOut(n int) []outUndo {
-	if len(a.out)+n > cap(a.out) {
-		c := 8 * n
-		if c < entryChunkMin {
-			c = entryChunkMin
-		}
-		a.out = make([]outUndo, 0, c)
-	}
-	i := len(a.out)
-	a.out = a.out[:i+n]
-	return a.out[i : i : i+n]
-}
-
-func (a *undoArena) allocIn(n int) []inUndo {
-	if len(a.in)+n > cap(a.in) {
-		c := 8 * n
-		if c < entryChunkMin {
-			c = entryChunkMin
-		}
-		a.in = make([]inUndo, 0, c)
-	}
-	i := len(a.in)
-	a.in = a.in[:i+n]
-	return a.in[i : i : i+n]
+	return &deltaScratch{}
 }
 
 // rankIndex returns the prefix-degree array for EdgeAt on a slacked live
@@ -233,21 +288,27 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 	return vi.cum
 }
 
-// ApplyDelta produces the next graph version G+Δ like Apply, but touches only
-// the adjacencies of vertices the batch mutates: updates are merged into each
-// affected vertex's segment within its slack gap, a vertex that outgrows its
-// gap moves to the slab's tail headroom, and outWeightSum, the edge count,
-// and the symmetry count are maintained incrementally. Cost is
-// O(Σ deg(affected) + |Δ| log |Δ|) per batch instead of O(V+E).
+// ApplyDelta produces the next graph version G+Δ like Apply, but its cost
+// follows the batch, not the degrees of the vertices it lands on: a vertex
+// whose segment still fits is edited where it lies (editSeg: binary searches
+// plus the slots that actually shift), a vertex that changes representation
+// or outgrows its gap is merged and stored afresh (inline record, slab
+// segment, or tail headroom), and outWeightSum, the edge count and the
+// symmetry count are maintained incrementally. Time is
+// O(|Δ|·log d + slots shifted) — plus one read of each touched out-adjacency
+// for its weight sum — and memory O(|Δ|) per batch instead of O(V+E).
 //
 // The versioned pointer-swap contract is preserved: the receiver continues to
 // serve its exact pre-batch edge set (the recovery engine reads the old and
 // new versions simultaneously during a batch). Physically the edge arrays are
-// shared along the version chain and the receiver keeps snapshots of the
-// segments the mutation overwrote, so reads on superseded versions cost one
-// binary search per touched vertex. ApplyDelta must not race with readers of
-// any version in the chain; the single-threaded host mutation path is the
-// intended writer, and engine phases only run between mutations.
+// shared along the version chain; the receiver keeps the batch's ops per
+// touched vertex and rebuilds a pre-batch adjacency only when a reader asks
+// for it (versionInfo.segment), so a superseded version nobody reads costs
+// O(|Δ|) and a read costs one binary search plus, the first time, the
+// segment. ApplyDelta must not race with readers of any version in the
+// chain; the single-threaded host mutation path is the intended writer, and
+// engine phases only run between mutations. Readers of superseded versions
+// may run concurrently with each other.
 //
 // ApplyDelta re-lays the whole graph (relay) only when measured waste says
 // so — in-place edits plus dead slots past the configured threshold, or the
@@ -270,24 +331,21 @@ func (g *CSR) ApplyDeltaCfg(b Batch, cfg DeltaConfig) (*CSR, error) {
 	// A superseded version must not mutate the shared arrays again; divergent
 	// histories (speculative replays, tests) re-lay into arrays of their own.
 	live := g.ver == nil || !g.ver.frozen
-	var sc *deltaScratch
+	sc := g.hostScratch()
 	edits := 0
 	if live && g.ver != nil {
-		sc = g.ver.scratch
 		edits = g.ver.edits
 	}
-	if sc == nil {
-		sc = &deltaScratch{}
+	sc.order(b)
+	if g.audit(sc, false) > 0 {
+		return nil, sc.rejection(b)
 	}
-	if err := g.checkBatch(b, sc); err != nil {
-		return nil, err
-	}
-	sc.load(b)
+	sc.mirror()
 	edits += b.Size()
 	if live && g.out.len != nil &&
 		edits+g.out.dead+g.in.dead <= compactThreshold(cfg, g.m) &&
-		g.out.tailFits(sc.bySrc, srcOf, int(g.inlCap)) &&
-		g.in.tailFits(sc.byDst, dstOf, int(g.inlCap)) {
+		g.out.tailFits(sc.out, int(g.inlCap)) &&
+		g.in.tailFits(sc.in, int(g.inlCap)) {
 		return g.applyInPlace(cfg, sc, edits), nil
 	}
 	return g.relay(cfg, sc), nil
@@ -303,137 +361,222 @@ func compactThreshold(cfg DeltaConfig, m int) int {
 	return t
 }
 
-// checkBatch validates b against g with the same rules and messages as Apply.
-// The scratch's set maps are reused across batches (cleared, not
-// reallocated).
-func (g *CSR) checkBatch(b Batch, sc *deltaScratch) error {
-	if sc.del == nil {
-		sc.del = make(map[edgeKey]bool, len(b.Deletes))
-		sc.seen = make(map[edgeKey]bool, len(b.Inserts))
+// order loads b into sc.out — deletes ahead of inserts, each in batch order —
+// and sorts it by (source, destination). The radix passes are stable, so on a
+// tie the delete stays ahead of the insert (a weight-change pair applies as
+// remove-then-add) and duplicates stay in batch order (the audit keeps the
+// first).
+func (sc *deltaScratch) order(b Batch) {
+	n := b.Size()
+	sc.out, sc.tmp = sized(sc.out, n), sized(sc.tmp, n)
+	nd := len(b.Deletes)
+	for i, e := range b.Deletes {
+		sc.out[i] = segOp{v: e.Src, id: e.Dst, w: e.Weight, idx: uint32(i), del: true}
 	}
-	clear(sc.del)
-	clear(sc.seen)
-	del, seen := sc.del, sc.seen
-	for _, e := range b.Deletes {
-		k := edgeKey{e.Src, e.Dst}
-		if del[k] {
-			return fmt.Errorf("graph: duplicate delete of (%d,%d)", e.Src, e.Dst)
-		}
-		if _, ok := g.HasEdge(e.Src, e.Dst); !ok {
-			return fmt.Errorf("graph: delete of missing edge (%d,%d)", e.Src, e.Dst)
-		}
-		del[k] = true
+	for i, e := range b.Inserts {
+		sc.out[nd+i] = segOp{v: e.Src, id: e.Dst, w: e.Weight, idx: uint32(nd + i)}
 	}
-	for _, e := range b.Inserts {
-		if int(e.Src) >= g.n || int(e.Dst) >= g.n {
-			return fmt.Errorf("graph: insert (%d,%d) out of range", e.Src, e.Dst)
-		}
-		k := edgeKey{e.Src, e.Dst}
-		if seen[k] {
-			return fmt.Errorf("graph: duplicate insert of (%d,%d)", e.Src, e.Dst)
-		}
-		seen[k] = true
-		if _, ok := g.HasEdge(e.Src, e.Dst); ok && !del[k] {
-			return fmt.Errorf("graph: insert of existing edge (%d,%d)", e.Src, e.Dst)
-		}
-	}
-	return nil
+	sc.out, sc.tmp = radixSort(sc.out, sc.tmp, false)
+	sc.out, sc.tmp = radixSort(sc.out, sc.tmp, true)
 }
 
-// load sorts the batch into the scratch buffers: bySrc ordered by
-// (src, dst, delete-first) for the out direction, byDst by
-// (dst, src, delete-first) for the in direction. Delete-before-insert on the
-// same edge makes a weight-change pair merge as remove-then-add. affected
-// becomes the sorted union of the batch's sources and destinations: the only
-// vertices whose adjacency, and so whose symmetry status, can change.
-func (sc *deltaScratch) load(b Batch) {
-	sc.bySrc = sc.bySrc[:0]
-	for _, e := range b.Deletes {
-		sc.bySrc = append(sc.bySrc, edgeOp{e, true})
+// mirror derives the in-direction list from the ordered out list — endpoints
+// swapped, then stable-sorted by the new owner, which leaves it ordered by
+// (destination, source, delete first) — and collects affected, the sorted
+// union of the batch's sources and destinations: the only vertices whose
+// adjacency, and so whose symmetry status, can change.
+func (sc *deltaScratch) mirror() {
+	sc.in = sized(sc.in, len(sc.out))
+	for i, op := range sc.out {
+		op.v, op.id = op.id, op.v
+		sc.in[i] = op
 	}
-	for _, e := range b.Inserts {
-		sc.bySrc = append(sc.bySrc, edgeOp{e, false})
-	}
-	sc.byDst = append(sc.byDst[:0], sc.bySrc...)
-	// slices.SortFunc, not sort.Slice: the reflect-based swapper allocates on
-	// every call, and load runs once per batch on the hot path.
-	slices.SortFunc(sc.bySrc, func(x, y edgeOp) int {
-		if c := cmpID(x.e.Src, y.e.Src); c != 0 {
-			return c
-		}
-		if c := cmpID(x.e.Dst, y.e.Dst); c != 0 {
-			return c
-		}
-		return cmpDel(x.del, y.del)
-	})
-	slices.SortFunc(sc.byDst, func(x, y edgeOp) int {
-		if c := cmpID(x.e.Dst, y.e.Dst); c != 0 {
-			return c
-		}
-		if c := cmpID(x.e.Src, y.e.Src); c != 0 {
-			return c
-		}
-		return cmpDel(x.del, y.del)
-	})
+	sc.in, sc.tmp = radixSort(sc.in, sc.tmp, true)
 	sc.affected = sc.affected[:0]
-	for i, j := 0, 0; i < len(sc.bySrc) || j < len(sc.byDst); {
+	for i, j := 0, 0; i < len(sc.out) || j < len(sc.in); {
 		var v VertexID
-		if j >= len(sc.byDst) || (i < len(sc.bySrc) && sc.bySrc[i].e.Src <= sc.byDst[j].e.Dst) {
-			v = sc.bySrc[i].e.Src
+		if j >= len(sc.in) || (i < len(sc.out) && sc.out[i].v <= sc.in[j].v) {
+			v = sc.out[i].v
 		} else {
-			v = sc.byDst[j].e.Dst
+			v = sc.in[j].v
 		}
 		sc.affected = append(sc.affected, v)
-		for i < len(sc.bySrc) && sc.bySrc[i].e.Src == v {
+		for i < len(sc.out) && sc.out[i].v == v {
 			i++
 		}
-		for j < len(sc.byDst) && sc.byDst[j].e.Dst == v {
+		for j < len(sc.in) && sc.in[j].v == v {
 			j++
 		}
 	}
 }
 
-func cmpID(a, b VertexID) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// radixSort stable-sorts ops by owner (byV) or by neighbor id with one
+// counting pass per byte of the largest key present, ping-ponging between
+// ops and tmp (equal lengths). It returns the sorted slice and the spare one.
+// No comparison callback runs: a batch is ordered in a few linear sweeps.
+//
+//jetlint:hotpath
+func radixSort(ops, tmp []segOp, byV bool) (sorted, spare []segOp) {
+	var top VertexID
+	for i := range ops {
+		top |= ops[i].key(byV)
 	}
-	return 0
-}
-
-// cmpDel orders deletes before inserts on an (src,dst) tie.
-func cmpDel(x, y bool) int {
-	switch {
-	case x && !y:
-		return -1
-	case !x && y:
-		return 1
-	}
-	return 0
-}
-
-// tailFits reports whether the tail headroom can take every relocation the
-// batch causes in this direction: a vertex whose post-batch degree fits
-// neither the inline record nor its segment needs relocCap fresh slots. The
-// batch is already validated, so every delete removes exactly one slot and
-// every insert adds exactly one.
-func (a *adj) tailFits(ops []edgeOp, keyOf func(edgeOp) VertexID, inlCap int) bool {
-	need := a.tail
-	groupBy(ops, keyOf, func(v VertexID, ops []edgeOp) {
-		deg := a.deg(v) + netGrowth(ops)
-		if deg > inlCap && deg > int(a.cap[v]) {
-			need += uint64(relocCap(deg))
+	for shift := uint(0); shift < 32 && top>>shift != 0; shift += 8 {
+		var next [256]uint32
+		for i := range ops {
+			next[uint8(ops[i].key(byV)>>shift)]++
 		}
-	})
-	return need <= uint64(len(a.ids))
+		sum := uint32(0)
+		for b := range next {
+			next[b], sum = sum, sum+next[b]
+		}
+		for i := range ops {
+			b := uint8(ops[i].key(byV) >> shift)
+			tmp[next[b]] = ops[i]
+			next[b]++
+		}
+		ops, tmp = tmp, ops
+	}
+	return ops, tmp
 }
 
-func netGrowth(ops []edgeOp) int {
-	net := 0
-	for _, op := range ops {
+// audit checks the ordered batch in sc.out against g. It is the one statement
+// of the batch rules outside Apply (which keeps its own, as the oracle):
+// endpoints in range; a delete names an existing edge; an insert names an
+// absent one, unless the batch also deletes it (a weight change); no pair
+// twice among the deletes or among the inserts; and, with weights set — the
+// ingest boundary's rule, Apply and ApplyDelta take any weight — insert
+// weights finite and positive. In the ordered list the ops on one (src,dst)
+// are neighbours, deletes first, each kind in batch order, and existence is
+// one binary search per pair into an adjacency fetched once per source, so no
+// set is built. An op that breaks a rule gets its IssueKind+1 in sc.verdict at
+// its batch position, and the first of several equal pairs is the one kept;
+// every delete that stands has its weight replaced by the stored one, which
+// is what a superseded version must hand back when the delete is undone.
+// Returns the number of invalid ops.
+func (g *CSR) audit(sc *deltaScratch, weights bool) (bad int) {
+	ops := sc.out
+	sc.verdict = sized(sc.verdict, len(ops))
+	clear(sc.verdict)
+	for i := 0; i < len(ops); {
+		v := ops[i].v
+		var ids []VertexID
+		var ws []Weight
+		if int(v) < g.n {
+			ids, ws = g.OutAdj(v)
+		}
+		for from := 0; i < len(ops) && ops[i].v == v; {
+			id := ops[i].id
+			inRange := int(v) < g.n && int(id) < g.n
+			exists := false
+			if inRange {
+				from += searchID(ids[from:], id)
+				exists = from < len(ids) && ids[from] == id
+			}
+			keptDel, keptIns := false, false
+			for ; i < len(ops) && ops[i].v == v && ops[i].id == id; i++ {
+				op := &ops[i]
+				var issue IssueKind
+				switch {
+				case !inRange:
+					issue = IssueOutOfRange
+				case op.del && keptDel:
+					issue = IssueDuplicate
+				case op.del && !exists:
+					issue = IssueMissingDelete
+				case op.del:
+					keptDel = true
+					op.w = ws[from]
+					continue
+				case weights && (math.IsNaN(op.w) || math.IsInf(op.w, 0) || op.w <= 0):
+					issue = IssueBadWeight
+				case keptIns:
+					issue = IssueDuplicate
+				case exists && !keptDel:
+					issue = IssueExistingInsert
+				default:
+					keptIns = true
+					continue
+				}
+				sc.verdict[op.idx] = uint8(issue) + 1
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// rejection words the first invalid op of an audited batch the way Apply
+// does: Apply checks the deletes in batch order (and has no range rule for
+// them — an out-of-range delete is a missing edge), then the inserts in
+// (src,dst) order.
+func (sc *deltaScratch) rejection(b Batch) error {
+	for i, e := range b.Deletes {
+		switch sc.verdict[i] {
+		case 0:
+		case uint8(IssueDuplicate) + 1:
+			return fmt.Errorf("graph: duplicate delete of (%d,%d)", e.Src, e.Dst)
+		default:
+			return fmt.Errorf("graph: delete of missing edge (%d,%d)", e.Src, e.Dst)
+		}
+	}
+	for _, op := range sc.out {
 		if op.del {
+			continue
+		}
+		switch sc.verdict[op.idx] {
+		case 0:
+		case uint8(IssueOutOfRange) + 1:
+			return fmt.Errorf("graph: insert (%d,%d) out of range", op.v, op.id)
+		case uint8(IssueDuplicate) + 1:
+			return fmt.Errorf("graph: duplicate insert of (%d,%d)", op.v, op.id)
+		default:
+			return fmt.Errorf("graph: insert of existing edge (%d,%d)", op.v, op.id)
+		}
+	}
+	return nil
+}
+
+// searchID returns the first index of the sorted ids holding a value >= id —
+// the one binary search of the package, a plain loop so that the hot callers
+// (HasEdge, the audit, the in-place edit, undo lookups) pay for no func value.
+func searchID(ids []VertexID, id VertexID) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// groupEnd returns the end of the run of ops on ops[i]'s vertex.
+func groupEnd(ops []segOp, i int) int {
+	j := i + 1
+	for j < len(ops) && ops[j].v == ops[i].v {
+		j++
+	}
+	return j
+}
+
+// countGroups returns the number of distinct vertices in an ordered op list.
+func countGroups(ops []segOp) int {
+	n := 0
+	for i := range ops {
+		if i == 0 || ops[i].v != ops[i-1].v {
+			n++
+		}
+	}
+	return n
+}
+
+func netGrowth(ops []segOp) int {
+	net := 0
+	for i := range ops {
+		if ops[i].del {
 			net--
 		} else {
 			net++
@@ -442,49 +585,37 @@ func netGrowth(ops []edgeOp) int {
 	return net
 }
 
-func srcOf(op edgeOp) VertexID { return op.e.Src }
-func dstOf(op edgeOp) VertexID { return op.e.Dst }
-
-// countGroups returns the number of distinct keys in a sorted op slice.
-func countGroups(ops []edgeOp, keyOf func(edgeOp) VertexID) int {
-	n := 0
-	for i := 0; i < len(ops); i++ {
-		if i == 0 || keyOf(ops[i]) != keyOf(ops[i-1]) {
-			n++
-		}
-	}
-	return n
-}
-
-// groupBy walks a sorted op slice and calls fn once per distinct key with the
-// contiguous group.
-func groupBy(ops []edgeOp, keyOf func(edgeOp) VertexID, fn func(VertexID, []edgeOp)) {
+// tailFits reports whether the tail headroom can take every relocation the
+// batch causes in this direction: a vertex whose post-batch degree fits
+// neither the inline record nor its segment needs relocCap fresh slots. The
+// batch is already validated, so every delete removes exactly one slot and
+// every insert adds exactly one.
+func (a *adj) tailFits(ops []segOp, inlCap int) bool {
+	need := a.tail
 	for i := 0; i < len(ops); {
-		j := i + 1
-		for j < len(ops) && keyOf(ops[j]) == keyOf(ops[i]) {
-			j++
+		j := groupEnd(ops, i)
+		v := ops[i].v
+		deg := a.deg(v) + netGrowth(ops[i:j])
+		if deg > inlCap && deg > int(a.cap[v]) {
+			need += uint64(relocCap(deg))
 		}
-		fn(keyOf(ops[i]), ops[i:j])
 		i = j
 	}
+	return need <= uint64(len(a.ids))
 }
 
-// applyInPlace mutates the shared edge arrays to the post-batch state and
-// returns the new head version. The receiver is frozen with undo snapshots of
-// every overwritten segment. The batch has been validated and tailFits holds.
-func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
-	// Undo snapshots and entry lists come from the scratch arenas: the lists
-	// stay contiguous (sized by a group-count pre-pass) so frozen reads can
-	// binary-search them, and chunk allocations amortize across batches.
-	undoOut := sc.entries.allocOut(countGroups(sc.bySrc, srcOf))
-	undoIn := sc.entries.allocIn(countGroups(sc.byDst, dstOf))
+// editInPlace lets a test route every vertex through mergeSeg → store, to hold
+// the in-place edit against the path it replaced. Nothing else assigns it:
+// which path a vertex takes is decided by its degree against its capacity.
+var editInPlace = true
 
-	// Reserve the batch's total snapshot footprint up front so the per-vertex
-	// arena allocations below never split a batch across chunk switches.
-	slabN := 0
-	groupBy(sc.bySrc, srcOf, func(v VertexID, _ []edgeOp) { slabN += g.out.deg(v) })
-	groupBy(sc.byDst, dstOf, func(v VertexID, _ []edgeOp) { slabN += g.in.deg(v) })
-	sc.slab.reserve(slabN)
+// applyInPlace mutates the shared edge arrays to the post-batch state and
+// returns the new head version. The receiver is frozen with the batch's ops
+// as its undo state. The batch has been validated and tailFits holds.
+func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
+	// Pre-batch symmetry status comes from the live arrays before anything
+	// moves: the in-place path never reads the old version it is creating.
+	sc.markAsym(g)
 
 	// One allocation for the new head: its CSR and versionInfo together. It
 	// shares every array with the receiver and owns the layout tallies
@@ -492,58 +623,146 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 	head := &csrWithVer{csr: *g}
 	ng := &head.csr
 	ng.ver = &head.vi
-	head.vi = versionInfo{cfg: cfg, edits: edits, scratch: sc}
+	vi := g.ver
+	head.vi = versionInfo{cfg: cfg, edits: edits, scratch: sc, rebuilt: vi.rebuilt}
 	inl := int(g.inlCap)
+	ng.m += netGrowth(sc.out)
 
-	// Out direction: snapshot each affected vertex's segment (wherever its
-	// representation keeps it), merge it with its sorted updates into scratch,
-	// and store back — store picks the post-merge representation, migrating
-	// inline↔slab or relocating to the tail when the degree calls for it.
-	groupBy(sc.bySrc, srcOf, func(v VertexID, ops []edgeOp) {
-		ids, ws := g.out.live(v)
-
-		snapIDs, snapWs := sc.slab.alloc(len(ids))
-		copy(snapIDs, ids)
-		copy(snapWs, ws)
-		undoOut = append(undoOut, outUndo{v: v, dst: snapIDs, w: snapWs, wsum: g.outWeightSum[v]})
-
-		newIDs, newWs := mergeSeg(sc, ids, ws, ops, outNeighbor)
-		ng.m += len(newIDs) - len(ids)
-		if ng.out.store(v, newIDs, newWs, inl) {
-			ng.relocations++
-		}
-		ng.outWeightSum[v] = segSum(newWs)
-	})
-	// In direction.
-	groupBy(sc.byDst, dstOf, func(v VertexID, ops []edgeOp) {
-		ids, ws := g.in.live(v)
-
-		snapIDs, snapWs := sc.slab.alloc(len(ids))
-		copy(snapIDs, ids)
-		copy(snapWs, ws)
-		undoIn = append(undoIn, inUndo{v: v, src: snapIDs, w: snapWs})
-
-		newIDs, newWs := mergeSeg(sc, ids, ws, ops, inNeighbor)
-		if ng.in.store(v, newIDs, newWs, inl) {
-			ng.relocations++
-		}
-	})
+	// What the receiver keeps of the batch, both directions carved together:
+	// one undo record per touched vertex, and a copy of the ordered ops the
+	// records point into (the scratch lists are reused by the next batch).
+	nOut, nOps := countGroups(sc.out), len(sc.out)
+	n := nOut + countGroups(sc.in)
+	vs := carve(&sc.undoVs, n, undoChunk(n))
+	recs := carve(&sc.undoRecs, n, undoChunk(n))
+	kept := carve(&sc.undoOps, 2*nOps, undoChunk(2*nOps))
+	copy(kept, sc.out)
+	copy(kept[nOps:], sc.in)
+	vi.undo[outDir] = undoDir{vs: vs[:nOut], recs: recs[:nOut]}
+	vi.undo[inDir] = undoDir{vs: vs[nOut:], recs: recs[nOut:]}
+	ng.relocations += ng.out.applyOps(sc, sc.out, kept[:nOps], vi.undo[outDir], inl, ng.outWeightSum)
+	ng.relocations += ng.in.applyOps(sc, sc.in, kept[nOps:], vi.undo[inDir], inl, nil)
+	ng.undoRecords += uint64(n)
 
 	// Freeze the receiver in place — its existing versionInfo becomes the
-	// frozen record, so pre-batch reads below go through the undo snapshots
-	// while post-batch reads hit the mutated arrays. The scratch and rank
-	// index move on with the live head; a frozen version never touches them.
-	vi := g.ver
+	// frozen record, so pre-batch reads take the batch back while post-batch
+	// reads hit the mutated arrays. The scratch and rank index move on with
+	// the live head; a frozen version never touches them.
 	vi.frozen = true
-	vi.undoOut = undoOut
-	vi.undoIn = undoIn
 	vi.next = ng
 	vi.edits = 0
 	vi.scratch = nil
 	vi.cum = nil
 
-	ng.asymCount += asymDelta(g, ng, sc.affected)
+	ng.asymCount += sc.asymDelta(ng)
 	return ng
+}
+
+// applyOps applies one direction's ordered ops to the live layout and fills in
+// u, the undo state the superseded version keeps for it: per touched vertex
+// its ops (kept is the version's own copy of ops), the pre-batch degree and
+// (with sums, the out direction) the pre-batch weight sum, which is then
+// recomputed from the new segment. Returns the number of segments relocated.
+//
+// A spilled vertex whose post-batch degree still fits its capacity and stays
+// above the inline cap is edited inside its segment. Everything else — inline
+// records, inline↔slab migration, relocation to the tail — changes
+// representation or address and goes through mergeSeg → store.
+func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, inlCap int, sums []float64) (relocated uint64) {
+	for i, k := 0, 0; i < len(ops); k++ {
+		j := groupEnd(ops, i)
+		v := ops[i].v
+		deg := a.deg(v)
+		post := deg + netGrowth(ops[i:j])
+		u.vs[k] = v
+		r := &u.recs[k]
+		r.ops = kept[i:j]
+		r.deg = uint32(deg)
+		if sums != nil {
+			r.wsum = sums[v]
+		}
+		spilled := a.inl == nil || a.inl[v].n == inlineSpilled
+		if editInPlace && spilled && post <= int(a.cap[v]) && (a.inl == nil || post > inlCap) {
+			lo, hi := a.ptr[v], a.ptr[v]+uint64(a.cap[v])
+			a.len[v] = uint32(editSeg(a.ids[lo:hi], a.ws[lo:hi], deg, ops[i:j]))
+		} else {
+			ids, ws := a.live(v)
+			sc.ids, sc.ws = mergeSeg(sc.ids[:0], sc.ws[:0], ids, ws, ops[i:j], false)
+			if a.store(v, sc.ids, sc.ws, inlCap) {
+				relocated++
+			}
+		}
+		if sums != nil {
+			_, ws := a.live(v)
+			sums[v] = segSum(ws)
+		}
+		i = j
+	}
+	return relocated
+}
+
+// editSeg applies one vertex's ops to its slab segment where it lies. ids and
+// ws span the segment's capacity, of which the first n slots are used; ops
+// are ordered by (id, delete first) and valid against the segment, and the
+// caller has checked that the result fits. Deletes compact the segment
+// forward from the first deleted slot, inserts then merge in from the back,
+// a delete+insert pair on one id overwrites the slot's weight: nothing before
+// the first touched slot moves, no slot moves more than twice, and no copy of
+// the segment exists. Returns the new used length; the contents equal what
+// mergeSeg produces for the same input.
+//
+//jetlint:hotpath
+func editSeg(ids []VertexID, ws []Weight, n int, ops []segOp) int {
+	// Deletes. Slots [r, p) between two deleted positions slide down to the
+	// write cursor w; from bounds the next search, the ops being ascending.
+	w, r, from := n, n, 0
+	add := 0
+	for j := 0; j < len(ops); j++ {
+		if !ops[j].del {
+			add++
+			continue
+		}
+		p := from + searchID(ids[from:n], ops[j].id)
+		from = p + 1
+		if j+1 < len(ops) && ops[j+1].id == ops[j].id {
+			j++
+			ws[p] = ops[j].w
+			continue
+		}
+		if w == n {
+			w = p
+		} else {
+			copy(ids[w:], ids[r:p])
+			copy(ws[w:], ws[r:p])
+			w += p - r
+		}
+		r = p + 1
+	}
+	if w < n {
+		copy(ids[w:], ids[r:n])
+		copy(ws[w:], ws[r:n])
+		n = w + n - r
+	}
+	// Inserts, last first: the slots behind each insert position move up to
+	// their final place in one copy, and the op takes the slot they free.
+	end, dst := n, n+add
+	for j := len(ops) - 1; dst > end; j-- {
+		if ops[j].del {
+			continue
+		}
+		if j > 0 && ops[j-1].del && ops[j-1].id == ops[j].id {
+			j--
+			continue
+		}
+		p := searchID(ids[:end], ops[j].id)
+		dst -= end - p
+		copy(ids[dst:], ids[p:end])
+		copy(ws[dst:], ws[p:end])
+		dst--
+		ids[dst], ws[dst] = ops[j].id, ops[j].w
+		end = p
+	}
+	return n + add
 }
 
 // segSum adds a segment's weights left to right. Both mutation paths and the
@@ -558,19 +777,27 @@ func segSum(ws []Weight) float64 {
 	return sum
 }
 
-// asymDelta returns the change in the asymmetric-vertex count between the
-// pre-batch version old and the post-batch live head ng: only the affected
-// vertices can change status, so each one's pre/post status is diffed.
-func asymDelta(old, ng *CSR, affected []VertexID) int {
+// markAsym records, for every affected vertex, whether its out- and
+// in-neighbor ids differ in g — the pre-batch half of the symmetry count's
+// maintenance. It must run before g's arrays are edited.
+func (sc *deltaScratch) markAsym(g *CSR) {
+	sc.asym = sc.asym[:0]
+	for _, v := range sc.affected {
+		out, _ := g.OutAdj(v)
+		in, _ := g.InAdj(v)
+		sc.asym = append(sc.asym, !segIDsEqual(out, in))
+	}
+}
+
+// asymDelta returns the change in the asymmetric-vertex count from the
+// statuses markAsym recorded to the post-batch live head ng: only the
+// affected vertices can change status.
+func (sc *deltaScratch) asymDelta(ng *CSR) int {
 	d := 0
-	for _, v := range affected {
-		preOut, _ := old.OutAdj(v)
-		preIn, _ := old.InAdj(v)
-		postOut, _ := ng.out.live(v)
-		postIn, _ := ng.in.live(v)
-		pre := !segIDsEqual(preOut, preIn)
-		post := !segIDsEqual(postOut, postIn)
-		if pre != post {
+	for k, v := range sc.affected {
+		out, _ := ng.out.live(v)
+		in, _ := ng.in.live(v)
+		if post := !segIDsEqual(out, in); post != sc.asym[k] {
 			if post {
 				d++
 			} else {
@@ -581,87 +808,89 @@ func asymDelta(old, ng *CSR, affected []VertexID) int {
 	return d
 }
 
-// outNeighbor and inNeighbor project an op onto the neighbor id for one merge
-// direction.
-func outNeighbor(op edgeOp) VertexID { return op.e.Dst }
-func inNeighbor(op edgeOp) VertexID  { return op.e.Src }
-
-// mergeSeg merges one sorted adjacency segment with its sorted batch ops into
-// sc's reusable buffers and returns the merged ids/weights. Validation
+// mergeSeg merges one sorted adjacency with its ordered ops, appending the
+// result to dstIDs/dstWs (which must not alias the inputs). Validation
 // guarantees every delete matches an existing id and no insert duplicates a
-// surviving id, so the merge is a plain two-pointer pass.
-func mergeSeg(sc *deltaScratch, ids []VertexID, ws []Weight, ops []edgeOp, idOf func(edgeOp) VertexID) ([]VertexID, []Weight) {
-	sc.ids = sc.ids[:0]
-	sc.ws = sc.ws[:0]
+// surviving id, so the merge is a plain two-pointer pass. With undo set the
+// ops are taken back instead of applied — an insert removes its id, a delete
+// restores id and stored weight — which turns a post-batch adjacency into the
+// pre-batch one.
+func mergeSeg(dstIDs []VertexID, dstWs []Weight, ids []VertexID, ws []Weight, ops []segOp, undo bool) ([]VertexID, []Weight) {
 	i, j := 0, 0
 	for i < len(ids) || j < len(ops) {
 		if j >= len(ops) {
-			sc.ids = append(sc.ids, ids[i:]...)
-			sc.ws = append(sc.ws, ws[i:]...)
+			dstIDs = append(dstIDs, ids[i:]...)
+			dstWs = append(dstWs, ws[i:]...)
 			break
 		}
-		id := idOf(ops[j])
+		id := ops[j].id
 		if i < len(ids) && ids[i] < id {
-			sc.ids = append(sc.ids, ids[i])
-			sc.ws = append(sc.ws, ws[i])
+			dstIDs = append(dstIDs, ids[i])
+			dstWs = append(dstWs, ws[i])
 			i++
 			continue
 		}
-		if ops[j].del {
-			// Validated: the deleted id is present, so ids[i] == id here.
+		if ops[j].del != undo {
+			// Validated: the id to remove is present, so ids[i] == id here.
 			i++
 			j++
 			continue
 		}
-		sc.ids = append(sc.ids, id)
-		sc.ws = append(sc.ws, ops[j].e.Weight)
+		dstIDs = append(dstIDs, id)
+		dstWs = append(dstWs, ops[j].w)
 		j++
 	}
-	return sc.ids, sc.ws
+	return dstIDs, dstWs
 }
 
 // relay lays the post-batch graph out afresh and is the only routine that
 // builds a slacked layout: every vertex gets its slack gap, each slab its tail
-// headroom, and the (validated, sorted) batch is merged in on the way — the
+// headroom, and the (validated, ordered) batch is merged in on the way — the
 // live adjacency of an untouched vertex is copied once, straight into its new
 // segment. A dense receiver is simply the re-lay of whatever batch arrives
 // first. The receiver keeps its own arrays and goes on serving its pre-batch
 // edge set without any undo machinery.
 func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
-	if vi := g.ver; vi != nil && !vi.frozen {
-		// The scratch — including the rank-index buffer — moves on with the
-		// new head. Sever the superseded version's aliases: a cached cum
-		// would otherwise be rebuilt in place under it with the new head's
-		// degrees, and a later EdgeAt on the old version would rank through
-		// the wrong layout. Detached versions build a private index instead.
-		vi.cum = nil
-		vi.scratch = nil
+	rebuilt := new(atomic.Uint64)
+	if vi := g.ver; vi != nil {
+		rebuilt = vi.rebuilt
+		if !vi.frozen {
+			// The scratch — including the rank-index buffer — moves on with the
+			// new head. Sever the superseded version's aliases: a cached cum
+			// would otherwise be rebuilt in place under it with the new head's
+			// degrees, and a later EdgeAt on the old version would rank through
+			// the wrong layout. Detached versions build a private index instead.
+			vi.cum = nil
+			vi.scratch = nil
+		}
 	}
 	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
 	ng := &CSR{
 		n:            g.n,
-		m:            g.m + netGrowth(sc.bySrc),
+		m:            g.m + netGrowth(sc.out),
 		outWeightSum: make([]float64, g.n),
 		inlCap:       uint8(inl),
 		relocations:  g.relocations,
 		relayouts:    g.relayouts + 1,
-		ver:          &versionInfo{cfg: cfg, scratch: sc},
+		undoRecords:  g.undoRecords,
+		ver:          &versionInfo{cfg: cfg, scratch: sc, rebuilt: rebuilt},
 	}
 	// Untouched vertices keep their sum bit for bit; relayAdj recomputes the
 	// touched ones left to right over the merged segment.
 	for v := range ng.outWeightSum {
 		ng.outWeightSum[v] = g.OutWeightSum(VertexID(v))
 	}
-	ng.out = relayAdj(g.n, g.OutAdj, sc.bySrc, srcOf, outNeighbor, cfg, inl, sc, ng.outWeightSum)
-	ng.in = relayAdj(g.n, g.InAdj, sc.byDst, dstOf, inNeighbor, cfg, inl, sc, nil)
-	ng.asymCount = g.asymCount + asymDelta(g, ng, sc.affected)
+	sc.markAsym(g)
+	ng.out = relayAdj(g.n, g.OutAdj, sc.out, cfg, inl, sc, ng.outWeightSum)
+	ng.in = relayAdj(g.n, g.InAdj, sc.in, cfg, inl, sc, nil)
+	ng.asymCount = g.asymCount + sc.asymDelta(ng)
 	return ng
 }
 
 // relayAdj lays out one direction: seg reads a vertex's current adjacency,
-// ops is the batch sorted for this direction. With sums non-nil, the entries
+// ops is the batch ordered for this direction. With sums non-nil, the entries
 // of vertices the batch touches are recomputed from their merged segment.
-func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []edgeOp, keyOf, idOf func(edgeOp) VertexID,
+func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []segOp,
 	cfg DeltaConfig, inl int, sc *deltaScratch, sums []float64) adj {
 	gap := func(deg int) int { return max(int(float64(deg)*cfg.SlackFrac), cfg.SlackMin) }
 	a := adj{
@@ -677,7 +906,7 @@ func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []edgeOp, ke
 	for v := 0; v < n; v++ {
 		ids, _ := seg(VertexID(v))
 		deg := len(ids)
-		for ; j < len(ops) && keyOf(ops[j]) == VertexID(v); j++ {
+		for ; j < len(ops) && ops[j].v == VertexID(v); j++ {
 			if ops[j].del {
 				deg--
 			} else {
@@ -699,11 +928,12 @@ func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []edgeOp, ke
 	for v := 0; v < n; v++ {
 		ids, ws := seg(VertexID(v))
 		k := j
-		for j < len(ops) && keyOf(ops[j]) == VertexID(v) {
+		for j < len(ops) && ops[j].v == VertexID(v) {
 			j++
 		}
 		if j > k {
-			ids, ws = mergeSeg(sc, ids, ws, ops[k:j], idOf)
+			sc.ids, sc.ws = mergeSeg(sc.ids[:0], sc.ws[:0], ids, ws, ops[k:j], false)
+			ids, ws = sc.ids, sc.ws
 			if sums != nil {
 				sums[v] = segSum(ws)
 			}

@@ -41,8 +41,8 @@ const (
 
 // live returns v's adjacency as stored by the live layout: the inline record
 // when the vertex is inline, the slab segment otherwise. Callers must hold a
-// live (unfrozen) version — frozen versions read through their undo
-// snapshots in OutAdj/InAdj. The returned slices alias the graph's storage.
+// live (unfrozen) version — frozen versions read through their undo records
+// in OutAdj/InAdj. The returned slices alias the graph's storage.
 //
 //jetlint:hotpath
 func (a *adj) live(v VertexID) ([]VertexID, []Weight) {
@@ -82,9 +82,10 @@ func (a *adj) deg(v VertexID) int {
 // that has outgrown its segment is relocated: it takes relocCap slots from
 // the tail headroom (the caller has checked they are there) and its old slots
 // are counted dead — nothing else moves, and no version can still read the
-// old slots, because the batch that relocates a vertex also snapshots it into
-// the superseded version's undo list. Reports whether v was relocated. The
-// ids/ws arguments must not alias the destination (callers pass the merge
+// old slots, because the batch that relocates a vertex also leaves its ops in
+// the superseded version's undo record, which rebuilds from the next
+// version's adjacency wherever that lives. Reports whether v was relocated.
+// The ids/ws arguments must not alias the destination (callers pass the merge
 // scratch).
 //
 //jetlint:hotpath

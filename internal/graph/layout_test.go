@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,10 +15,11 @@ import (
 func relayOf(t *testing.T, g *CSR, b Batch, cfg DeltaConfig) *CSR {
 	t.Helper()
 	sc := &deltaScratch{}
-	if err := g.checkBatch(b, sc); err != nil {
-		t.Fatal(err)
+	sc.order(b)
+	if g.audit(sc, false) > 0 {
+		t.Fatal(sc.rejection(b))
 	}
-	sc.load(b)
+	sc.mirror()
 	return g.relay(cfg, sc)
 }
 
@@ -225,13 +227,26 @@ func (p versionPin) check(t *testing.T, name string) {
 	}
 }
 
-// TestPinnedVersionsSurviveLayoutWork holds g0…g3 across three batches that,
-// in turn, relocate a vertex into the tail, migrate vertices between their
-// inline record and the slab, and re-lay the whole graph. Every held version
-// must keep returning its exact edge list, per-vertex adjacency slices (both
-// directions), weight sums, symmetry bit and rank-ordered edges afterwards;
-// the test fails if a batch did not do the layout work it was built to do.
+// TestPinnedVersionsSurviveLayoutWork holds every version of a chain of
+// eleven batches that, in turn, relocate a vertex into the tail, migrate
+// vertices between their inline record and the slab, change a weight through
+// a delete+insert pair beside plain edits of the same segment, fill a segment
+// to its capacity, re-lay the whole graph, and then move the head six more
+// batches on. Nobody reads a superseded version until the end, so g0…g5 are
+// read for the first time when the head is at least five batches past them
+// and every pre-batch adjacency has to be rebuilt through the chain — oldest
+// version first in one run, newest first in the other. Every version must
+// answer every per-vertex reader (OutAdj, InAdj, degrees, OutWeightSum,
+// HasEdge, EdgeAt) exactly like the reference chain built with Apply, and
+// like itself when it was the live head; the test fails if a batch did not do
+// the layout work it was built to do.
 func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
+	for _, order := range []string{"oldest-first", "newest-first"} {
+		t.Run(order, func(t *testing.T) { pinnedVersionsSurvive(t, order == "newest-first") })
+	}
+}
+
+func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 	cfg := DeltaConfig{SlackMin: 2, SlackFrac: 0.5, CompactFrac: 100, InlineCap: inlineCapMax}
 	var base []Edge
 	for d := 1; d <= 6; d++ { // vertex 0: out-degree 6, spilled
@@ -258,15 +273,33 @@ func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 		Inserts: []Edge{{3, 8, 2.5}},
 		Deletes: []Edge{{0, 1, 1}, {0, 3, 3}, {0, 5, 5}},
 	}
-	// Batch 3: vertex 2 grows past what is left of the tail: re-lay.
-	var b3 Batch
+	// Batch 3: vertex 1 (spilled, 6 of 12 slots) is edited where it lies — a
+	// weight change on (1,10) between a delete before it and inserts on both
+	// sides, the delete carrying a weight that is not the stored one — and
+	// the inline pair (2,1) changes weight too.
+	b3 := Batch{
+		Deletes: []Edge{{1, 10, 99}, {1, 8, 99}, {2, 1, 99}},
+		Inserts: []Edge{{1, 10, 7.5}, {1, 3, 0.75}, {1, 14, 1.75}, {2, 1, 2.25}},
+	}
+	// Batch 4: vertex 3 fills its segment exactly (5 → 6 of 6 slots).
+	b4 := Batch{Inserts: []Edge{{3, 1, 0.25}}}
+	// Batch 5: vertex 2 grows past what is left of the tail: re-lay.
+	var b5 Batch
 	for d := 3; d <= 15; d++ {
-		b3.Inserts = append(b3.Inserts, Edge{2, VertexID(d), Weight(d) / 3})
+		b5.Inserts = append(b5.Inserts, Edge{2, VertexID(d), Weight(d) / 3})
 	}
 
+	rng := rand.New(rand.NewSource(12))
 	pins := []versionPin{pinVersion(g0)}
-	for i, b := range []Batch{b1, b2, b3} {
+	refs := []*CSR{MustBuild(16, base)}
+	for i := 0; i < 11; i++ {
 		g := pins[i].g
+		var b Batch
+		if designed := []Batch{b1, b2, b3, b4, b5}; i < len(designed) {
+			b = designed[i]
+		} else {
+			b = randomValidBatch(rng, g, 8)
+		}
 		ng, err := g.ApplyDeltaCfg(b, cfg)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i+1, err)
@@ -283,19 +316,44 @@ func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 					ng.out.inl[3].n, ng.out.inl[0].n)
 			}
 		case 2:
+			if ng.relayouts != g.relayouts || ng.relocations != g.relocations || ng.out.ptr[1] != g.out.ptr[1] || ng.out.len[1] != 7 {
+				t.Fatalf("batch 3: want vertex 1 edited where it lies (segment %d → %d, used %d)", g.out.ptr[1], ng.out.ptr[1], ng.out.len[1])
+			}
+		case 3:
+			if ng.relayouts != g.relayouts || ng.relocations != g.relocations || ng.out.len[3] != ng.out.cap[3] {
+				t.Fatalf("batch 4: want vertex 3 to fill its segment exactly (used %d of %d)", ng.out.len[3], ng.out.cap[3])
+			}
+		case 4:
 			if !tailExhausted(g, ng, b, cfg) {
-				t.Fatal("batch 3: want a re-lay forced by the tail")
+				t.Fatal("batch 5: want a re-lay forced by the tail")
+			}
+		default:
+			if ng.relayouts != g.relayouts {
+				t.Fatalf("batch %d: want the head to move on in place", i+1)
 			}
 		}
 		pins = append(pins, pinVersion(ng))
+		refs = append(refs, refs[i].MustApply(b))
 	}
-	for i, p := range pins {
-		p.check(t, "g"+string(rune('0'+i)))
+	head := pins[len(pins)-1].g
+	if ls := head.LayoutStats(); ls.UndoRebuilt != 0 || ls.UndoRecords == 0 {
+		t.Fatalf("before anybody read an old version: %d of %d undo records rebuilt", ls.UndoRebuilt, ls.UndoRecords)
+	}
+	for k := range pins {
+		i := k
+		if newestFirst {
+			i = len(pins) - 1 - k
+		}
+		name := fmt.Sprintf("g%d", i)
+		checkAgainst(t, name, pins[i].g, refs[i])
+		pins[i].check(t, name)
+	}
+	if ls := head.LayoutStats(); ls.UndoRebuilt == 0 || ls.UndoRebuilt > ls.UndoRecords {
+		t.Fatalf("after every version was read: %d of %d undo records rebuilt", ls.UndoRebuilt, ls.UndoRecords)
 	}
 
 	// A View over the live head — inline and spilled vertices both — serves
 	// the same slices, except that a masked vertex has none.
-	head := pins[len(pins)-1].g
 	if head.out.inline == 0 || head.out.inline == head.n {
 		t.Fatalf("head stores %d of %d vertices inline; want both representations", head.out.inline, head.n)
 	}

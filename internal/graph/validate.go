@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -104,60 +103,57 @@ func (e *BatchError) Error() string {
 }
 
 // SanitizeBatch audits b against g and returns a copy containing only the
-// valid updates, plus the list of issues found. The returned batch always
-// applies cleanly to g (the Repair ingest policy feeds it straight to the
-// engine). Delete weights are normalized to the stored edge weight — the
-// (src,dst) pair is the edge's identity (paper §2.1), and the carried weight
-// feeds the VAP contribution computation, so a stale or corrupted delete
-// weight must not poison recovery. b itself is never modified.
+// valid updates, plus the list of issues found, in batch order (deletes, then
+// inserts). The returned batch always applies cleanly to g (the Repair ingest
+// policy feeds it straight to the engine). Delete weights are normalized to
+// the stored edge weight — the (src,dst) pair is the edge's identity (paper
+// §2.1), and the carried weight feeds the VAP contribution computation, so a
+// stale or corrupted delete weight must not poison recovery. b itself is
+// never modified.
+//
+// The rules are audit's (delta.go), the same routine ApplyDelta validates
+// with, run over the batch ordered in the chain's scratch buffers: like
+// ApplyDelta, SanitizeBatch on a live head belongs to the single host
+// mutation thread.
 func (g *CSR) SanitizeBatch(b Batch) (Batch, []BatchIssue) {
-	var issues []BatchIssue
-	var out Batch
-
-	type key struct{ u, v VertexID }
-	keptDel := make(map[key]bool, len(b.Deletes))
-	for _, e := range b.Deletes {
-		if int(e.Src) >= g.n || int(e.Dst) >= g.n {
-			issues = append(issues, BatchIssue{IssueOutOfRange, e, true})
-			continue
-		}
-		k := key{e.Src, e.Dst}
-		if keptDel[k] {
-			issues = append(issues, BatchIssue{IssueDuplicate, e, true})
-			continue
-		}
-		w, ok := g.HasEdge(e.Src, e.Dst)
-		if !ok {
-			issues = append(issues, BatchIssue{IssueMissingDelete, e, true})
-			continue
-		}
-		keptDel[k] = true
-		out.Deletes = append(out.Deletes, Edge{Src: e.Src, Dst: e.Dst, Weight: w})
+	sc := g.hostScratch()
+	sc.order(b)
+	bad := g.audit(sc, true)
+	out := Batch{
+		Deletes: append([]Edge(nil), b.Deletes...),
+		Inserts: append([]Edge(nil), b.Inserts...),
 	}
-
-	keptIns := make(map[key]bool, len(b.Inserts))
-	for _, e := range b.Inserts {
-		if int(e.Src) >= g.n || int(e.Dst) >= g.n {
-			issues = append(issues, BatchIssue{IssueOutOfRange, e, false})
-			continue
+	for _, op := range sc.out {
+		if op.del && sc.verdict[op.idx] == 0 {
+			out.Deletes[op.idx].Weight = op.w
 		}
-		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight <= 0 {
-			issues = append(issues, BatchIssue{IssueBadWeight, e, false})
-			continue
-		}
-		k := key{e.Src, e.Dst}
-		if keptIns[k] {
-			issues = append(issues, BatchIssue{IssueDuplicate, e, false})
-			continue
-		}
-		if _, ok := g.HasEdge(e.Src, e.Dst); ok && !keptDel[k] {
-			issues = append(issues, BatchIssue{IssueExistingInsert, e, false})
-			continue
-		}
-		keptIns[k] = true
-		out.Inserts = append(out.Inserts, e)
 	}
+	if bad == 0 {
+		return out, nil
+	}
+	issues := make([]BatchIssue, 0, bad)
+	nd := len(b.Deletes)
+	out.Deletes, issues = sift(out.Deletes, sc.verdict[:nd], true, issues)
+	out.Inserts, issues = sift(out.Inserts, sc.verdict[nd:], false, issues)
 	return out, issues
+}
+
+// sift compacts es down to the updates the audit passed, appending an issue
+// for each one it did not; a list left empty is returned nil.
+func sift(es []Edge, verdict []uint8, del bool, issues []BatchIssue) ([]Edge, []BatchIssue) {
+	k := 0
+	for i, e := range es {
+		if c := verdict[i]; c != 0 {
+			issues = append(issues, BatchIssue{IssueKind(c - 1), e, del})
+			continue
+		}
+		es[k] = e
+		k++
+	}
+	if k == 0 {
+		return nil, issues
+	}
+	return es[:k], issues
 }
 
 // ValidateBatch checks b against g and returns a *BatchError listing every

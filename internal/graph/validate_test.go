@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -123,5 +124,171 @@ func TestIngestPolicyStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Errorf("IssueKind(%d) has empty string", int(k))
 		}
+	}
+}
+
+// sanitizeByMaps is the audit as it stood before it was folded into the
+// ordered-ops routine: one pass over the deletes, one over the inserts, a set
+// per list. The reference for what is kept, what is dropped and why.
+func sanitizeByMaps(g *CSR, b Batch) (Batch, []BatchIssue) {
+	var issues []BatchIssue
+	var out Batch
+	type key struct{ u, v VertexID }
+	keptDel := make(map[key]bool, len(b.Deletes))
+	for _, e := range b.Deletes {
+		if int(e.Src) >= g.n || int(e.Dst) >= g.n {
+			issues = append(issues, BatchIssue{IssueOutOfRange, e, true})
+			continue
+		}
+		k := key{e.Src, e.Dst}
+		if keptDel[k] {
+			issues = append(issues, BatchIssue{IssueDuplicate, e, true})
+			continue
+		}
+		w, ok := g.HasEdge(e.Src, e.Dst)
+		if !ok {
+			issues = append(issues, BatchIssue{IssueMissingDelete, e, true})
+			continue
+		}
+		keptDel[k] = true
+		out.Deletes = append(out.Deletes, Edge{Src: e.Src, Dst: e.Dst, Weight: w})
+	}
+	keptIns := make(map[key]bool, len(b.Inserts))
+	for _, e := range b.Inserts {
+		if int(e.Src) >= g.n || int(e.Dst) >= g.n {
+			issues = append(issues, BatchIssue{IssueOutOfRange, e, false})
+			continue
+		}
+		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight <= 0 {
+			issues = append(issues, BatchIssue{IssueBadWeight, e, false})
+			continue
+		}
+		k := key{e.Src, e.Dst}
+		if keptIns[k] {
+			issues = append(issues, BatchIssue{IssueDuplicate, e, false})
+			continue
+		}
+		if _, ok := g.HasEdge(e.Src, e.Dst); ok && !keptDel[k] {
+			issues = append(issues, BatchIssue{IssueExistingInsert, e, false})
+			continue
+		}
+		keptIns[k] = true
+		out.Inserts = append(out.Inserts, e)
+	}
+	return out, issues
+}
+
+// dirtyBatch draws a batch in which every rule is broken somewhere, several
+// times over and in combination: pairs repeated within and across the two
+// lists, endpoints past the vertex count, weights that are not weights,
+// deletes of absent and inserts of present edges, over a vertex range small
+// enough for the collisions to happen by themselves.
+func dirtyBatch(rng *rand.Rand, g *CSR, updates int) Batch {
+	var b Batch
+	n := g.NumVertices()
+	weights := []Weight{1, 2.5, 0, -3, math.NaN(), math.Inf(1), 7}
+	pair := func() (VertexID, VertexID) {
+		switch rng.Intn(8) {
+		case 0: // out of range, either end
+			return VertexID(rng.Intn(n + 3)), VertexID(n + rng.Intn(3))
+		case 1, 2, 3: // an edge of the graph
+			if g.NumEdges() > 0 {
+				e := g.EdgeAt(rng.Intn(g.NumEdges()))
+				return e.Src, e.Dst
+			}
+		case 4: // a pair already in the batch
+			if all := append(append([]Edge(nil), b.Deletes...), b.Inserts...); len(all) > 0 {
+				e := all[rng.Intn(len(all))]
+				return e.Src, e.Dst
+			}
+		}
+		return VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+	}
+	for i := 0; i < updates; i++ {
+		u, v := pair()
+		e := Edge{u, v, weights[rng.Intn(len(weights))]}
+		if rng.Intn(2) == 0 {
+			b.Deletes = append(b.Deletes, e)
+		} else {
+			b.Inserts = append(b.Inserts, e)
+		}
+	}
+	return b
+}
+
+// edgesBitEqual compares edge lists with weights taken bit for bit (the dirty
+// batches carry NaN, and ApplyDelta stores whatever weight it is given).
+func edgesBitEqual(a, b []Edge) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || math.Float64bits(a[i].Weight) != math.Float64bits(b[i].Weight) {
+			return false
+		}
+	}
+	return true
+}
+
+func issuesEqual(a, b []BatchIssue) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].Delete != b[i].Delete || !edgesBitEqual([]Edge{a[i].Edge}, []Edge{b[i].Edge}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAuditMatchesMapAudit holds the one audit over ordered ops against the
+// two routines it replaced, on batches that break every rule at once, against
+// a dense build, a live slacked head and a superseded version: SanitizeBatch
+// keeps and drops the same updates for the same reasons, reports them in
+// batch order and normalizes the same delete weights as the map-based audit;
+// ApplyDelta rejects with Apply's message, or accepts exactly when Apply does.
+func TestAuditMatchesMapAudit(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	dense := RMAT(RMATConfig{Vertices: 24, Edges: 90, Seed: 3})
+	live, err := dense.ApplyDelta(Batch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := live
+	if live, err = live.ApplyDelta(randomValidBatch(rng, live, 20)); err != nil {
+		t.Fatal(err)
+	}
+	rejected, repaired := 0, 0
+	for name, g := range map[string]*CSR{"dense": dense, "live": live, "superseded": old} {
+		for round := 0; round < 400; round++ {
+			b := dirtyBatch(rng, g, 1+rng.Intn(12))
+			wantClean, wantIssues := sanitizeByMaps(g, b)
+			clean, issues := g.SanitizeBatch(b)
+			if !issuesEqual(issues, wantIssues) {
+				t.Fatalf("%s: batch %+v\n issues %v\n want   %v", name, b, issues, wantIssues)
+			}
+			if !edgesBitEqual(clean.Deletes, wantClean.Deletes) || !edgesBitEqual(clean.Inserts, wantClean.Inserts) {
+				t.Fatalf("%s: batch %+v\n repaired to %+v\n want        %+v", name, b, clean, wantClean)
+			}
+			if len(issues) > 0 {
+				repaired++
+			}
+			for _, x := range []Batch{b, clean} {
+				ng, errDelta := g.ApplyDelta(x)
+				_, errApply := g.Apply(x)
+				if (errDelta == nil) != (errApply == nil) || (errDelta != nil && errDelta.Error() != errApply.Error()) {
+					t.Fatalf("%s: batch %+v\n delta: %v\n apply: %v", name, x, errDelta, errApply)
+				}
+				if errDelta != nil {
+					rejected++
+				} else if name == "live" {
+					g = ng // an accepted batch supersedes the head; follow it
+				}
+			}
+		}
+	}
+	if rejected < 300 || repaired < 300 {
+		t.Fatalf("run too tame: %d rejections, %d repairs", rejected, repaired)
 	}
 }

@@ -121,8 +121,11 @@ type MetricsSnapshot struct {
 	QueueHighWater uint64
 	// GraphLayout is the delta mutation layer's layout work so far: segments
 	// relocated into tail headroom, whole-graph re-lays (every applied batch
-	// is either in place or one re-lay), and the slab's physical and dead
-	// slots, both directions summed. All zero under WithGraphRebuild.
+	// is either in place or one re-lay), the slab's physical and dead slots,
+	// both directions summed, and the undo traffic — per-vertex records
+	// in-place batches left with the versions they superseded, and how many of
+	// those a reader of an old version turned back into an adjacency. All zero
+	// under WithGraphRebuild.
 	GraphLayout GraphLayout
 	// Channels is per-DRAM-channel traffic; nil with the timing model off.
 	Channels []ChannelMetrics

@@ -111,6 +111,15 @@ func TestMetricsConservation(t *testing.T) {
 			default:
 				t.Errorf("batch %d: re-lays went %d → %d", i, prev.Relayouts, cur.Relayouts)
 			}
+			// An in-place batch leaves at most one undo record per update and
+			// direction with the version it supersedes, a re-lay none; and a
+			// record is rebuilt at most once, when somebody reads it.
+			if wrote := cur.UndoRecords - prev.UndoRecords; wrote > 2000 || (wrote == 0) != (cur.Relayouts > prev.Relayouts) {
+				t.Errorf("batch %d: %d undo records written, re-lays %d → %d", i, wrote, prev.Relayouts, cur.Relayouts)
+			}
+			if cur.UndoRebuilt < prev.UndoRebuilt || cur.UndoRebuilt > cur.UndoRecords {
+				t.Errorf("batch %d: %d segments rebuilt (was %d) from %d undo records", i, cur.UndoRebuilt, prev.UndoRebuilt, cur.UndoRecords)
+			}
 			if cur.EdgeSlots < 2*sys.Graph().NumEdges()+cur.DeadSlots {
 				t.Errorf("batch %d: %d slots cannot hold %d edges twice plus %d dead slots",
 					i, cur.EdgeSlots, sys.Graph().NumEdges(), cur.DeadSlots)
@@ -120,14 +129,17 @@ func TestMetricsConservation(t *testing.T) {
 		if inPlace+prev.Relayouts != sys.Batches() {
 			t.Errorf("in place %d + re-lays %d != batches %d", inPlace, prev.Relayouts, sys.Batches())
 		}
-		if prev.Relocations == 0 || prev.Relayouts < 2 {
-			t.Errorf("run too tame to account for anything: %d relocations, %d re-lays", prev.Relocations, prev.Relayouts)
+		if prev.Relocations == 0 || prev.Relayouts < 2 || prev.UndoRebuilt == 0 {
+			t.Errorf("run too tame to account for anything: %d relocations, %d re-lays, %d undo rebuilds",
+				prev.Relocations, prev.Relayouts, prev.UndoRebuilt)
 		}
 		for name, want := range map[string]float64{
-			"jetstream_graph_relocations_total": float64(prev.Relocations),
-			"jetstream_graph_relayouts_total":   float64(prev.Relayouts),
-			"jetstream_graph_edge_slots":        float64(prev.EdgeSlots),
-			"jetstream_graph_dead_slots":        float64(prev.DeadSlots),
+			"jetstream_graph_relocations_total":   float64(prev.Relocations),
+			"jetstream_graph_relayouts_total":     float64(prev.Relayouts),
+			"jetstream_graph_undo_records_total":  float64(prev.UndoRecords),
+			"jetstream_graph_undo_rebuilds_total": float64(prev.UndoRebuilt),
+			"jetstream_graph_edge_slots":          float64(prev.EdgeSlots),
+			"jetstream_graph_dead_slots":          float64(prev.DeadSlots),
 		} {
 			if got, ok := sys.reg.Get(name); !ok || got != want {
 				t.Errorf("%s = %v (registered %v), snapshot says %v", name, got, ok, want)
@@ -205,6 +217,8 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		`jetstream_worker_parks_total{worker="0"}`,
 		"jetstream_graph_relocations_total",
 		"jetstream_graph_relayouts_total 1",
+		"jetstream_graph_undo_records_total",
+		"jetstream_graph_undo_rebuilds_total",
 		"jetstream_graph_edge_slots",
 		"jetstream_graph_dead_slots 0",
 	} {
