@@ -596,34 +596,3 @@ func BenchmarkDegreeAdaptive(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPipelineOverlap measures the wall-clock effect of overlapping the
-// functional engine with the detailed timing simulation: the same batch train
-// with WithPipelineOverlap off and on. Cycle counts are bitwise-identical by
-// contract (the difftests pin that); only ns/op may move.
-func BenchmarkPipelineOverlap(b *testing.B) {
-	g := RMAT(RMATConfig{Vertices: 20000, Edges: 160000, Seed: 1})
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			sys, err := New(g, SSSP(0), WithDetailedTiming(), WithPipelineOverlap(mode == "on"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.RunInitial()
-			gen := NewStream(StreamConfig{BatchSize: 200, InsertFrac: 0.7, Seed: 2})
-			b.ResetTimer()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				res, err := sys.ApplyBatch(gen.Next(sys.Graph()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.StopTimer()
-			if cycles == 0 {
-				b.Fatal("timing model produced zero cycles")
-			}
-		})
-	}
-}

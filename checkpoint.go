@@ -49,21 +49,17 @@ func truncErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %w: "+format, append([]any{ErrCorruptCheckpoint, ErrTruncated}, args...)...)
 }
 
-// Version 2 added the Parallelism knob to the recorded configuration;
-// version 3 added the graph-rebuild ablation flag (WithGraphRebuild);
-// version 4 added the write-ahead-log binding (a presence flag and the log
-// position the snapshot covers), making a checkpoint the snapshot half of an
-// incremental (snapshot, log tail) pair — see RecoverFromDir; version 5
-// added the sliding-window section (WithWindow): the TTL and every live
-// edge's insertion epoch, so a restored system expires exactly the epochs an
-// uninterrupted run would. Restore reads versions 2 through 5. The graph
-// itself is always serialized canonically via Edges(), so the slack layout
-// of an incrementally mutated CSR never leaks into the format: a restored
-// system re-slacks lazily on its first delta batch.
-const (
-	ckptVersion    uint32 = 5
-	ckptMinVersion uint32 = 2
-)
+// Version 5 is the one format this build writes and reads. Beyond the
+// configuration and state it carries the write-ahead-log binding (a presence
+// flag and the log position the snapshot covers), making a checkpoint the
+// snapshot half of an incremental (snapshot, log tail) pair — see
+// RecoverFromDir — and the sliding-window section (WithWindow): the TTL and
+// every live edge's insertion epoch, so a restored system expires exactly the
+// epochs an uninterrupted run would. The graph itself is always serialized
+// canonically via Edges(), so the slack layout of an incrementally mutated
+// CSR never leaks into the format: a restored system re-slacks lazily on its
+// first delta batch.
+const ckptVersion uint32 = 5
 
 var ckptCRC = crc64.MakeTable(crc64.ECMA)
 
@@ -245,13 +241,13 @@ func (s *System) checkpointLocked(w io.Writer) error {
 		p.u32(d)
 	}
 
-	// v4: the WAL binding — whether this System journals to a write-ahead
+	// The WAL binding — whether this System journals to a write-ahead
 	// log, and the log position (batch sequence number) the snapshot covers.
 	// Recovery replays only records past this position.
 	p.u8(boolByte(s.wal != nil))
 	p.u64(s.batches)
 
-	// v5: the sliding window — TTL and the live (src, dst, insertion epoch)
+	// The sliding window — TTL and the live (src, dst, insertion epoch)
 	// entries in canonical (src,dst) order. The expiry frontier is derived
 	// from the batch count, so it is not serialized.
 	p.u8(boolByte(s.win != nil))
@@ -301,10 +297,9 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if !bytes.Equal(hdr[:len(ckptMagic)], ckptMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptCheckpoint)
 	}
-	version := binary.LittleEndian.Uint32(hdr[len(ckptMagic):])
-	if version < ckptMinVersion || version > ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (this build reads %d through %d)",
-			ErrCorruptCheckpoint, version, ckptMinVersion, ckptVersion)
+	if version := binary.LittleEndian.Uint32(hdr[len(ckptMagic):]); version != ckptVersion {
+		return nil, fmt.Errorf("%w: unsupported format version %d (this build reads version %d only)",
+			ErrCorruptCheckpoint, version, ckptVersion)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[len(ckptMagic)+4:])
 	const maxPayload = 1 << 40
@@ -357,12 +352,9 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The graph-rebuild ablation flag exists from v3 on.
-	var rebuild uint8
-	if version >= 3 {
-		if rebuild, err = p.u8(); err != nil {
-			return nil, err
-		}
+	rebuild, err := p.u8() // the graph-rebuild ablation flag (WithGraphRebuild)
+	if err != nil {
+		return nil, err
 	}
 	parallel, err := p.u32()
 	if err != nil {
@@ -468,67 +460,63 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 			return nil, err
 		}
 	}
-	// v4: the WAL binding. The recorded log position must agree with the
-	// recorded batch count — they are written from the same field, so a
-	// mismatch can only mean in-place damage that slipped past the CRC.
-	if version >= 4 {
-		hadWAL, err := p.u8()
-		if err != nil {
-			return nil, err
-		}
-		if hadWAL > 1 {
-			return nil, fmt.Errorf("%w: WAL flag %d", ErrCorruptCheckpoint, hadWAL)
-		}
-		walSeq, err := p.u64()
-		if err != nil {
-			return nil, err
-		}
-		if walSeq != batches {
-			return nil, fmt.Errorf("%w: log position %d disagrees with batch count %d", ErrCorruptCheckpoint, walSeq, batches)
-		}
+	// The WAL binding. The recorded log position must agree with the recorded
+	// batch count — they are written from the same field, so a mismatch can
+	// only mean in-place damage that slipped past the CRC.
+	hadWAL, err := p.u8()
+	if err != nil {
+		return nil, err
 	}
-	// v5: the sliding-window section. Entry counts are bounded by the bytes
+	if hadWAL > 1 {
+		return nil, fmt.Errorf("%w: WAL flag %d", ErrCorruptCheckpoint, hadWAL)
+	}
+	walSeq, err := p.u64()
+	if err != nil {
+		return nil, err
+	}
+	if walSeq != batches {
+		return nil, fmt.Errorf("%w: log position %d disagrees with batch count %d", ErrCorruptCheckpoint, walSeq, batches)
+	}
+	// The sliding-window section. Entry counts are bounded by the bytes
 	// actually present (16 bytes each) before anything is allocated.
 	var winTTL uint32
 	var winEntries []window.Entry
-	if version >= 5 {
-		hasWin, err := p.u8()
+	hasWin, err := p.u8()
+	if err != nil {
+		return nil, err
+	}
+	if hasWin > 1 {
+		return nil, fmt.Errorf("%w: window flag %d", ErrCorruptCheckpoint, hasWin)
+	}
+	if hasWin == 1 {
+		if winTTL, err = p.u32(); err != nil {
+			return nil, err
+		}
+		nw, err := p.u64()
 		if err != nil {
 			return nil, err
 		}
-		if hasWin > 1 {
-			return nil, fmt.Errorf("%w: window flag %d", ErrCorruptCheckpoint, hasWin)
+		if nw*16 > uint64(len(p.b)) {
+			return nil, fmt.Errorf("%w: %d window entries exceed %d payload bytes left", ErrCorruptCheckpoint, nw, len(p.b))
 		}
-		if hasWin == 1 {
-			if winTTL, err = p.u32(); err != nil {
-				return nil, err
-			}
-			nw, err := p.u64()
+		winEntries = make([]window.Entry, nw)
+		for i := range winEntries {
+			src, err := p.u32()
 			if err != nil {
 				return nil, err
 			}
-			if nw*16 > uint64(len(p.b)) {
-				return nil, fmt.Errorf("%w: %d window entries exceed %d payload bytes left", ErrCorruptCheckpoint, nw, len(p.b))
+			dst, err := p.u32()
+			if err != nil {
+				return nil, err
 			}
-			winEntries = make([]window.Entry, nw)
-			for i := range winEntries {
-				src, err := p.u32()
-				if err != nil {
-					return nil, err
-				}
-				dst, err := p.u32()
-				if err != nil {
-					return nil, err
-				}
-				ep, err := p.u64()
-				if err != nil {
-					return nil, err
-				}
-				winEntries[i] = window.Entry{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Epoch: ep}
+			ep, err := p.u64()
+			if err != nil {
+				return nil, err
 			}
-			if winTTL == 0 {
-				return nil, fmt.Errorf("%w: window TTL 0", ErrCorruptCheckpoint)
-			}
+			winEntries[i] = window.Entry{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Epoch: ep}
+		}
+		if winTTL == 0 {
+			return nil, fmt.Errorf("%w: window TTL 0", ErrCorruptCheckpoint)
 		}
 	}
 	if len(p.b) != 0 {

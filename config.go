@@ -35,9 +35,6 @@ type Config struct {
 	Timing bool `json:"timing,omitempty"`
 	// DetailedTiming selects the per-event pipeline timing model.
 	DetailedTiming bool `json:"detailed_timing,omitempty"`
-	// PipelineOverlap overlaps functional compute with the cycle simulation
-	// when Timing is on (see WithPipelineOverlap). No effect otherwise.
-	PipelineOverlap bool `json:"pipeline_overlap,omitempty"`
 	// Parallelism shards the functional compute phases across p workers;
 	// 0 keeps the engine default.
 	Parallelism int `json:"parallelism,omitempty"`

@@ -29,7 +29,6 @@ var configOptionCases = []struct {
 	{"slices", []Option{WithSlices(4)}},
 	{"timing-off", []Option{WithTiming(false)}},
 	{"detailed-timing", []Option{WithDetailedTiming()}},
-	{"pipeline-overlap", []Option{WithPipelineOverlap(true)}},
 	{"parallelism", []Option{WithTiming(false), WithParallelism(4)}},
 	{"ingest-repair", []Option{WithIngest(Repair)}},
 	{"inline-degree", []Option{WithInlineDegree(2)}},

@@ -2,54 +2,39 @@ package jetstream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestRestoreReadsOldCheckpointVersions proves the reader still accepts every
-// format it claims to. The v2 and v3 goldens under results/ were generated
-// before the format gained the rebuild byte (v3) and the WAL linkage fields
-// (v4); restoring each must reproduce — bitwise — the state an uninterrupted
-// run of the recorded configuration reaches. The v5 golden (the current
-// format: a windowed wcc System with a WAL attached, checkpointed mid-stream)
-// was written by the commit before Restore was rebuilt on Config, so it pins
-// the format across that change: it must restore bitwise and then expire
-// exactly what the uninterrupted run expires.
+// TestRestoreReadsOldCheckpointVersions pins the checkpoint format from both
+// sides. The v5 golden under results/ (the current format: a windowed wcc
+// System with a WAL attached, checkpointed mid-stream) was written by the
+// commit before Restore was rebuilt on Config, so it pins the format across
+// that change: it must restore bitwise, then expire exactly what the
+// uninterrupted run expires, and re-serialize to the same bytes. Versions 2
+// through 4, which earlier builds read, are refused by the header check with
+// an error that names the version this build reads — before the payload is
+// looked at, so an old file can never be half-understood.
 func TestRestoreReadsOldCheckpointVersions(t *testing.T) {
-	// Re-derive the reference the goldens were captured from.
-	ref, err := New(RMAT(RMATConfig{Vertices: 64, Edges: 256, Seed: 7}), SSSP(0),
-		WithTiming(false), WithParallelism(1))
+	blob, err := os.ReadFile(filepath.Join("results", "checkpoint_v5.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.RunInitial()
-	gen := NewStream(StreamConfig{BatchSize: 12, InsertFrac: 0.7, Seed: 99})
-	for i := 0; i < 3; i++ {
-		if _, err := ref.ApplyBatch(gen.Next(ref.Graph())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := ref.State()
-
-	for _, name := range []string{"checkpoint_v2.golden", "checkpoint_v3.golden"} {
-		t.Run(name, func(t *testing.T) {
-			f, err := os.Open(filepath.Join("results", name))
-			if err != nil {
-				t.Fatal(err)
+	for _, v := range []uint32{2, 3, 4} {
+		t.Run(fmt.Sprintf("version-%d-refused", v), func(t *testing.T) {
+			old := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(old[len(ckptMagic):], v)
+			_, err := Restore(bytes.NewReader(old))
+			if !errors.Is(err, ErrCorruptCheckpoint) || errors.Is(err, ErrTruncated) {
+				t.Fatalf("Restore = %v, want ErrCorruptCheckpoint (not truncation)", err)
 			}
-			sys, rerr := Restore(f)
-			if cerr := f.Close(); cerr != nil {
-				t.Fatal(cerr)
-			}
-			if rerr != nil {
-				t.Fatalf("Restore: %v", rerr)
-			}
-			if sys.Batches() != 3 {
-				t.Fatalf("Batches = %d, want 3", sys.Batches())
-			}
-			if !bitwiseEqual(sys.State(), want) {
-				t.Fatalf("%s: restored state diverges from reference", name)
+			if want := fmt.Sprintf("version %d (this build reads version 5 only)", v); !strings.Contains(err.Error(), want) {
+				t.Fatalf("Restore = %q, want it to say %q", err, want)
 			}
 		})
 	}
@@ -57,10 +42,6 @@ func TestRestoreReadsOldCheckpointVersions(t *testing.T) {
 	t.Run("checkpoint_v5.golden", func(t *testing.T) {
 		const cut = 3
 		batches, refStates, refGraphs, refExpired := recordWindowRecoveryRun(t, WCC(), true, 6)
-		blob, err := os.ReadFile(filepath.Join("results", "checkpoint_v5.golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		sys, err := Restore(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("Restore: %v", err)

@@ -69,12 +69,6 @@ type Config struct {
 	// instead of the batch-level throughput model. Slower to simulate,
 	// resolves port-contention effects. Requires Timing.
 	DetailedTiming bool
-	// PipelineOverlap runs the timing simulation on a consumer goroutine fed
-	// by a bounded FIFO of copied charge records, overlapping the functional
-	// compute of row batch k+1 with the cycle simulation of row batch k (see
-	// pipeline.go). Pure wall-clock optimization: the simulated cycle counts
-	// are bitwise-identical with it on or off. No effect unless Timing is on.
-	PipelineOverlap bool
 }
 
 // DefaultConfig returns the paper's Table 1 accelerator: 8 processors at

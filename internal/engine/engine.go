@@ -134,9 +134,6 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 		} else {
 			e.tm = NewTiming(cfg, st)
 		}
-		if cfg.PipelineOverlap {
-			e.tm = newPipelined(e.tm)
-		}
 	}
 	for _, o := range opts {
 		o(e)
@@ -196,25 +193,12 @@ func (e *Engine) Dep() []graph.VertexID {
 	return e.dep
 }
 
-// Cycles returns accumulated cycles (0 with timing off). With pipeline
-// overlap on this joins the in-flight timing simulation first, so the count
-// is always exact.
+// Cycles returns accumulated cycles (0 with timing off).
 func (e *Engine) Cycles() uint64 {
 	if e.tm == nil {
 		return 0
 	}
 	return e.tm.Cycles()
-}
-
-// SyncTiming joins any in-flight pipelined timing simulation, making the
-// stats sink's traffic counters (BytesUsed, SpillBytes, DRAM tallies) safe to
-// read from the caller's goroutine. A no-op unless PipelineOverlap is on and
-// charges are queued. Callers that copy the whole stats struct must call this
-// (or Cycles, which flushes too) first.
-func (e *Engine) SyncTiming() {
-	if f, ok := e.tm.(interface{ Flush() }); ok {
-		f.Flush()
-	}
 }
 
 // SetGraph switches the engine to a new graph version (the host's CSR
@@ -515,15 +499,6 @@ func (e *Engine) Repartition() int {
 // a trace is installed the engine runs sequentially, so the observed order is
 // the deterministic drain order.
 func (e *Engine) SetTrace(fn func(event.Event)) { e.trace = fn }
-
-// EdgeCut returns the current partition's cross-slice edge count (-1 when
-// slicing is off).
-func (e *Engine) EdgeCut() int {
-	if e.part == nil {
-		return -1
-	}
-	return e.part.Cut
-}
 
 // SeedInitialEvents loads the algorithm's initial events through the
 // Initializer (step 0 of §4.6.1), charging the sequential memory scan.

@@ -228,10 +228,6 @@ func (e *Engine) Channels() []mem.ChannelCounts {
 // worker's share, so nothing is counted twice. Call at operation boundaries
 // (end of batch, end of initial run).
 func (e *Engine) FlushObs() {
-	// Join the timing pipeline first: the whole-struct copy below reads the
-	// traffic counters its consumer writes, and flush boundaries are where
-	// overlap must end anyway.
-	e.SyncTiming()
 	if e.ob == nil {
 		return
 	}

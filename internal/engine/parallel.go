@@ -101,8 +101,8 @@ const idleSpinLimit = 16
 //     frontier and the phase stays on the caller however large it grows.
 //
 // Both inputs are things the engine observes, and both constants are read
-// off BenchmarkFanoutBreakEven (table and reasoning in DESIGN.md §7), so
-// neither is a knob.
+// off BenchmarkFanoutBreakEven (reasoning in DESIGN.md §7, the sweep in
+// results/PR16-durable-bulk.md), so neither is a knob.
 const (
 	fanoutMinFrontier = 2048
 	fanoutMinCores    = 4

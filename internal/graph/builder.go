@@ -127,30 +127,3 @@ func Symmetrize(g *CSR) *CSR {
 	})
 	return buildSorted(g.NumVertices(), es)
 }
-
-// SymmetrizeEdges mirrors a raw edge list without building a CSR; the
-// streaming layer uses it to keep update batches consistent with a
-// symmetrized base graph.
-func SymmetrizeEdges(edges []Edge) []Edge {
-	type key struct{ u, v VertexID }
-	set := make(map[key]Weight, len(edges)*2)
-	for _, e := range edges {
-		set[key{e.Src, e.Dst}] = e.Weight
-	}
-	for _, e := range edges {
-		if _, ok := set[key{e.Dst, e.Src}]; !ok {
-			set[key{e.Dst, e.Src}] = e.Weight
-		}
-	}
-	out := make([]Edge, 0, len(set))
-	for k, w := range set {
-		out = append(out, Edge{k.u, k.v, w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}

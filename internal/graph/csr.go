@@ -243,13 +243,6 @@ func (g *CSR) InEdges(v VertexID, fn func(src VertexID, w Weight)) {
 	}
 }
 
-// OutNeighbors returns a copy of u's out-adjacency; convenience for tests.
-func (g *CSR) OutNeighbors(u VertexID) []Neighbor {
-	out := make([]Neighbor, 0, g.OutDegree(u))
-	g.OutEdges(u, func(dst VertexID, w Weight) { out = append(out, Neighbor{dst, w}) })
-	return out
-}
-
 // InNeighbors returns a copy of v's in-adjacency.
 func (g *CSR) InNeighbors(v VertexID) []Neighbor {
 	out := make([]Neighbor, 0, g.InDegree(v))

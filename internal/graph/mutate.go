@@ -105,9 +105,6 @@ func (v *View) Mask(u VertexID) { v.masked[u] = true }
 // Unmask restores u's out-edges.
 func (v *View) Unmask(u VertexID) { v.masked[u] = false }
 
-// Masked reports whether u is currently a sink.
-func (v *View) Masked(u VertexID) bool { return v.masked[u] }
-
 // OutAdj respects the mask: a masked vertex has no out-adjacency.
 func (v *View) OutAdj(u VertexID) ([]VertexID, []Weight) {
 	if v.masked[u] {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,6 +254,22 @@ func TestWALKillRestart(t *testing.T) {
 	}
 	// Kill: svcA is abandoned here — no Shutdown, no Sync. Every acked batch
 	// was synced by the per-batch WAL policy, so it must survive.
+
+	// A manifest written by a build that still had the pipeline_overlap knob
+	// must recover: the field only ever changed wall-clock time, and the
+	// manifest decode ignores fields this build does not know.
+	manifest := filepath.Join(dir, "w0", manifestName)
+	blob, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	old := bytes.Replace(blob, []byte(`"config": {`), []byte(`"config": {"pipeline_overlap": true,`), 1)
+	if bytes.Equal(old, blob) {
+		t.Fatalf("manifest has no config object to edit: %s", blob)
+	}
+	if err := os.WriteFile(manifest, old, 0o644); err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
 
 	svcB := New(Options{DataDir: dir})
 	n, err := svcB.Recover()
@@ -582,6 +600,101 @@ func TestDeleteRacingIngest(t *testing.T) {
 	}
 }
 
+// TestRacingClientsBitwise is the layer's concurrency differential: 32 tenants
+// rotating through the four selective kernels, each hammered by 4 clients
+// racing through the tenant's pre-drawn batch sequence (a 429 is retried),
+// every final state bitwise its single-threaded reference. The batches are
+// insert-only and drawn against the evolving reference, so they are pairwise
+// disjoint and commute under a selective kernel: whatever order the clients
+// land them in, the state must be the reference's exactly (a delete could be
+// reordered ahead of the insert it names, so there are none). The admission
+// queue is shallower than the client count so refusals do happen. Under -race
+// this is also the data-race regression for the whole layer.
+func TestRacingClientsBitwise(t *testing.T) {
+	const tenants, clients, perTenant = 32, 4, 6
+	svc := New(Options{QueueDepth: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	kernels := []string{"sssp", "sswp", "bfs", "cc"}
+	refs := make([]*refTenant, tenants)
+	bodies := make([][][]byte, tenants)
+	for i := range refs {
+		kernel := kernels[i%len(kernels)]
+		req := erRequest(fmt.Sprintf("race-%02d", i), kernel, kernel == "cc")
+		req.Graph.Seed = int64(7 + i)
+		refs[i] = newRefTenant(t, req, int64(1000+i))
+		if code, _ := httpJSON(t, srv, "POST", "/v1/tenants", req, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", req.Name, code)
+		}
+		for k := 0; k < perTenant; k++ {
+			bodies[i] = append(bodies[i], mustMarshal(t, refs[i].nextBatch(t)))
+		}
+	}
+
+	var refused atomic.Uint64
+	var wg sync.WaitGroup
+	for i := range refs {
+		url := srv.URL + "/v1/tenants/" + refs[i].req.Name + "/batch"
+		var next atomic.Int64 // the tenant's next unsent batch, shared by its clients
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < perTenant; k = next.Add(1) - 1 {
+					for attempt := 0; ; attempt++ {
+						resp, err := srv.Client().Post(url, "application/json", bytes.NewReader(bodies[i][k]))
+						if err != nil {
+							t.Errorf("%s batch %d: %v", url, k, err)
+							return
+						}
+						resp.Body.Close()
+						if resp.StatusCode == http.StatusOK {
+							break
+						}
+						if resp.StatusCode != http.StatusTooManyRequests {
+							t.Errorf("%s batch %d: status %d", url, k, resp.StatusCode)
+							return
+						}
+						refused.Add(1)
+						time.Sleep(time.Millisecond << min(attempt, 6)) // a client's backoff, not synchronization
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, ref := range refs {
+		var st StateResponse
+		if code, _ := httpJSON(t, srv, "GET", "/v1/tenants/"+ref.req.Name+"/state", nil, &st); code != http.StatusOK {
+			t.Fatalf("%s state: status %d", ref.req.Name, code)
+		}
+		if st.Batches != perTenant {
+			t.Fatalf("%s applied %d batches, want %d", ref.req.Name, st.Batches, perTenant)
+		}
+		got, err := DecodeState(st.State, st.CRC64)
+		if err != nil {
+			t.Fatalf("%s state: %v", ref.req.Name, err)
+		}
+		mustBitwise(t, got, ref.state(), ref.req.Name+" after racing clients")
+	}
+	stats := svc.Stats()
+	if stats.Tenants != tenants || stats.BatchesTotal != tenants*perTenant || stats.RejectedTotal != 0 {
+		t.Fatalf("stats: %d tenants, %d batches, %d rejected; want %d, %d, 0",
+			stats.Tenants, stats.BatchesTotal, stats.RejectedTotal, tenants, tenants*perTenant)
+	}
+	if got := refused.Load(); stats.Throttled != got {
+		t.Fatalf("service counted %d throttled requests, clients saw %d", stats.Throttled, got)
+	}
+	if err := svc.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	blob, err := json.Marshal(v)
@@ -618,6 +731,7 @@ func TestCreateErrors(t *testing.T) {
 		{"bad-config", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"opt":"turbo"}}`, 400},
 		{"wal-without-datadir", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"wal_dir":"wal"}}`, 400},
 		{"rebuild-graph-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"rebuild_graph":true}}`, 400},
+		{"pipeline-overlap-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"pipeline_overlap":true}}`, 400},
 		{"unknown-body-field", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"surprise":1}`, 400},
 		{"too-many-vertices", `{"name":"t","graph":{"gen":"er","vertices":99999999,"edges":8},"algorithm":{"name":"sssp"}}`, 400},
 		{"trailing-data", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"}} {"name":"u"}`, 400},

@@ -73,9 +73,6 @@ func (k *Kernel) Run() uint64 {
 	return k.now
 }
 
-// Pending returns the number of scheduled events.
-func (k *Kernel) Pending() int { return k.cal.Len() }
-
 // Resource models a fully pipelined unit that can accept one operation per
 // `Interval` cycles. Acquire returns when the operation starts; the caller
 // adds its own latency for completion.

@@ -76,8 +76,8 @@ type ShapeConfig struct {
 
 // ShapeGen draws successive adversarial batches against the current graph
 // version. Like Generator, it is deterministic for a given seed and sequence
-// of graphs, so recording its output and replaying the trace reproduces the
-// run exactly.
+// of graphs, so a second generator with the same seed reproduces the run
+// exactly.
 type ShapeGen struct {
 	cfg   ShapeConfig
 	rng   *rand.Rand

@@ -103,13 +103,6 @@ func (r *Ring) TTL() int { return r.ttl }
 // Len returns the number of live tracked edges.
 func (r *Ring) Len() int { return len(r.age) }
 
-// Age returns the insertion epoch of the edge (src,dst) and whether the ring
-// tracks it.
-func (r *Ring) Age(src, dst graph.VertexID) (uint64, bool) {
-	e, ok := r.age[Key{src, dst}]
-	return e, ok
-}
-
 // Seed registers the edges of a pre-existing graph at epoch atBatch — epoch 0
 // for a fresh system, or the restored batch count when a window is attached
 // to a mid-stream state (the seeded edges then live a full TTL from that

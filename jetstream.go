@@ -227,17 +227,6 @@ func WithDetailedTiming() Option {
 	return func(s *settings) { s.DetailedTiming = true }
 }
 
-// WithPipelineOverlap overlaps the functional compute with the cycle
-// simulation when the timing model is on: the engine hands each row batch's
-// charge records to a consumer goroutine over a bounded two-slot FIFO and
-// keeps computing while the simulator drains. A pure wall-clock optimization
-// — cycle counts and all statistics are bitwise-identical with it on or off,
-// and it is a documented no-op when timing is off (including with
-// WithTiming(false) or parallel functional execution).
-func WithPipelineOverlap(on bool) Option {
-	return func(s *settings) { s.PipelineOverlap = on }
-}
-
 // WithInlineDegree tunes the degree-adaptive adjacency layout of the
 // incremental host path: vertices with at most n neighbors in a direction are
 // stored in per-vertex cache-line records instead of the shared slack slab,
@@ -462,7 +451,6 @@ func New(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 	cfg.InlineDegree = set.InlineDegree
 	cfg.Engine.Timing = set.Timing
 	cfg.Engine.DetailedTiming = set.DetailedTiming
-	cfg.Engine.PipelineOverlap = set.PipelineOverlap
 	if set.Parallelism > 0 {
 		cfg.Engine.Parallelism = set.Parallelism
 	}
@@ -533,9 +521,7 @@ func (s *System) attachFreshWAL(dir string, opts wal.Options) error {
 	return nil
 }
 
-// delta snapshots the counters consumed since the previous snapshot. Cycles
-// is read before the struct copy: with pipeline overlap on, the cycle read
-// joins the timing consumer, and the copy must not race with it.
+// delta snapshots the counters consumed since the previous snapshot.
 func (s *System) delta() Result {
 	cy := s.js.Cycles()
 	cur := *s.st
@@ -715,9 +701,7 @@ func (s *System) StateRef() []float64 { return s.js.State() }
 // across a checkpoint/restore cycle); the watchdog cadence follows it.
 func (s *System) Batches() uint64 { return s.batches }
 
-// TotalStats returns cumulative counters since construction. The cycle read
-// comes first: it joins any in-flight pipelined timing work, so the struct
-// copy sees settled counters.
+// TotalStats returns cumulative counters since construction.
 func (s *System) TotalStats() Counters {
 	cy := s.js.Cycles()
 	c := *s.st
