@@ -6,14 +6,12 @@
 //
 //	go run ./cmd/jetlint ./...
 //	go run ./cmd/jetlint -json ./internal/engine/...
-//	go run ./cmd/jetlint -sarif ./... > jetlint.sarif
 //	go run ./cmd/jetlint -determinism=false ./...
 //
 // Each analyzer has an enable flag named after it (default true). Positional
 // arguments restrict which packages' diagnostics are reported (./... means
 // everything); the whole module is always loaded so module-wide analyses see
-// every package. -json and -sarif select machine-readable output (mutually
-// exclusive); -sarif emits a SARIF 2.1.0 log for CI code-scanning surfaces.
+// every package. -json selects machine-readable output.
 // Exit status: 0 clean, 1 diagnostics reported, 2 load or type-check failure.
 package main
 
@@ -30,7 +28,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
 	analyzers := lint.All()
 	enabled := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
@@ -45,10 +42,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "jetlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -69,13 +62,7 @@ func main() {
 	diags := lint.Run(mod, run)
 	diags = filterPatterns(diags, root, flag.Args())
 
-	switch {
-	case *sarifOut:
-		if err := writeSARIF(os.Stdout, root, run, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "jetlint:", err)
-			os.Exit(2)
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -85,7 +72,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "jetlint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -463,9 +463,8 @@ func TestAblationTwoPhaseAccumulateCorrect(t *testing.T) {
 // walks, segments the setup scan has just rebuilt and published), which is
 // what -race is pointed at; graph.TestConcurrentFirstReads races the rebuilds
 // themselves. The superseded version must come out of the batch serving
-// exactly its old edge set. How far a fanned-out two-phase run may sit from
-// the exact result is the open accumulative-bound item (ROADMAP), not this
-// test's: the divergence is logged, and only required to be a number.
+// exactly its old edge set, and the fanned-out run must stay within the
+// tolerance the sequential ablation is held to.
 func TestTwoPhaseFanoutReadsSupersededVersion(t *testing.T) {
 	defer engine.SetFanoutThresholdForTest(0)()
 	a := algo.NewPageRank(1e-10)
@@ -497,11 +496,10 @@ func TestTwoPhaseFanoutReadsSupersededVersion(t *testing.T) {
 		if err := js.Graph().Validate(); err != nil {
 			t.Fatalf("batch %d: head: %v", i, err)
 		}
-		d := js.Verify()
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			t.Fatalf("batch %d: divergence %v", i, d)
+		tol := Tolerance(a, js.Graph().NumEdges(), i+1)
+		if d := js.Verify(); !(d <= tol) {
+			t.Fatalf("batch %d diverged by %v (tol %v)", i, d, tol)
 		}
-		t.Logf("batch %d: divergence %.3g (sequential tolerance %.3g)", i, d, Tolerance(a, js.Graph().NumEdges(), i+1))
 	}
 	if ls := js.Graph().LayoutStats(); ls.UndoRebuilt == 0 {
 		t.Fatal("no pre-batch adjacency was ever rebuilt: the run read no superseded version")

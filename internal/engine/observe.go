@@ -66,7 +66,6 @@ type workerObs struct {
 	forwarded *obs.Counter
 	rounds    *obs.Counter
 	idleSpins *obs.Counter
-	parks     *obs.Counter
 	shardHigh *obs.Max
 }
 
@@ -118,7 +117,6 @@ func (o *Obs) worker(i int) *workerObs {
 			forwarded: o.Reg.Counter("jetstream_worker_events_forwarded_total", l),
 			rounds:    o.Reg.Counter("jetstream_worker_rounds_total", l),
 			idleSpins: o.Reg.Counter("jetstream_worker_idle_spins_total", l),
-			parks:     o.Reg.Counter("jetstream_worker_parks_total", l),
 			shardHigh: o.Reg.Max("jetstream_worker_shard_highwater", l),
 		})
 	}
@@ -148,6 +146,8 @@ func (o *Obs) pairMatrix(k int) *noc.Matrix {
 }
 
 // WorkerStats is one worker's published totals, for structured snapshots.
+// IdleSpins counts fanned-out supersteps in which the worker had nothing to
+// drain and only waited at the barrier.
 type WorkerStats struct {
 	Processed      uint64
 	Coalesced      uint64
@@ -155,7 +155,6 @@ type WorkerStats struct {
 	Forwarded      uint64
 	Rounds         uint64
 	IdleSpins      uint64
-	Parks          uint64
 	ShardHighWater uint64
 }
 
@@ -170,7 +169,6 @@ func (o *Obs) WorkerSnapshots() []WorkerStats {
 			Forwarded:      w.forwarded.Load(),
 			Rounds:         w.rounds.Load(),
 			IdleSpins:      w.idleSpins.Load(),
-			Parks:          w.parks.Load(),
 			ShardHighWater: w.shardHigh.Load(),
 		}
 	}
@@ -269,7 +267,7 @@ func (e *Engine) countComputePhase(fanned bool) {
 // publishWorker attributes one parallel worker's phase counters to its
 // series, advancing the published baseline so FlushObs does not re-attribute
 // them to worker 0.
-func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sent []uint64, shardHigh int, idle, parks uint64) {
+func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sent []uint64, shardHigh int, idle uint64) {
 	o := e.ob
 	e.obPub.Add(st)
 	w := o.worker(id)
@@ -279,7 +277,6 @@ func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sen
 	w.forwarded.Add(forwarded)
 	w.rounds.Add(st.Rounds)
 	w.idleSpins.Add(idle)
-	w.parks.Add(parks)
 	w.shardHigh.Observe(uint64(shardHigh))
 	if len(sent) > 0 {
 		m := o.pairMatrix(len(sent))

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"jetstream/internal/algo"
 	"jetstream/internal/event"
@@ -18,74 +16,39 @@ import (
 // This file is the parallel multi-PE execution path of the functional engine.
 // The paper's accelerator runs 8 event-processing PEs concurrently over a
 // partitioned vertex space (Table 1); here each PE is one worker that owns a
-// disjoint vertex set (the BFS-grown partition of
-// internal/graph/partition.go), drains a private coalescing shard
-// (queue.Shard), and routes cross-partition propagations through per-pair
-// channels that mirror the internal/noc crossbar fabric.
+// disjoint vertex set (graph.PartitionGraph), drains a private coalescing
+// shard (queue.Shard), and routes cross-partition propagations through
+// per-pair outboxes that mirror the internal/noc crossbar fabric. Shards,
+// outboxes and workers are built by the first phase that fans out and reused
+// by every later one; a phase that stays on the caller never touches them.
 //
-// The PEs are standing hardware, so their software image is too: shards,
-// links and worker structs are built once per engine, on the first phase that
-// needs them, and every later phase reuses them. A compute phase starts on
-// the calling goroutine with the sequential drain and hands its frontier to
-// the workers only once the frontier is large enough to repay the fan-out
-// (fanoutMinFrontier); a phase that stays small never touches this state.
-//
-// Correctness rests on three properties:
+// A fanned-out phase runs in supersteps, as the paper's PEs drain the queue
+// round by round: every worker drains exactly one round of its shard, all
+// meet at a barrier, each merges the mail addressed to it in ascending sender
+// order, and all meet again; the phase ends after the first superstep that
+// leaves every shard empty. Correctness rests on three properties:
 //
 //   - Ownership: a vertex's state (and DAP dependency field) is read and
 //     written only by its owning worker, so the shared state slice needs no
-//     locks. Handlers never read another vertex's state — contributions
-//     arrive in the event payload, exactly as in the hardware.
-//   - Reordering: Reduce is commutative and associative (paper §3.1), so any
-//     interleaving converges to the same fixpoint — identical bits for
-//     selective kernels, within the epsilon-truncation bound for
+//     locks. Contributions arrive in the event payload, as in the hardware.
+//   - Reordering: Reduce is commutative and associative (paper §3.1), so
+//     supersteps converge to the sequential drain's fixpoint — identical bits
+//     for selective kernels, within the epsilon-truncation bound for
 //     accumulative ones.
-//   - Quiescence: termination uses a distributed outstanding-event count
-//     instead of the sequential empty-queue check. Every live event record
-//     (queue slot, overflow entry, staged or in-flight cross event) holds
-//     one token on a shared counter; tokens are acquired before the record
-//     becomes visible and released only after it is retired (processed, or
-//     merged into an already-counted slot). A worker observing zero may
-//     therefore exit: nothing is live anywhere and no live record can mint
-//     new work.
+//   - Determinism: what a worker drains in a superstep is its own puts in
+//     drain order, then its mail in sender order — a function of the previous
+//     barrier's shards, never of scheduling — so at a fixed p a phase is
+//     bitwise reproducible, counters included, on any number of cores.
 
-// chanCap bounds each per-pair data channel. Sends are non-blocking (a full
-// channel leaves the events in the sender's staging buffer, retried next
-// loop), so the capacity never decides correctness — but it does decide how
-// promptly a busy receiver sees its neighbors' rounds. A queue of one holds a
-// sender's later rounds back until the receiver has taken the first, and for
-// accumulative kernels deltas that arrive late start their own chain of
-// ever-smaller propagations instead of merging into the one already running,
-// so more of them fall under epsilon: at capacity 1 the windowed adsorption
-// differential overshoots its tolerance in one run out of five, at 8 in none
-// of sixty. Beyond that a longer queue only adds buffers to keep.
-const chanCap = 8
-
-// freeCap bounds the return channel of a link: the buffers one pair can have
-// in circulation are those queued in data, the one the sender is staging into
-// and the one the receiver is unpacking, so returning a buffer never blocks
-// and never has to drop one.
-const freeCap = chanCap + 2
-
-// recycleCap is the largest mail buffer, in events (6 KB), that a receiver
-// hands back for reuse; a larger one is left to the collector as soon as it
-// is unpacked. A round's output goes to each neighbor as one batch however
-// large — delivering it in pieces costs coalescing, hence work — so buffer
-// sizes follow the phase, and recycling every size would keep several times
-// the largest batch per pair alive, during the phase and after it (measured:
-// +15 MB peak RSS on the benchmark's durable-bulk tenants). With the cap, a
-// phase whose batches are small allocates nothing in steady state, a large
-// phase's large batches cost what they always did, and what an engine retains
-// is bounded by freeCap·p²·recycleCap events.
+// recycleCap is the largest outbox, in events (8 KB), that a worker keeps for
+// the next superstep; a larger one is left to the collector once merged. A
+// round's output goes to each neighbor as one batch however large (pieces
+// cost coalescing, hence work), and keeping every size would hold the largest
+// batch per pair alive after the phase (measured: +15 MB peak RSS on the
+// benchmark's durable-bulk tenants). With the cap a phase of small batches
+// allocates nothing in steady state, and an engine retains at most
+// p²·recycleCap events.
 const recycleCap = 256
-
-// idleSpinLimit is how many times in a row an idle worker yields and looks
-// again before it blocks on its wake channel. A neighbor mid-round usually
-// mails within a few scheduler quanta, and a yield is cheaper than a
-// park/unpark pair; past that the worker is only burning a core the busy
-// workers could use. An iteration count, not a duration: this package may not
-// read the wall clock (jetlint determinism).
-const idleSpinLimit = 16
 
 // A compute phase at parallelism > 1 leaves the calling goroutine for the PE
 // workers iff both hold at a drain-round boundary:
@@ -95,8 +58,8 @@ const idleSpinLimit = 16
 //     routing the frontier into their shards; and
 //   - the process has at least fanoutMinCores cores (GOMAXPROCS when the
 //     engine was built) to run them on. An event on the PE path costs 2.4
-//     to 3.7 caller events of CPU (ownership lookup, staging, mail, token
-//     accounting, idle polling), so the workers only win once that many of
+//     to 3.7 caller events of CPU (ownership lookup, staging, mail,
+//     coordination), so the workers only win once that many of
 //     them really run at once; with fewer cores fan-out loses at every
 //     frontier and the phase stays on the caller however large it grows.
 //
@@ -115,14 +78,30 @@ var (
 	fanoutCores     = fanoutMinCores
 )
 
-// link is the one-way fabric from one worker to another: data carries event
-// batches to the receiver, free carries the emptied buffers back so a
-// steady-state phase allocates none, and wake is the receiver's wake channel,
-// raised after every batch so mail never waits on a blocked worker.
-type link struct {
-	data chan []event.Event
-	free chan []event.Event
-	wake chan struct{}
+// barrier is a reusable rendezvous of n goroutines: wait returns once all n
+// have called it. A waiter sleeps until its own meeting's generation is over,
+// so one already arriving at the next meeting cannot release the last.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n       int
+	arrived int
+	gen     uint64
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	gen := b.gen
+	b.arrived++
+	if b.arrived == b.n {
+		b.arrived = 0
+		b.gen++
+		b.cond.Broadcast()
+	}
+	for gen == b.gen {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }
 
 // peRun is the engine-lifetime state of the parallel path: everything a
@@ -142,51 +121,30 @@ type peRun struct {
 
 	sq      *queue.Sharded
 	workers []*peWorker
+	step    barrier
 	wg      sync.WaitGroup
 
 	// seedMerged[d] counts frontier events that coalesced into shard d while
 	// the frontier moved over (attributed to d's owner: that is where the
 	// merge happens in the hardware).
 	seedMerged []uint64
-
-	// outstanding is the quiescence barrier: live event records not yet
-	// retired. Workers exit when they observe zero. Every worker hammers this
-	// counter once per row batch, so it gets a cache line to itself — without
-	// the fences its line also holds the read-mostly fields above, and every
-	// Add would invalidate the view/state headers in all other workers'
-	// caches.
-	_           pad.Line
-	outstanding atomic.Int64
-	_           pad.Line
 }
 
-// peWorker is one simulated processing engine.
-//
-// The stats block and the per-batch tallies below the first pad line are
-// written by this worker on every processed event. Workers are allocated
-// back-to-back, so without the cache-line fences one worker's counter
-// increments would sit on the same line as a neighbor's and the per-event
-// stores would ping-pong ownership between cores — the classic false-sharing
-// tax on exactly the path BenchmarkParallelism measures.
+// peWorker is one simulated processing engine. Everything below the first pad
+// line is written by this worker on every processed event; the fences keep
+// back-to-back workers' counters off each other's cache lines, so per-event
+// stores do not ping-pong a line between cores (false sharing).
 type peWorker struct {
 	id      int
 	run     *peRun
 	shard   *queue.Shard
-	staging [][]event.Event // cross-partition events not yet sent, per destination
-	in      []link          // links into this worker, by source (zero at index id)
-	out     []link          // links out of this worker, by destination (zero at index id)
-	wake    chan struct{}   // raised by mail senders and by the quiescence transition
+	staging [][]event.Event     // outbox per destination, merged by it between the barriers
+	drain   func([]event.Event) // processes one row batch; bound once
 
 	_  pad.Line       // fence: per-event single-writer region below
 	st stats.Counters // merged into the engine's sink at phase end
 
-	// Per-batch token bookkeeping (see quiescence comment above).
-	newLive int64 // records that became live while processing the current batch
-
-	// backlog reports that the last flush left a batch staged behind a full
-	// channel. Nobody signals when the channel drains, so a worker with a
-	// backlog keeps polling instead of blocking.
-	backlog bool
+	live int // shard length after this superstep's mail: the termination test
 
 	// Observability tallies, published into the engine's Obs at phase end.
 	// tr is nil when the engine is uninstrumented; it must be called only
@@ -195,8 +153,7 @@ type peWorker struct {
 	trSeq     uint64
 	sent      []uint64 // per-destination cross-partition events staged
 	forwarded uint64   // total cross-partition events staged
-	idleSpins uint64   // loop iterations that found no work and yielded
-	parks     uint64   // times the worker blocked on its wake channel
+	idleSpins uint64   // supersteps with nothing to drain, spent waiting at the barrier
 
 	_ pad.Line // fence: nothing after the hot region shares its last line
 }
@@ -270,7 +227,7 @@ func (e *Engine) ownership(p int) []int32 {
 
 // peState returns the engine's parallel run state for p workers, building it
 // on the first fan-out. An engine whose phases all stay on the caller never
-// gets here and holds no shard, channel or worker.
+// gets here and holds no shard, outbox or worker.
 func (e *Engine) peState(p int) *peRun {
 	if e.run != nil && len(e.run.workers) == p {
 		return e.run
@@ -283,32 +240,21 @@ func (e *Engine) peState(p int) *peRun {
 		workers:    make([]*peWorker, p),
 		seedMerged: make([]uint64, p),
 	}
+	r.step.n, r.step.cond.L = p, &r.step.mu
 	for i := range r.workers {
 		w := &peWorker{
 			id:      i,
 			run:     r,
 			shard:   r.sq.Shard(i),
 			staging: make([][]event.Event, p),
-			in:      make([]link, p),
-			out:     make([]link, p),
-			wake:    make(chan struct{}, 1),
 			sent:    make([]uint64, p),
 		}
-		r.workers[i] = w
-	}
-	for i, src := range r.workers {
-		for j, dst := range r.workers {
-			if i == j {
-				continue
+		w.drain = func(batch []event.Event) {
+			for _, ev := range batch {
+				w.process(ev)
 			}
-			l := link{
-				data: make(chan []event.Event, chanCap),
-				free: make(chan []event.Event, freeCap),
-				wake: dst.wake,
-			}
-			src.out[j] = l
-			dst.in[i] = l
 		}
+		r.workers[i] = w
 	}
 	e.run = r
 	return r
@@ -316,15 +262,15 @@ func (e *Engine) peState(p int) *peRun {
 
 // fanOut finishes the current compute phase on p PE workers: the live
 // frontier moves from the sequential queue into the shards, the workers run
-// to global quiescence, and their counters merge back into the engine's.
-// Worker 0 runs on the calling goroutine.
+// supersteps until every shard is empty, and their counters merge back into
+// the engine's. Worker 0 runs on the calling goroutine.
 func (e *Engine) fanOut(p int) {
 	r := e.peState(p)
 	r.view, r.state, r.dep, r.trackDep = e.view, e.state, e.dep, e.dep != nil
 	r.sq.Reset(e.q.CoalescingEnabled())
 	for _, w := range r.workers {
 		w.st = stats.Counters{}
-		w.forwarded, w.idleSpins, w.parks, w.trSeq = 0, 0, 0, 0
+		w.forwarded, w.idleSpins, w.trSeq = 0, 0, 0
 		clear(w.sent)
 		w.tr = nil
 		if e.ob != nil {
@@ -333,9 +279,8 @@ func (e *Engine) fanOut(p int) {
 	}
 
 	// The frontier's events were counted as generated when they were emitted.
-	// Workers have not started, so token ordering is not yet a concern.
 	clear(r.seedMerged)
-	r.outstanding.Store(int64(r.sq.Adopt(e.q, r.seedMerged)))
+	r.sq.Adopt(e.q, r.seedMerged)
 	for d, n := range r.seedMerged {
 		e.st.EventsCoalesced += n
 		if e.ob != nil && n > 0 {
@@ -361,7 +306,7 @@ func (e *Engine) fanOut(p int) {
 	}
 	if e.ob != nil {
 		for i, w := range r.workers {
-			e.publishWorker(i, &w.st, w.forwarded, w.sent, w.shard.HighWater(), w.idleSpins, w.parks)
+			e.publishWorker(i, &w.st, w.forwarded, w.sent, w.shard.HighWater(), w.idleSpins)
 		}
 	}
 }
@@ -372,89 +317,41 @@ func (w *peWorker) main() {
 	w.loop()
 }
 
-// loop is the worker's scheduler: drain inbound cross-partition events,
-// process local rows, flush outbound staging, and exit at global quiescence.
-// A worker with nothing to do yields idleSpinLimit times, then blocks on its
-// wake channel. That cannot lose a wakeup: whatever could give it work or end
-// the phase — a mail send, the token count reaching zero — raises the channel
-// after making the change visible, and the channel holds the signal until it
-// is taken, so a signal raised between the checks above and the receive below
-// is still there when the worker blocks. A stale signal costs one extra pass.
+// loop runs the worker's supersteps. Between the two barriers a worker reads
+// the others' outboxes and writes its own shard and live count; after the
+// second it reads the live counts and writes its own outboxes, and no one
+// writes a count again before passing the next first barrier — so the
+// barriers are the whole synchronization, and every worker reaches the same
+// verdict in the same superstep.
 //
 //jetlint:hotpath
 func (w *peWorker) loop() {
-	spins := 0
+	r := w.run
 	for {
-		progress := w.drainInbox()
-		if !w.shard.Empty() {
-			w.drainRounds()
-			w.flushStaging()
-			spins = 0
-			continue
-		}
-		if w.flushStaging() || progress {
-			spins = 0
-			continue
-		}
-		if w.run.outstanding.Load() == 0 {
-			return
-		}
-		if w.backlog || spins < idleSpinLimit {
-			spins++
+		if w.shard.Empty() {
 			w.idleSpins++
-			runtime.Gosched()
-			continue
-		}
-		w.parks++
-		<-w.wake
-		spins = 0
-	}
-}
-
-// settle applies a token delta to the quiescence counter. The worker whose
-// update retires the last token wakes everyone blocked, so they observe zero
-// and leave.
-func (w *peWorker) settle(delta int64) {
-	if delta == 0 || w.run.outstanding.Add(delta) != 0 {
-		return
-	}
-	for _, o := range w.run.workers {
-		if o != w {
-			raise(o.wake)
-		}
-	}
-}
-
-// raise sets a wake channel without blocking; an already-raised channel
-// stays raised.
-func raise(wake chan struct{}) {
-	select {
-	case wake <- struct{}{}:
-	default:
-	}
-}
-
-// drainRounds processes the shard until it is momentarily empty,
-// interleaving inbox drains so inbound events join the current cascade.
-func (w *peWorker) drainRounds() {
-	for !w.shard.Empty() {
-		n := w.shard.DrainRound(func(batch []event.Event) {
-			w.newLive = 0
-			for _, ev := range batch {
-				w.process(ev)
-			}
-			// One atomic per row batch: retire the batch's tokens and
-			// acquire tokens for every record it made live. The swap
-			// happens after the children exist (so the counter can never
-			// dip to zero while work remains) and before staged events are
-			// sent (staged records are counted, merely not yet visible).
-			w.settle(w.newLive - int64(len(batch)))
-		})
-		if n > 0 {
+		} else {
+			w.shard.DrainRound(w.drain)
 			w.st.Rounds++
 		}
-		w.flushStaging()
-		w.drainInbox()
+		r.step.wait()
+		for _, o := range r.workers { // a worker's outbox to itself stays empty
+			for _, ev := range o.staging[w.id] {
+				if w.shard.Put(ev.Target, ev.Value, ev.Source, ev.Flags) {
+					w.st.EventsCoalesced++
+				}
+			}
+		}
+		w.live = w.shard.Len()
+		r.step.wait()
+		w.clearOutboxes()
+		live := 0
+		for _, o := range r.workers {
+			live += o.live
+		}
+		if live == 0 {
+			return
+		}
 	}
 }
 
@@ -509,7 +406,7 @@ func (w *peWorker) propagate(u graph.VertexID, x float64) {
 }
 
 // emit routes an event to the owner of its target: merged into the local
-// shard directly, staged for the per-pair channel of another worker.
+// shard directly, appended to the outbox of another worker.
 //
 //jetlint:hotpath
 func (w *peWorker) emit(t graph.VertexID, val float64, src graph.VertexID) {
@@ -518,84 +415,31 @@ func (w *peWorker) emit(t graph.VertexID, val float64, src graph.VertexID) {
 	if d == w.id {
 		if w.shard.Put(t, val, src, 0) {
 			w.st.EventsCoalesced++
-		} else {
-			w.newLive++
 		}
 		return
 	}
-	w.staging[d] = append(w.staging[d], event.Event{Target: t, Value: val, Source: src}) //jetlint:allow hotpathalloc -- the mail buffer: recycled through link.free up to recycleCap, left to the collector beyond (see recycleCap)
-	w.newLive++
+	w.staging[d] = append(w.staging[d], event.Event{Target: t, Value: val, Source: src}) //jetlint:allow hotpathalloc -- the outbox: kept across supersteps up to recycleCap, left to the collector beyond (see recycleCap)
 	w.sent[d]++
 	w.forwarded++
 }
 
-// flushStaging attempts a non-blocking send of every staged batch, taking a
-// buffer the receiver has handed back (if any) to stage into next. Full
-// channels keep their batch staged for the next attempt, which cannot
-// deadlock: every worker drains its inbox on every loop iteration.
-func (w *peWorker) flushStaging() bool {
-	sent := false
-	w.backlog = false
+// clearOutboxes empties this worker's outboxes once every receiver has
+// merged them, tracing each delivery and dropping any buffer that outgrew
+// recycleCap.
+func (w *peWorker) clearOutboxes() {
 	for d, evs := range w.staging {
 		if len(evs) == 0 {
 			continue
 		}
-		l := &w.out[d]
-		select {
-		case l.data <- evs:
-			raise(l.wake)
-			select {
-			case w.staging[d] = <-l.free:
-			default:
-				w.staging[d] = nil
-			}
-			sent = true
-			if w.tr != nil {
-				w.trSeq++
-				w.tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerMail, Seq: w.trSeq,
-					Worker: w.id, A: uint64(d), B: uint64(len(evs))})
-			}
-		default:
-			w.backlog = true
+		if w.tr != nil {
+			w.trSeq++
+			w.tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerMail, Seq: w.trSeq,
+				Worker: w.id, A: uint64(d), B: uint64(len(evs))})
+		}
+		if cap(evs) > recycleCap {
+			w.staging[d] = nil
+		} else {
+			w.staging[d] = evs[:0]
 		}
 	}
-	return sent
-}
-
-// drainInbox receives every currently available inbound batch, inserts it
-// into the local shard — releasing the tokens of records that coalesced away
-// — and hands the emptied buffer back to its sender unless it outgrew
-// recycleCap.
-func (w *peWorker) drainInbox() bool {
-	got := false
-	for s := range w.in {
-		l := &w.in[s]
-		if l.data == nil {
-			continue
-		}
-		for {
-			select {
-			case evs := <-l.data:
-				got = true
-				merged := int64(0)
-				for _, ev := range evs {
-					if w.shard.Insert(ev) {
-						w.st.EventsCoalesced++
-						merged++
-					}
-				}
-				if cap(evs) <= recycleCap {
-					select {
-					case l.free <- evs[:0]:
-					default:
-					}
-				}
-				w.settle(-merged)
-				continue
-			default:
-			}
-			break
-		}
-	}
-	return got
 }

@@ -23,8 +23,9 @@ const (
 	// phase. Worker is the PE id; A carries events processed, B events
 	// forwarded to other workers.
 	KindWorkerDrain
-	// KindWorkerMail reports a cross-worker mail delivery. Worker is the
-	// sending PE; A the destination PE, B the event count.
+	// KindWorkerMail reports a cross-worker mail delivery, one per non-empty
+	// outbox per superstep. Worker is the sending PE; A the destination PE, B
+	// the event count.
 	KindWorkerMail
 	// KindWatchdog reports a divergence-watchdog check that actually sampled
 	// state. A carries the batch index, B is 1, F the observed divergence.

@@ -171,16 +171,16 @@ func TestShardedAdopt(t *testing.T) {
 	sq := NewSharded(2, stripedOwner(8, 2), Config{RowSize: 4}, shardMinCoalesce, true)
 	merged := make([]uint64, 2)
 
-	if live := sq.Adopt(q, merged); live != 0 {
-		t.Fatalf("adopting a dormant queue made %d records live", live)
+	if sq.Adopt(q, merged); sq.Len() != 0 {
+		t.Fatalf("adopting a dormant queue made %d records live", sq.Len())
 	}
 
 	q.SetCoalescing(false)
 	q.Insert(event.New(1, 5))
 	q.Insert(event.New(4, 9))
 	q.Insert(event.New(1, 3)) // overflow: slot 1 is taken and coalescing is off
-	if live := sq.Adopt(q, merged); live != 2 {
-		t.Fatalf("Adopt made %d records live, want 2 (vertex 1 merges in its shard)", live)
+	if sq.Adopt(q, merged); sq.Len() != 2 {
+		t.Fatalf("Adopt made %d records live, want 2 (vertex 1 merges in its shard)", sq.Len())
 	}
 	if merged[0] != 0 || merged[1] != 1 {
 		t.Fatalf("merged = %v, want the one merge attributed to shard 1", merged)

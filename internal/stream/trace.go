@@ -43,18 +43,10 @@ type Generator struct {
 // NewGenerator returns a generator for cfg, drawing from a private generator
 // seeded with cfg.Seed.
 func NewGenerator(cfg Config) *Generator {
-	return NewGeneratorWithRand(cfg, rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// NewGeneratorWithRand returns a generator drawing from rng, which must be
-// explicitly seeded by the caller. Use this to share one random stream across
-// several components (generator, fault injector) so a single seed reproduces
-// the whole run.
-func NewGeneratorWithRand(cfg Config, rng *rand.Rand) *Generator {
 	if cfg.MaxWeight <= 0 {
 		cfg.MaxWeight = 64
 	}
-	return &Generator{cfg: cfg, rng: rng}
+	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Next draws a batch valid against g: deletions name existing edges,

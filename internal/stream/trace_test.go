@@ -82,11 +82,16 @@ func TestDeleteCapPreservesGraph(t *testing.T) {
 	}
 }
 
+// TestInjectedRandMatchesSeededConstructor pins what NewGenerator builds: a
+// generator with the default weight bound drawing from a source seeded with
+// cfg.Seed and nothing else.
 func TestInjectedRandMatchesSeededConstructor(t *testing.T) {
 	g := graph.RMAT(graph.RMATConfig{Vertices: 200, Edges: 1500, Seed: 3})
 	cfg := Config{BatchSize: 50, InsertFrac: 0.5, Seed: 9}
 	a := NewGenerator(cfg).Next(g)
-	b := NewGeneratorWithRand(cfg, rand.New(rand.NewSource(cfg.Seed))).Next(g)
+	withDefaults := cfg
+	withDefaults.MaxWeight = 64
+	b := (&Generator{cfg: withDefaults, rng: rand.New(rand.NewSource(cfg.Seed))}).Next(g)
 	if len(a.Inserts) != len(b.Inserts) || len(a.Deletes) != len(b.Deletes) {
 		t.Fatal("injected rng diverged from seeded constructor")
 	}

@@ -50,7 +50,7 @@ func WithObserver(o Observer) Option {
 // MetricsSchemaVersion is the version of the MetricsSnapshot layout. It
 // increments when fields change meaning or disappear; additions keep the
 // version.
-const MetricsSchemaVersion = 1
+const MetricsSchemaVersion = 2
 
 // WorkerMetrics is one worker's cumulative share of the engine's work. At
 // every operation boundary the per-worker sums over all workers equal the
@@ -62,15 +62,13 @@ type WorkerMetrics struct {
 	EventsCoalesced uint64
 	EventsGenerated uint64
 	// EventsForwarded counts events this worker routed to another worker's
-	// shard through the mail channels (the NoC crossbar traffic).
+	// shard through its outboxes (the NoC crossbar traffic).
 	EventsForwarded uint64
 	Rounds          uint64
-	// IdleSpins counts scheduler passes in which this worker found nothing to
-	// do and yielded; Parks counts the times it then gave up polling and
-	// blocked until a neighbor mailed it or the phase ended. Both stay zero
-	// for phases that never left the calling goroutine.
+	// IdleSpins counts supersteps of fanned-out phases in which this worker
+	// had nothing to drain and only waited at the barrier. It stays zero for
+	// phases that never left the calling goroutine.
 	IdleSpins      uint64
-	Parks          uint64
 	ShardHighWater uint64
 }
 
@@ -169,7 +167,6 @@ func (s *System) Metrics() MetricsSnapshot {
 				EventsForwarded: w.Forwarded,
 				Rounds:          w.Rounds,
 				IdleSpins:       w.IdleSpins,
-				Parks:           w.Parks,
 				ShardHighWater:  w.ShardHighWater,
 			})
 		}

@@ -214,7 +214,7 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		"jetstream_queue_live_events",
 		`jetstream_compute_phases_total{mode="caller"}`,
 		`jetstream_compute_phases_total{mode="fanout"}`,
-		`jetstream_worker_parks_total{worker="0"}`,
+		`jetstream_worker_idle_spins_total{worker="0"}`,
 		"jetstream_graph_relocations_total",
 		"jetstream_graph_relayouts_total 1",
 		"jetstream_graph_undo_records_total",
