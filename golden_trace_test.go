@@ -28,11 +28,15 @@ const goldenTracePath = "results/golden_trace_sssp.txt"
 
 // goldenTrace runs the fixed SSSP scenario at parallelism 1 and returns one
 // line per processed event: target, source, flags, and the value's exact
-// IEEE-754 bits (hex, so the file is stable across formatting changes).
+// IEEE-754 bits (hex, so the file is stable across formatting changes). The
+// cycle model is attached, so the trace pins the paper's event protocol:
+// request events and every emitted event, where the host path without a
+// cycle model answers requests along the asking edge and drops dominated
+// events.
 func goldenTrace(t *testing.T) []byte {
 	t.Helper()
 	g := WebCrawl(WebCrawlConfig{Vertices: 120, AvgDegree: 4, Seed: 5})
-	sys, err := New(g, SSSP(0), WithTiming(false), WithParallelism(1))
+	sys, err := New(g, SSSP(0), WithTiming(true), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}

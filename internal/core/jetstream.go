@@ -348,11 +348,10 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 		j.setCoalescing(true)
 	}
 
-	// Phase 3 — Reapproximate: revisit the Impact Buffer and send request
-	// events along each impacted vertex's incoming edges so neighbors
-	// re-propagate their states (§3.4). In-edges of the new version: every
-	// surviving in-neighbor is asked; inserted in-edges are covered by the
-	// insertion events below.
+	// Phase 3 — Reapproximate: revisit the Impact Buffer and ask each
+	// impacted vertex's in-neighbors to re-propagate their states (§3.4).
+	// In-edges of the new version: every surviving in-neighbor is asked;
+	// inserted in-edges are covered by the insertion events below.
 	j.eng.ChargeSpill(2 * len(j.impact)) // Impact Buffer round trip (§4.5)
 	j.requestImpacted(ng)
 
@@ -369,8 +368,14 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 }
 
 // requestImpacted is the Reapproximate step: for every vertex in the Impact
-// Buffer, re-seed its initial-event contribution and send a request event to
-// each of its in-neighbors in ng.
+// Buffer, re-seed its initial-event contribution and ask each of its
+// in-neighbors in ng for its contribution.
+//
+// Under a cycle model the request is the paper's: a request event to each
+// in-neighbor, which then re-propagates along its whole out-adjacency. Without
+// one the host answers it along the asking edge instead — the in-neighbor's
+// current contribution, sent straight to v. An in-neighbor still at Identity
+// was itself reset; its own compute pass will reach v.
 //
 //jetlint:hotpath
 func (j *JetStream) requestImpacted(ng *graph.CSR) {
@@ -384,15 +389,27 @@ func (j *JetStream) requestImpacted(ng *graph.CSR) {
 		if val, ok := j.alg.InitialEventFor(v, ng); ok {
 			j.eng.EmitTo(v, val, event.NoSource, 0)
 		}
-		srcs, _ := ng.InAdj(v)
+		srcs, ws := ng.InAdj(v)
 		if len(srcs) == 0 {
 			continue
 		}
 		j.st.EdgeReads += uint64(len(srcs))
 		j.st.RequestsIssued += uint64(len(srcs))
-		j.setup.fetch(inRegion+ng.InEdgeOffset(v), len(srcs))
-		for _, src := range srcs {
-			j.eng.EmitTo(src, identity, event.NoSource, event.FlagRequest)
+		if j.setup.on {
+			j.setup.fetch(inRegion+ng.InEdgeOffset(v), len(srcs))
+			for _, src := range srcs {
+				j.eng.EmitTo(src, identity, event.NoSource, event.FlagRequest)
+			}
+			continue
+		}
+		ws = ws[:len(srcs)]
+		for i, src := range srcs {
+			j.st.VertexReads++
+			x := j.eng.PeekVertex(src)
+			if x == identity {
+				continue
+			}
+			j.eng.EmitTo(v, j.alg.Propagate(src, x, ws[i], ng.OutDegree(src), ng.OutWeightSum(src)), src, 0)
 		}
 	}
 	j.setup.charge(j.eng)

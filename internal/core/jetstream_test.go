@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"jetstream/internal/algo"
 	"jetstream/internal/engine"
+	"jetstream/internal/event"
 	"jetstream/internal/graph"
 	"jetstream/internal/stats"
 	"jetstream/internal/stream"
@@ -649,9 +651,12 @@ func functionalCounters(st *stats.Counters) [11]uint64 {
 
 // TestTimingDoesNotChangeFunctionalWork pins that the timing recorders — the
 // engine's per-batch lists and the setup scans recorded here — are recorders
-// only: the same stream with a cycle model attached and without one does the
-// same functional work, counter for counter and bit for bit, on every
-// recovery path (Base/VAP/DAP deletes, fused and two-phase accumulative).
+// only: the same stream with a cycle model attached and without one ends in
+// the same state, bit for bit, on every recovery path (Base/VAP/DAP deletes,
+// fused and two-phase accumulative). Accumulative kernels also do the same
+// functional work, counter for counter. Selective kernels process fewer
+// events without a cycle model: requests are answered along the asking edge
+// and dominated events are not emitted.
 func TestTimingDoesNotChangeFunctionalWork(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -690,8 +695,12 @@ func TestTimingDoesNotChangeFunctionalWork(t *testing.T) {
 			if onCycles == 0 || offCycles != 0 {
 				t.Fatalf("cycles with timing on %d, off %d: the arms are not what they claim", onCycles, offCycles)
 			}
-			if onWork != offWork {
-				t.Errorf("functional counters differ:\n timing on  %v\n timing off %v", onWork, offWork)
+			if a, _ := algo.New(c.alg, 0, 1e-7); a.Class() == algo.Accumulative {
+				if onWork != offWork {
+					t.Errorf("functional counters differ:\n timing on  %v\n timing off %v", onWork, offWork)
+				}
+			} else if offWork[0] >= onWork[0] {
+				t.Errorf("events processed: %d without a cycle model, %d with one; want fewer", offWork[0], onWork[0])
 			}
 			for v := range onState {
 				if math.Float64bits(onState[v]) != math.Float64bits(offState[v]) {
@@ -699,5 +708,47 @@ func TestTimingDoesNotChangeFunctionalWork(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRequestsAnsweredAlongAskingEdge deletes the edge the chain 1→2→3 hangs
+// from, which resets all three (DAP), and counts the request events the batch
+// queues. In-degrees in the new graph: 1 ← {4}, 2 ← {1, 5}, 3 ← {2, 6}, so the
+// paper's protocol, run under a cycle model, sends 5 requests to 5 distinct
+// in-neighbors. Without a cycle model the host answers each along the asking
+// edge and queues none; the state and the counted requests are the same.
+func TestRequestsAnsweredAlongAskingEdge(t *testing.T) {
+	g := graph.MustBuild(7, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 2, Dst: 3, Weight: 1},
+		{Src: 0, Dst: 4, Weight: 1}, {Src: 0, Dst: 5, Weight: 1}, {Src: 0, Dst: 6, Weight: 1},
+		{Src: 4, Dst: 1, Weight: 10}, {Src: 5, Dst: 2, Weight: 10}, {Src: 6, Dst: 3, Weight: 10},
+	})
+	a := algo.NewSSSP(0)
+	run := func(timing bool) (requests uint64, st *stats.Counters, state []float64) {
+		st = &stats.Counters{}
+		js := New(g, a, cfgOpt(OptDAP, timing), st)
+		js.RunInitial()
+		js.Engine().SetTrace(func(ev event.Event) {
+			if ev.IsRequest() {
+				requests++
+			}
+		})
+		if err := js.ApplyBatch(graph.Batch{Deletes: []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		return requests, st, append([]float64(nil), js.State()...)
+	}
+	onReq, onSt, onState := run(true)
+	offReq, offSt, offState := run(false)
+	if onReq != 5 || offReq != 0 {
+		t.Errorf("request events queued: %d under a cycle model (want 5), %d without (want 0)", onReq, offReq)
+	}
+	for _, st := range []*stats.Counters{onSt, offSt} {
+		if st.VerticesReset != 3 || st.RequestsIssued != 5 {
+			t.Errorf("reset %d vertices and issued %d requests; want 3 and 5", st.VerticesReset, st.RequestsIssued)
+		}
+	}
+	if want := []float64{0, 11, 11, 11, 1, 1, 1}; !slices.Equal(onState, want) || !slices.Equal(offState, want) {
+		t.Errorf("state %v with a cycle model, %v without; want %v", onState, offState, want)
 	}
 }

@@ -39,7 +39,10 @@ type Engine struct {
 	// acc and eps cache the kernel's class and threshold for the per-edge
 	// suppression test of PropagateValue.
 	acc bool
-	eps float64
+	// prune drops, at the emit site of a compute phase, an event its target
+	// already dominates (selective kernels, no cycle model; see PropagateValue).
+	prune bool
+	eps   float64
 
 	csr  *graph.CSR // backing CSR of the active view (for edge offsets)
 	view GraphView
@@ -135,6 +138,7 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 			e.tm = NewTiming(cfg, st)
 		}
 	}
+	e.prune = !e.acc && e.tm == nil
 	for _, o := range opts {
 		o(e)
 	}
@@ -311,6 +315,11 @@ func (e *Engine) EmitAlongEdges(u graph.VertexID, val float64, flags event.Flags
 // deltas below Epsilon are suppressed at generation (termination). This is
 // the inner loop of every compute phase: per edge, one Propagate and one put.
 //
+// Without a cycle model, an unflagged selective event whose target state
+// already dominates it is not emitted: inside a compute phase a selective
+// state only improves, so the pop would change nothing. Under a cycle model
+// every event is emitted, as the hardware would.
+//
 //jetlint:hotpath
 func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) {
 	ids, ws := e.outAdj(u)
@@ -318,6 +327,16 @@ func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) 
 		return
 	}
 	deg, wsum := len(ids), e.view.OutWeightSum(u)
+	if e.prune && flags == 0 {
+		e.materialize()
+		for i, dst := range ids {
+			val := e.alg.Propagate(u, x, ws[i], deg, wsum)
+			if cur := e.state[dst]; e.alg.Reduce(cur, val) != cur {
+				e.EmitTo(dst, val, u, 0)
+			}
+		}
+		return
+	}
 	for i, dst := range ids {
 		val := e.alg.Propagate(u, x, ws[i], deg, wsum)
 		if e.acc && math.Abs(val) <= e.eps {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,15 +251,18 @@ func TestWorkCountersPopulated(t *testing.T) {
 
 // TestWorkCountersIgnoreTiming runs every kernel's static evaluation, and
 // then a phase of delete tags emitted along edges, with a cycle model attached
-// and without: the recorders the model reads are built only in the first arm,
-// and the functional counters and the state must not notice.
+// and without. The recorders the model reads are built only in the first arm,
+// and state and dependencies must not notice. The functional counters match
+// too, except that without a cycle model a selective compute phase does not
+// emit events their targets already dominate: it generates fewer events for
+// the same vertex writes and edge reads.
 func TestWorkCountersIgnoreTiming(t *testing.T) {
 	for _, name := range algo.Names() {
 		t.Run(name, func(t *testing.T) {
-			run := func(timing bool) (stats.Counters, []float64) {
+			run := func(timing bool) (stats.Counters, []float64, []graph.VertexID) {
 				a := makeAlg(t, name)
 				st := &stats.Counters{}
-				e := New(testGraphFor(a, 5), a, testConfig(timing), st)
+				e := New(testGraphFor(a, 5), a, testConfig(timing), st, WithDependencyTracking())
 				e.RunToConvergence()
 				for v := graph.VertexID(0); v < 40; v++ {
 					e.Emit(event.Event{Target: v, Value: a.Identity(), Source: event.NoSource, Flags: event.FlagDelete})
@@ -275,12 +279,22 @@ func TestWorkCountersIgnoreTiming(t *testing.T) {
 				}
 				work := *st
 				work.BytesTransferred, work.BytesUsed, work.DRAMAccesses, work.RowHits, work.SpillBytes, work.Cycles = 0, 0, 0, 0, 0, 0
-				return work, append([]float64(nil), e.State()...)
+				return work, append([]float64(nil), e.State()...), append([]graph.VertexID(nil), e.Dep()...)
 			}
-			onWork, onState := run(true)
-			offWork, offState := run(false)
-			if onWork != offWork {
-				t.Errorf("functional counters differ:\n timing on  %+v\n timing off %+v", onWork, offWork)
+			onWork, onState, onDep := run(true)
+			offWork, offState, offDep := run(false)
+			if makeAlg(t, name).Class() == algo.Accumulative {
+				if onWork != offWork {
+					t.Errorf("functional counters differ:\n timing on  %+v\n timing off %+v", onWork, offWork)
+				}
+			} else {
+				if onWork.VertexWrites != offWork.VertexWrites || onWork.EdgeReads != offWork.EdgeReads {
+					t.Errorf("writes/edge reads differ:\n timing on  %+v\n timing off %+v", onWork, offWork)
+				}
+				if offWork.EventsGenerated >= onWork.EventsGenerated {
+					t.Errorf("events generated: %d without a cycle model, %d with one; want fewer",
+						offWork.EventsGenerated, onWork.EventsGenerated)
+				}
 			}
 			if onWork.EdgeReads == 0 || onWork.Phases != 2 {
 				t.Errorf("the run did not do the work it was built to do: %+v", onWork)
@@ -289,6 +303,62 @@ func TestWorkCountersIgnoreTiming(t *testing.T) {
 				if math.Float64bits(onState[v]) != math.Float64bits(offState[v]) {
 					t.Fatalf("state of vertex %d: %v with timing, %v without", v, onState[v], offState[v])
 				}
+			}
+			if !slices.Equal(onDep, offDep) {
+				t.Error("dependency fields differ with timing on and off")
+			}
+		})
+	}
+}
+
+// TestComputeSkipsDominatedEvents counts the events a selective compute phase
+// generates on a converged graph, with a cycle model attached and without.
+// Without one an unflagged event whose target state already dominates it is
+// not emitted; delete- and request-flagged events always are.
+func TestComputeSkipsDominatedEvents(t *testing.T) {
+	// SSSP from 0 converges to 0, 1, 1, 2.
+	g := graph.MustBuild(4, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 1},
+		{Src: 1, Dst: 2, Weight: 5}, {Src: 1, Dst: 3, Weight: 1}, {Src: 2, Dst: 3, Weight: 5},
+	})
+	for _, c := range []struct {
+		timing               bool
+		request, improvement uint64
+	}{
+		// request: the request event, then 1 re-propagates 6 to 2 and a tie 2 to 3.
+		// improvement: 0.25 reaches 1, which sends 5.25 to 2 and 1.25 to 3.
+		{timing: true, request: 3, improvement: 3},
+		{timing: false, request: 1, improvement: 2},
+	} {
+		t.Run(map[bool]string{true: "cycle-model", false: "host"}[c.timing], func(t *testing.T) {
+			a := algo.NewSSSP(0)
+			st := &stats.Counters{}
+			e := New(g, a, testConfig(c.timing), st)
+			e.RunToConvergence()
+			phase := func(ev event.Event, run func()) uint64 {
+				gen := st.EventsGenerated
+				e.Emit(ev)
+				run()
+				return st.EventsGenerated - gen
+			}
+			compute := func() { e.RunPhase(e.ComputeHandler()) }
+			if n := phase(event.Event{Target: 1, Value: a.Identity(), Source: event.NoSource, Flags: event.FlagRequest}, compute); n != c.request {
+				t.Errorf("request phase generated %d events, want %d", n, c.request)
+			}
+			if n := phase(event.Event{Target: 1, Value: 0.25, Source: event.NoSource}, compute); n != c.improvement {
+				t.Errorf("improving phase generated %d events, want %d", n, c.improvement)
+			}
+			if want := []float64{0, 0.25, 1, 1.25}; !slices.Equal(e.State(), want) {
+				t.Errorf("state %v, want %v", e.State(), want)
+			}
+			// Both of 1's out-edges carry dominated values; flagged, they go out.
+			for _, fl := range []event.Flags{event.FlagDelete, event.FlagRequest} {
+				gen := st.EventsGenerated
+				e.PropagateValue(1, e.State()[1], fl)
+				if n := st.EventsGenerated - gen; n != 2 || e.Queue().Len() != 2 {
+					t.Errorf("flags %v: %d events generated, %d queued; want 2 and 2", fl, n, e.Queue().Len())
+				}
+				e.RunPhase(func(event.Event) {})
 			}
 		})
 	}

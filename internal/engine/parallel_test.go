@@ -88,8 +88,10 @@ func TestParallelStaticMatchesSequential(t *testing.T) {
 
 // escalationGraph is large enough that a cascade grown from a single event
 // crosses fanoutMinFrontier, so the shipped threshold hands off mid-cascade.
+// The caller's rounds do not emit events their targets already dominate, so
+// the SSSP frontier peaks at about 2350 live events here.
 func escalationGraph(a algo.Algorithm) *graph.CSR {
-	g := graph.RMAT(graph.RMATConfig{Vertices: 3 * fanoutMinFrontier, Edges: 24 * fanoutMinFrontier, Seed: 11})
+	g := graph.RMAT(graph.RMATConfig{Vertices: 4 * fanoutMinFrontier, Edges: 32 * fanoutMinFrontier, Seed: 11})
 	if algo.NeedsSymmetric(a) {
 		g = graph.Symmetrize(g)
 	}
