@@ -232,7 +232,7 @@ func BenchmarkStreamingBatch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/batch%d", mode, bs), func(b *testing.B) {
 				opts := []Option{WithTiming(false)}
 				if mode == "rebuild" {
-					opts = append(opts, WithGraphRebuild())
+					opts = append(opts, withGraphRebuild())
 				}
 				sys, err := New(g, SSSP(0), opts...)
 				if err != nil {
@@ -449,25 +449,6 @@ func BenchmarkQueueSparseDrain(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDetailedTimingBatch measures the per-event pipeline model against
-// the batch-level model on the same streaming workload.
-func BenchmarkDetailedTimingBatch(b *testing.B) {
-	g := RMAT(RMATConfig{Vertices: 20000, Edges: 160000, Seed: 1})
-	sys, _ := New(g, SSSP(0), WithDetailedTiming())
-	sys.RunInitial()
-	gen := NewStream(StreamConfig{BatchSize: 100, InsertFrac: 0.7, Seed: 2})
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := sys.ApplyBatch(gen.Next(sys.Graph()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "modelcycles/batch")
 }
 
 // BenchmarkMetricsOverhead measures the cost of the always-on observability

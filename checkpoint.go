@@ -194,8 +194,11 @@ func (s *System) checkpointLocked(w io.Writer) error {
 		return 0
 	}
 	p.u8(boolByte(s.cfg.Engine.Timing))
-	p.u8(boolByte(s.cfg.Engine.DetailedTiming))
-	p.u8(boolByte(s.cfg.RebuildGraph))
+	// Two retired flag bytes (a second cycle model, the full-rebuild graph
+	// path): written as zero, discarded on read, so checkpoint bytes stay the
+	// same.
+	p.u8(0)
+	p.u8(0)
 	p.u32(uint32(s.cfg.Engine.Parallelism))
 	p.u32(uint32(s.ingest))
 	p.u64(uint64(s.wd.Every))
@@ -348,12 +351,7 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	detailed, err := p.u8()
-	if err != nil {
-		return nil, err
-	}
-	rebuild, err := p.u8() // the graph-rebuild ablation flag (WithGraphRebuild)
-	if err != nil {
+	if _, err := p.need(2); err != nil { // the two retired flag bytes
 		return nil, err
 	}
 	parallel, err := p.u32()
@@ -527,7 +525,6 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 		Opt:             OptLevel(opt).String(),
 		Slices:          int(slices),
 		Timing:          timing != 0,
-		DetailedTiming:  detailed != 0,
 		Ingest:          IngestPolicy(ingest).String(),
 		WatchdogEvery:   int(wdEvery),
 		WatchdogEpsilon: wdEps,
@@ -541,12 +538,7 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if replayParallel {
 		rec.Parallelism = int(parallel)
 	}
-	all := rec.Options()
-	if rebuild != 0 {
-		all = append(all, WithGraphRebuild())
-	}
-	all = append(all, opts...)
-	sys, err := New(g, alg, all...)
+	sys, err := New(g, alg, append(rec.Options(), opts...)...)
 	if err != nil {
 		// With no caller options the recorded configuration alone failed to
 		// reconstruct — that is checkpoint damage (CRC-validated bytes can
@@ -601,22 +593,4 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	sys.js.SetCycleBase(cycles)
 	sys.init = true
 	return sys, nil
-}
-
-// RestoreOrColdStart attempts Restore and, when the checkpoint is damaged or
-// unreadable, falls back to a fresh cold-start evaluation of query a over g —
-// the recovery of last resort, mirroring the watchdog's fallback. The
-// returned bool reports whether the checkpoint was restored (true) or the
-// fallback ran (false); the fallback is counted in ColdStartFallbacks.
-func RestoreOrColdStart(r io.Reader, g *Graph, a Algorithm, opts ...Option) (*System, bool, error) {
-	if sys, err := Restore(r, opts...); err == nil {
-		return sys, true, nil
-	}
-	sys, err := New(g, a, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	sys.st.ColdStartFallbacks++
-	sys.RunInitial()
-	return sys, false, nil
 }

@@ -2,7 +2,9 @@ package jetstream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"testing"
 
 	"jetstream/internal/algo"
@@ -185,76 +187,48 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestRestoreOrColdStartFallback(t *testing.T) {
-	g := RMAT(RMATConfig{Vertices: 200, Edges: 1500, Seed: 25})
-
-	// Damaged checkpoint: the fallback cold-starts a fresh system.
-	sys, restoredOK, err := RestoreOrColdStart(bytes.NewReader([]byte("garbage")), g, SSSP(0), WithTiming(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restoredOK {
-		t.Error("garbage reported as restored")
-	}
-	if sys.TotalStats().ColdStartFallbacks != 1 {
-		t.Errorf("ColdStartFallbacks = %d, want 1", sys.TotalStats().ColdStartFallbacks)
-	}
-	// The fallback system is live: it already ran the initial evaluation and
-	// accepts batches.
-	if _, err := sys.ApplyBatch(Batch{Inserts: []Edge{absentEdge(sys.Graph())}}); err != nil {
-		t.Fatal(err)
-	}
-	if d := sys.Verify(); d != 0 {
-		t.Errorf("fallback system diverged by %v", d)
-	}
-
-	// Intact checkpoint: restored, no fallback counted.
-	orig, _ := buildStreamed(t, 2, WithTiming(false))
+// TestRestoreIgnoresRetiredFlags sets each of the two retired configuration
+// bytes (a second cycle model, the full-rebuild graph path) in an otherwise
+// valid checkpoint: it restores bitwise and re-serializes with the byte back
+// at zero.
+func TestRestoreIgnoresRetiredFlags(t *testing.T) {
+	orig, _ := buildStreamed(t, 3, WithTiming(true))
 	var buf bytes.Buffer
 	if err := orig.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sys2, restoredOK, err := RestoreOrColdStart(&buf, g, SSSP(0))
+	good := buf.Bytes()
+	name, _, _, err := algo.Params(orig.alg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !restoredOK {
-		t.Error("intact checkpoint fell back")
-	}
-	if sys2.TotalStats().ColdStartFallbacks != 0 {
-		t.Errorf("restore counted a fallback: %d", sys2.TotalStats().ColdStartFallbacks)
-	}
-}
-
-// TestCheckpointRecordsRebuildFlag checks the v3 format round-trips the
-// mutation-path choice: a system pinned to full rebuilds must restore pinned.
-func TestCheckpointRecordsRebuildFlag(t *testing.T) {
-	orig, gen := buildStreamed(t, 3, WithTiming(false), WithParallelism(1), WithGraphRebuild())
-	var buf bytes.Buffer
-	if err := orig.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Continue both: with the flag restored, both sides take the rebuild path
-	// and must stay counter-identical (the delta path books different
-	// EdgeReads against slacked layouts, so a dropped flag would show here).
-	for i := 0; i < 3; i++ {
-		b := gen.Next(orig.Graph())
-		if _, err := orig.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := restored.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if orig.TotalStats() != restored.TotalStats() {
-		t.Errorf("continued counters differ:\n%+v\nwant\n%+v", restored.TotalStats(), orig.TotalStats())
-	}
-	if d := algo.MaxAbsDiff(orig.State(), restored.State()); d != 0 {
-		t.Errorf("states differ by %v after continuation", d)
+	// Header, then name, root, eps, opt, slices and timing ahead of the flags.
+	const hdr = len(ckptMagic) + 4 + 8
+	at := hdr + 4 + len(name) + 4 + 8 + 4 + 4 + 1
+	for i, flag := range []string{"detailed", "rebuild"} {
+		t.Run(flag, func(t *testing.T) {
+			blob := append([]byte(nil), good...)
+			if blob[at+i] != 0 {
+				t.Fatalf("retired byte %d is %d, want 0", at+i, blob[at+i])
+			}
+			blob[at+i] = 1
+			crc := crc64.Checksum(blob[hdr:len(blob)-8], ckptCRC)
+			binary.LittleEndian.PutUint64(blob[len(blob)-8:], crc)
+			sys, err := Restore(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if !bitwiseEqual(sys.State(), orig.State()) {
+				t.Fatal("restored state diverges")
+			}
+			var out bytes.Buffer
+			if err := sys.Checkpoint(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), good) {
+				t.Fatal("re-serialized checkpoint differs from the unflagged bytes")
+			}
+		})
 	}
 }
 

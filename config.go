@@ -21,9 +21,8 @@ import (
 //
 // Runtime-only options have no Config field by design: WithAccelerator (a
 // struct of hardware parameters, not tenant policy), WithObserver (a live
-// callback), the WAL filesystem override (fault-injection hook), and
-// WithGraphRebuild (the O(V+E)-per-batch reference oracle of the differential
-// tests). They remain available to code via New's option list.
+// callback) and the WAL filesystem override (fault-injection hook). They
+// remain available to code via New's option list.
 type Config struct {
 	// Opt selects the deletion-recovery optimization: "base", "vap", or
 	// "dap" ("" = "dap", the library default).
@@ -33,17 +32,12 @@ type Config struct {
 	// Timing enables the cycle-accurate timing model. Unlike New (whose
 	// default is on), the zero Config leaves it off.
 	Timing bool `json:"timing,omitempty"`
-	// DetailedTiming selects the per-event pipeline timing model.
-	DetailedTiming bool `json:"detailed_timing,omitempty"`
 	// Parallelism shards the functional compute phases across p workers;
 	// 0 keeps the engine default.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Ingest is the invalid-update policy: "strict" or "repair"
 	// ("" = "strict").
 	Ingest string `json:"ingest,omitempty"`
-	// InlineDegree tunes the degree-adaptive adjacency layout: 0 default (4),
-	// -1 uniform slab, 1..4 explicit threshold (see WithInlineDegree).
-	InlineDegree int `json:"inline_degree,omitempty"`
 	// WindowTTL bounds every edge's lifetime to this many batches; 0 means
 	// infinite retention (see WithWindow).
 	WindowTTL int `json:"window_ttl,omitempty"`
@@ -135,9 +129,6 @@ func (c Config) resolve() (r resolved, err error) {
 		if n.v < 0 {
 			return r, fmt.Errorf("%s %d must be non-negative", n.field, n.v)
 		}
-	}
-	if c.InlineDegree < -1 || c.InlineDegree > 4 {
-		return r, fmt.Errorf("inline_degree %d must be -1 (disable), 0 (default), or 1..4", c.InlineDegree)
 	}
 	if c.WALDir == "" && (c.WALSync != "" || c.WALSyncInterval != 0) {
 		return r, fmt.Errorf("wal_sync/wal_sync_interval set without wal_dir")

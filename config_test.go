@@ -28,11 +28,8 @@ var configOptionCases = []struct {
 	{"opt-vap", []Option{WithOpt(OptVAP)}},
 	{"slices", []Option{WithSlices(4)}},
 	{"timing-off", []Option{WithTiming(false)}},
-	{"detailed-timing", []Option{WithDetailedTiming()}},
 	{"parallelism", []Option{WithTiming(false), WithParallelism(4)}},
 	{"ingest-repair", []Option{WithIngest(Repair)}},
-	{"inline-degree", []Option{WithInlineDegree(2)}},
-	{"inline-degree-off", []Option{WithInlineDegree(-1)}},
 	{"window", []Option{WithWindow(7)}},
 	{"wal", []Option{WithWAL("walsubdir")}},
 	{"wal-options", []Option{WithWALOptions("walsubdir", WALOptions{Sync: WALSyncInterval, Interval: 3})}},
@@ -118,8 +115,6 @@ func TestConfigInvalid(t *testing.T) {
 		{"negative-window", Config{WindowTTL: -1}},
 		{"negative-slices", Config{Slices: -2}},
 		{"negative-parallelism", Config{Parallelism: -3}},
-		{"inline-degree-too-low", Config{InlineDegree: -2}},
-		{"inline-degree-too-high", Config{InlineDegree: 5}},
 	}
 	g := RMAT(RMATConfig{Vertices: 16, Edges: 32, Seed: 1})
 	for _, tc := range cases {

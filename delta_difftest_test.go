@@ -2,7 +2,7 @@ package jetstream
 
 // Differential harness for the incremental mutation path: the same batch
 // stream is replayed through the default delta-applying system and through a
-// system pinned to the full-rebuild reference path (WithGraphRebuild). The
+// system pinned to the full-rebuild reference path (withGraphRebuild). The
 // two runs must agree bitwise — both operate on the same logical graph
 // content, so the event timelines are identical and no tolerance is needed,
 // even for the accumulative kernels.
@@ -12,6 +12,14 @@ import (
 
 	"jetstream/internal/algo"
 )
+
+// withGraphRebuild applies every batch by rebuilding the full CSR (the
+// paper's simplest host model: write a new CSR, swap the pointer) instead of
+// the incremental slack-based mutation — the reference side of the
+// differential tests.
+func withGraphRebuild() Option {
+	return func(s *settings) { s.rebuild = true }
+}
 
 // TestDeltaVsRebuildAllAlgorithms drives all six kernels through identical
 // streams on both mutation paths and demands bitwise-equal states plus
@@ -35,7 +43,7 @@ func TestDeltaVsRebuildAllAlgorithms(t *testing.T) {
 				return sys
 			}
 			delta := mk()
-			rebuild := mk(WithGraphRebuild())
+			rebuild := mk(withGraphRebuild())
 
 			for i, b := range stream {
 				if _, err := delta.ApplyBatch(b); err != nil {
@@ -65,31 +73,31 @@ func TestDeltaVsRebuildAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestDeltaVsRebuildWithDetailedTiming repeats the comparison with the
-// detailed timing layer on: the delta path reports EdgeSlots (physical slots
-// including slack) as its edge address space, and cycle counts must still
-// match the rebuild path exactly only in the functional state — cycle
-// estimates may differ since the memory layouts differ, but both must run.
-func TestDeltaVsRebuildWithDetailedTiming(t *testing.T) {
-	a := makeAlgByName(t, "sssp")
-	g, stream := difftestStream(t, a, 211, 5, 16)
-
-	run := func(opts ...Option) []float64 {
-		opts = append([]Option{WithTiming(true), WithDetailedTiming()}, opts...)
-		sys, err := New(g, makeAlgByName(t, "sssp"), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.RunInitial()
-		for i, b := range stream {
-			if _, err := sys.ApplyBatch(b); err != nil {
-				t.Fatalf("batch %d: %v", i, err)
+// TestDeltaVsRebuildWithTiming repeats the comparison with the cycle model on,
+// which selects the paper's request protocol and emits every event. Only the
+// functional state must match bitwise: the delta path reports EdgeSlots
+// (physical slots including slack) as its edge address space, so cycle
+// estimates may differ between the two memory layouts.
+func TestDeltaVsRebuildWithTiming(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		t.Run(name, func(t *testing.T) {
+			g, stream := difftestStream(t, makeAlgByName(t, name), 211, 5, 16)
+			run := func(opts ...Option) []float64 {
+				sys, err := New(g, makeAlgByName(t, name), append([]Option{WithTiming(true)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.RunInitial()
+				for i, b := range stream {
+					if _, err := sys.ApplyBatch(b); err != nil {
+						t.Fatalf("batch %d: %v", i, err)
+					}
+				}
+				return sys.State()
 			}
-		}
-		return sys.State()
-	}
-
-	if d := algo.MaxAbsDiff(run(), run(WithGraphRebuild())); d != 0 {
-		t.Fatalf("detailed-timing states differ by %v (want bitwise equal)", d)
+			if !bitwiseEqual(run(), run(withGraphRebuild())) {
+				t.Fatal("timed delta and rebuild states differ (want bitwise equal)")
+			}
+		})
 	}
 }

@@ -2,10 +2,10 @@ package jetstream
 
 // Differential harness for the cache-conscious hot path: the degree-adaptive
 // adjacency layout is a pure representation optimization, so every kernel
-// must produce the same results with it on, off, or tuned to any threshold.
-// The adjacency comparisons run against the full-rebuild reference (a dense
-// CSR with no slack and no inline records — maximally different memory
-// layout, identical logical graph).
+// must produce the same results with it as without. The comparisons run
+// against the full-rebuild reference (a dense CSR with no slack and no inline
+// records — maximally different memory layout, identical logical graph); the
+// graph package's TestInlineMatchesRebuildAllCaps covers every other cap.
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 )
 
 // TestInlineAdjacencyAllKernelsAllParallelisms drives every kernel at
-// parallelism 1, 2, and 8 with the inline layout forced on (threshold 4) and
+// parallelism 1, 2, and 8 with the default inline layout (threshold 4) and
 // compares against the rebuild reference at parallelism 1. Selective kernels
 // must match bitwise at every parallelism; accumulative kernels carry the
 // usual epsilon-truncation tolerance above p=1 and must be bitwise at p=1.
@@ -43,12 +43,12 @@ func TestInlineAdjacencyAllKernelsAllParallelisms(t *testing.T) {
 				return sys
 			}
 
-			ref := run(1, WithGraphRebuild())
+			ref := run(1, withGraphRebuild())
 			refState, refEdges := ref.State(), ref.Graph().Edges()
 			for _, p := range difftestParallelisms {
 				t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 					eachFanoutArm(t, p, func(t *testing.T) *System {
-						sys := run(p, WithInlineDegree(4))
+						sys := run(p)
 						de := sys.Graph().Edges()
 						if len(de) != len(refEdges) {
 							t.Fatalf("edge counts diverge: %d vs %d", len(de), len(refEdges))
@@ -74,32 +74,5 @@ func TestInlineAdjacencyAllKernelsAllParallelisms(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestInlineThresholdsAgree pins that every inline threshold (including off)
-// yields the bitwise-identical system: the knob moves adjacencies between
-// representations, never changes what they contain.
-func TestInlineThresholdsAgree(t *testing.T) {
-	a := makeAlgByName(t, "pagerank")
-	g, stream := difftestStream(t, a, 613, 6, 24)
-	run := func(deg int) []float64 {
-		sys, err := New(g, makeAlgByName(t, "pagerank"), WithTiming(false), WithParallelism(1), WithInlineDegree(deg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.RunInitial()
-		for i, b := range stream {
-			if _, err := sys.ApplyBatch(b); err != nil {
-				t.Fatalf("deg=%d batch %d: %v", deg, i, err)
-			}
-		}
-		return sys.State()
-	}
-	base := run(-1) // uniform slab
-	for _, deg := range []int{1, 2, 4} {
-		if d := algo.MaxAbsDiff(base, run(deg)); d != 0 {
-			t.Fatalf("inline threshold %d changed state by %v (want bitwise equal)", deg, d)
-		}
 	}
 }

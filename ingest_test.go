@@ -130,3 +130,27 @@ func TestWatchdogThroughPublicAPI(t *testing.T) {
 		t.Errorf("state still wrong after fallback: %v", d)
 	}
 }
+
+// TestWatchdogCatchesNaN poisons one vertex with NaN: the next check must
+// read it as an infinite divergence and fall back, not skip it as a zero.
+func TestWatchdogCatchesNaN(t *testing.T) {
+	g := RMAT(RMATConfig{Vertices: 200, Edges: 1500, Seed: 43})
+	sys, err := New(g, SSSP(0), WithTiming(false), WithWatchdog(WatchdogConfig{Every: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunInitial()
+	// An empty batch sends no event to the poisoned vertex: a selective
+	// kernel never settles on a NaN state, which always reads as changed.
+	sys.StateRef()[5] = math.NaN()
+	res, err := sys.ApplyBatch(Batch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Checked || !math.IsInf(res.Divergence, 1) || !res.FellBack {
+		t.Fatalf("Checked=%v Divergence=%v FellBack=%v, want true +Inf true", res.Checked, res.Divergence, res.FellBack)
+	}
+	if d := sys.Verify(); d != 0 || math.IsNaN(sys.State()[5]) {
+		t.Fatalf("after fallback: Verify = %v, state[5] = %v", d, sys.State()[5])
+	}
+}

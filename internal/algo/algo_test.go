@@ -320,15 +320,31 @@ func TestEventFlagsAndSize(t *testing.T) {
 }
 
 func TestMaxAbsDiff(t *testing.T) {
-	inf := math.Inf(1)
-	if d := MaxAbsDiff([]float64{1, inf}, []float64{1, inf}); d != 0 {
-		t.Errorf("equal vectors differ by %v", d)
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name   string
+		a, b   []float64
+		stride int
+		want   float64
+	}{
+		{"equal infinities", []float64{1, inf}, []float64{1, inf}, 1, 0},
+		{"inf mismatch", []float64{1, inf}, []float64{1, 5}, 1, inf},
+		{"finite", []float64{1, 2}, []float64{1.5, 2}, 1, 0.5},
+		{"nan left", []float64{nan}, []float64{1}, 1, inf},
+		{"nan right", []float64{1, 2}, []float64{1, nan}, 1, inf},
+		{"nan both", []float64{nan}, []float64{nan}, 1, inf},
+		{"stride skips", []float64{1, nan, 3}, []float64{1, 0, 3.25}, 2, 0.25},
+		{"stride hits nan", []float64{1, 0, nan}, []float64{1, 7, 3}, 2, inf},
 	}
-	if d := MaxAbsDiff([]float64{1, inf}, []float64{1, 5}); !math.IsInf(d, 1) {
-		t.Errorf("inf mismatch = %v, want +Inf", d)
-	}
-	if d := MaxAbsDiff([]float64{1, 2}, []float64{1.5, 2}); d != 0.5 {
-		t.Errorf("diff = %v, want 0.5", d)
+	for _, c := range cases {
+		if d := MaxAbsDiffStride(c.a, c.b, c.stride); d != c.want {
+			t.Errorf("%s: MaxAbsDiffStride = %v, want %v", c.name, d, c.want)
+		}
+		if c.stride == 1 {
+			if d := MaxAbsDiff(c.a, c.b); d != c.want {
+				t.Errorf("%s: MaxAbsDiff = %v, want %v", c.name, d, c.want)
+			}
+		}
 	}
 }
 

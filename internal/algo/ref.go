@@ -251,10 +251,17 @@ func AdsorptionRef(g *graph.CSR, inj, cont, tol float64) []float64 {
 }
 
 // MaxAbsDiff returns the largest |a[i]-b[i]|, treating equal infinities as
-// zero difference. Tests use it to compare engine output with references.
-func MaxAbsDiff(a, b []float64) float64 {
+// zero difference and a NaN on either side as an infinite one. Tests use it
+// to compare engine output with references.
+func MaxAbsDiff(a, b []float64) float64 { return MaxAbsDiffStride(a, b, 1) }
+
+// MaxAbsDiffStride is MaxAbsDiff over every stride-th index (stride >= 1).
+func MaxAbsDiffStride(a, b []float64, stride int) float64 {
 	max := 0.0
-	for i := range a {
+	for i := 0; i < len(a); i += stride {
+		if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
+			return math.Inf(1)
+		}
 		if math.IsInf(a[i], 0) || math.IsInf(b[i], 0) {
 			if a[i] != b[i] {
 				return math.Inf(1)

@@ -89,13 +89,6 @@ type Config struct {
 	// either way; the switch exists to measure the host-side cost difference
 	// and as the reference side of the differential tests.
 	RebuildGraph bool
-	// InlineDegree tunes the degree-adaptive adjacency threshold of the
-	// incremental host path: 0 takes the library default (4), -1 disables the
-	// inline layout (uniform slab), 1..4 set the cap explicitly. The logical
-	// graph and the event flow are identical at every setting — the knob only
-	// moves low-degree adjacencies between the slab and per-vertex cache-line
-	// records. Ignored under RebuildGraph (dense CSRs have no slack layout).
-	InlineDegree int
 }
 
 // DefaultConfig returns the paper's configuration with the DAP optimization,
@@ -278,7 +271,7 @@ func (j *JetStream) ApplyBatch(b graph.Batch) error {
 	if j.cfg.RebuildGraph {
 		ng, err = j.g.Apply(b)
 	} else {
-		ng, err = j.g.ApplyDeltaCfg(b, j.deltaConfig())
+		ng, err = j.g.ApplyDeltaCfg(b, graph.DefaultDeltaConfig())
 	}
 	if err != nil {
 		return err
@@ -295,21 +288,6 @@ func (j *JetStream) ApplyBatch(b graph.Batch) error {
 	j.g = ng
 	j.eng.FlushObs()
 	return nil
-}
-
-// deltaConfig resolves the slack tuning for the incremental host path,
-// applying the InlineDegree override. The same resolved config is passed on
-// every batch so the layout choice is stable across versions (the graph
-// layer re-slackifies with it at each compacting rebuild).
-func (j *JetStream) deltaConfig() graph.DeltaConfig {
-	cfg := graph.DefaultDeltaConfig()
-	switch {
-	case j.cfg.InlineDegree < 0:
-		cfg.InlineCap = 0
-	case j.cfg.InlineDegree > 0:
-		cfg.InlineCap = j.cfg.InlineDegree
-	}
-	return cfg
 }
 
 // ---------------------------------------------------------------------------
@@ -700,26 +678,11 @@ func (j *JetStream) Verify() float64 {
 func (j *JetStream) VerifySample(sample int) float64 {
 	ref := algo.Reference(j.alg, j.g)
 	st := j.State()
-	if sample <= 0 || sample >= len(st) {
-		return algo.MaxAbsDiff(st, ref)
+	stride := 1
+	if sample > 0 && sample < len(st) {
+		stride = len(st) / sample
 	}
-	stride := len(st) / sample
-	if stride < 1 {
-		stride = 1
-	}
-	max := 0.0
-	for i := 0; i < len(st); i += stride {
-		if math.IsInf(st[i], 0) || math.IsInf(ref[i], 0) {
-			if st[i] != ref[i] {
-				return math.Inf(1)
-			}
-			continue
-		}
-		if d := math.Abs(st[i] - ref[i]); d > max {
-			max = d
-		}
-	}
-	return max
+	return algo.MaxAbsDiffStride(st, ref, stride)
 }
 
 // ColdStart abandons the incremental approximation and recomputes the query

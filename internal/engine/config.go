@@ -64,11 +64,6 @@ type Config struct {
 	// Timing enables the cycle model; with it off the engine is a pure
 	// functional executor (tests of algorithmic behaviour run this way).
 	Timing bool
-	// DetailedTiming selects the per-event pipeline model (contended apply
-	// units, generation streams, crossbar ports and coalescer pipelines)
-	// instead of the batch-level throughput model. Slower to simulate,
-	// resolves port-contention effects. Requires Timing.
-	DetailedTiming bool
 }
 
 // DefaultConfig returns the paper's Table 1 accelerator: 8 processors at

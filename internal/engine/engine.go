@@ -56,7 +56,7 @@ type Engine struct {
 
 	q  *queue.Coalescing
 	st *stats.Counters
-	tm CycleModel
+	tm *Timing
 
 	part    *graph.Partition
 	active  int
@@ -83,7 +83,7 @@ type Engine struct {
 
 	computeH Handler // cached ComputeHandler
 
-	// Per-row-batch recording for the timing layer: what CycleModel.Batch is
+	// Per-row-batch recording for the timing layer: what Timing.Batch is
 	// charged with. Appended to only while a cycle model is attached (tm !=
 	// nil) — nothing else reads them.
 	batchTouched []graph.VertexID
@@ -132,11 +132,7 @@ func New(g *graph.CSR, alg algo.Algorithm, cfg Config, st *stats.Counters, opts 
 	}
 	e.q = queue.New(g.NumVertices(), cfg.Queue, queue.ReduceCoalesce(alg.Reduce), st)
 	if cfg.Timing {
-		if cfg.DetailedTiming {
-			e.tm = NewDetailed(cfg, st)
-		} else {
-			e.tm = NewTiming(cfg, st)
-		}
+		e.tm = NewTiming(cfg, st)
 	}
 	e.prune = !e.acc && e.tm == nil
 	for _, o := range opts {
@@ -180,7 +176,7 @@ func (e *Engine) Stats() *stats.Counters { return e.st }
 func (e *Engine) Queue() *queue.Coalescing { return e.q }
 
 // Timing returns the cycle model (nil when timing is disabled).
-func (e *Engine) Timing() CycleModel { return e.tm }
+func (e *Engine) Timing() *Timing { return e.tm }
 
 // CSR returns the CSR backing the active view.
 func (e *Engine) CSR() *graph.CSR { return e.csr }

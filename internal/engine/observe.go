@@ -203,8 +203,8 @@ func (e *Engine) SetObs(o *Obs) {
 	}
 	e.obPub = *e.st
 	e.q.SetObs(o.queueLive, o.queueHigh)
-	if m, ok := e.tm.(interface{ Observe(*obs.Registry) }); ok && e.tm != nil {
-		m.Observe(o.Reg)
+	if e.tm != nil {
+		e.tm.Observe(o.Reg)
 	}
 }
 
@@ -214,10 +214,10 @@ func (e *Engine) Obs() *Obs { return e.ob }
 // Channels returns the cycle model's per-channel DRAM traffic, or nil when
 // timing is off.
 func (e *Engine) Channels() []mem.ChannelCounts {
-	if c, ok := e.tm.(interface{ Channels() []mem.ChannelCounts }); ok {
-		return c.Channels()
+	if e.tm == nil {
+		return nil
 	}
-	return nil
+	return e.tm.Channels()
 }
 
 // FlushObs publishes the stats-sink delta accumulated since the last flush.

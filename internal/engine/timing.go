@@ -6,7 +6,6 @@ import (
 	"jetstream/internal/mem"
 	"jetstream/internal/noc"
 	"jetstream/internal/obs"
-	"jetstream/internal/sim"
 	"jetstream/internal/stats"
 )
 
@@ -19,31 +18,10 @@ const (
 	spillBase  uint64 = 0xC000_0000
 )
 
-// CycleModel is the engine's timing interface: the functional engine reports
-// its work (drain-round batches, setup scans, spills) and the model advances
-// a cycle counter. Two implementations exist — Timing (batch-level
-// throughput bounds) and Detailed (per-event pipeline with contended
-// resources).
-type CycleModel interface {
-	// Batch charges one row batch: the vertices touched (ascending), how
-	// many were written back, the adjacency ranges fetched, and the targets
-	// of every generated event (used for crossbar/bin contention; length =
-	// events generated).
-	Batch(touched []graph.VertexID, written int, fetches []EdgeFetch, genTargets []graph.VertexID)
-	// RoundOverhead charges the scheduler's end-of-round synchronization.
-	RoundOverhead()
-	// Spill charges an off-chip round trip of n event records.
-	Spill(n int)
-	// StreamRead charges the Stream Reader's sequential scan of n updates.
-	StreamRead(n int)
-	// Cycles returns the accumulated cycle count.
-	Cycles() uint64
-}
-
-// Timing is the batch-level cycle model. The functional engine reports each drain-round
-// row batch (the exact vertices touched, edge ranges fetched and events
-// generated) and Timing replays those accesses through the DRAM, per-PE edge
-// caches and the generation-to-queue crossbar, advancing a cycle counter.
+// Timing is the engine's cycle model. The functional engine reports each
+// drain-round row batch (the exact vertices touched, edge ranges fetched and
+// events generated) and Timing replays those accesses through the DRAM, per-PE
+// edge caches and the generation-to-queue crossbar, advancing a cycle counter.
 // This is the stand-in for the paper's SST+DRAMSim2 simulation: absolute
 // cycles are approximate, but the relative costs that drive every figure
 // (work counts, spatial locality, row-buffer behaviour) come from the real
@@ -90,7 +68,9 @@ type EdgeFetch struct {
 	Count  int
 }
 
-// Batch charges one drain-round row batch (see CycleModel.Batch).
+// Batch charges one drain-round row batch: the vertices touched (ascending),
+// how many were written back, the adjacency ranges fetched, and the targets
+// of every generated event (length = events generated).
 func (t *Timing) Batch(touched []graph.VertexID, written int, fetches []EdgeFetch, genTargets []graph.VertexID) {
 	generated := len(genTargets)
 	if len(touched) == 0 && len(fetches) == 0 && generated == 0 {
@@ -153,7 +133,7 @@ func (t *Timing) Batch(touched []graph.VertexID, written int, fetches []EdgeFetc
 	insC := t.xbar.SpreadCycles(flits)
 	pipeDone := start + applyC + genC + insC
 
-	t.cycles = sim.Max(memDone, pipeDone)
+	t.cycles = max(memDone, pipeDone)
 
 	// Useful-byte accounting for Fig 11: state actually consumed/produced
 	// plus edges actually walked.

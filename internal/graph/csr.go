@@ -220,12 +220,6 @@ func (g *CSR) OutWeightSum(v VertexID) float64 {
 	return r.wsum
 }
 
-// Neighbor is one endpoint+weight pair of an adjacency list.
-type Neighbor struct {
-	V VertexID
-	W Weight
-}
-
 // OutEdges calls fn for every outgoing edge of u, without allocating. Loops
 // that run per event iterate OutAdj instead and save the call per edge.
 func (g *CSR) OutEdges(u VertexID, fn func(dst VertexID, w Weight)) {
@@ -241,13 +235,6 @@ func (g *CSR) InEdges(v VertexID, fn func(src VertexID, w Weight)) {
 	for i, src := range ids {
 		fn(src, ws[i])
 	}
-}
-
-// InNeighbors returns a copy of v's in-adjacency.
-func (g *CSR) InNeighbors(v VertexID) []Neighbor {
-	out := make([]Neighbor, 0, g.InDegree(v))
-	g.InEdges(v, func(src VertexID, w Weight) { out = append(out, Neighbor{src, w}) })
-	return out
 }
 
 // HasEdge reports whether edge (u,v) exists and, if so, its weight. Out

@@ -102,9 +102,6 @@ func NewView(g *CSR) *View {
 // Mask turns u into a sink: OutAdj(u) is empty and OutDegree(u) is 0.
 func (v *View) Mask(u VertexID) { v.masked[u] = true }
 
-// Unmask restores u's out-edges.
-func (v *View) Unmask(u VertexID) { v.masked[u] = false }
-
 // OutAdj respects the mask: a masked vertex has no out-adjacency.
 func (v *View) OutAdj(u VertexID) ([]VertexID, []Weight) {
 	if v.masked[u] {

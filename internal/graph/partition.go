@@ -99,22 +99,3 @@ func (p *Partition) SliceOf(v VertexID) int {
 	}
 	return p.Slice[v]
 }
-
-// Balance returns max slice size / ideal size; 1.0 is perfectly balanced.
-func (p *Partition) Balance() float64 {
-	if p.K <= 1 {
-		return 1
-	}
-	counts := make([]int, p.K)
-	for _, s := range p.Slice {
-		counts[s]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	ideal := float64(len(p.Slice)) / float64(p.K)
-	return float64(max) / ideal
-}

@@ -155,16 +155,3 @@ func sift(es []Edge, verdict []uint8, del bool, issues []BatchIssue) ([]Edge, []
 	}
 	return es[:k], issues
 }
-
-// ValidateBatch checks b against g and returns a *BatchError listing every
-// invalid update, or nil when the batch is clean. It performs the same audit
-// as SanitizeBatch without constructing the repaired copy's semantics: the
-// Strict ingest policy uses it to reject a poisoned batch with the state
-// untouched.
-func (g *CSR) ValidateBatch(b Batch) error {
-	_, issues := g.SanitizeBatch(b)
-	if len(issues) == 0 {
-		return nil
-	}
-	return &BatchError{Issues: issues}
-}

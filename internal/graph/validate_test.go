@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,26 +92,6 @@ func TestSanitizeBatchDoesNotMutateInput(t *testing.T) {
 	g.SanitizeBatch(b)
 	if b.Deletes[0].Weight != 777 || len(b.Inserts) != 2 {
 		t.Errorf("input batch was modified: %+v", b)
-	}
-}
-
-func TestValidateBatchTypedError(t *testing.T) {
-	g := validateTestGraph()
-	if err := g.ValidateBatch(Batch{Inserts: []Edge{{Src: 0, Dst: 5, Weight: 1}}}); err != nil {
-		t.Errorf("clean batch rejected: %v", err)
-	}
-	err := g.ValidateBatch(Batch{
-		Inserts: []Edge{{Src: 0, Dst: 99, Weight: 1}, {Src: 0, Dst: 5, Weight: math.NaN()}},
-	})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error %T is not *BatchError", err)
-	}
-	if len(be.Issues) != 2 {
-		t.Errorf("got %d issues, want 2", len(be.Issues))
-	}
-	if be.Error() == "" {
-		t.Error("empty error message")
 	}
 }
 

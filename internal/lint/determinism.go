@@ -36,7 +36,6 @@ var Determinism = &Analyzer{
 // must be a pure function of configuration and input.
 var DeterministicPackages = []string{
 	"internal/engine",
-	"internal/sim",
 	"internal/mem",
 	"internal/noc",
 	"internal/queue",

@@ -58,15 +58,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// HitRate returns hits/(hits+misses), 0 when unused.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // Reset empties the cache and zeroes its counters.
 func (c *Cache) Reset() {
 	for i := range c.tags {

@@ -159,17 +159,6 @@ func (d *DRAM) Observe(reg *obs.Registry) {
 	}
 }
 
-// AccessLines issues n sequential lines starting at addr and returns the
-// completion cycle of the last one — the streaming pattern of the edge and
-// vertex prefetchers.
-func (d *DRAM) AccessLines(at uint64, addr uint64, n int) uint64 {
-	done := at
-	for i := 0; i < n; i++ {
-		done = d.Access(at, addr+uint64(i)*d.cfg.LineBytes)
-	}
-	return done
-}
-
 // LineBytes exposes the configured line size.
 func (d *DRAM) LineBytes() uint64 { return d.cfg.LineBytes }
 

@@ -18,31 +18,10 @@ func New(n, m int) *Crossbar {
 	return &Crossbar{Inputs: n, Outputs: m, HeadLatency: 2}
 }
 
-// BatchCycles returns the cycles needed to deliver a batch described by
-// per-input and per-output flit counts. The bottleneck port serializes its
-// own flits; everything else overlaps.
-func (x *Crossbar) BatchCycles(perIn, perOut []uint64) uint64 {
-	var max uint64
-	for _, c := range perIn {
-		if c > max {
-			max = c
-		}
-	}
-	for _, c := range perOut {
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return max + x.HeadLatency
-}
-
-// SpreadCycles is the common case: n flits spread over the given number of
-// source and destination ports with a uniform hash. It upper-bounds port
-// load by the ceiling of a balanced spread times a mild imbalance factor —
-// vertex-id hashing is not perfectly uniform in practice.
+// SpreadCycles returns the cycles to deliver flits spread over the source
+// and destination ports with a uniform hash. It upper-bounds port load by the
+// ceiling of a balanced spread times a mild imbalance factor — vertex-id
+// hashing is not perfectly uniform in practice.
 func (x *Crossbar) SpreadCycles(flits uint64) uint64 {
 	if flits == 0 {
 		return 0

@@ -2,17 +2,6 @@ package noc
 
 import "testing"
 
-func TestBatchCycles(t *testing.T) {
-	x := New(16, 16)
-	if c := x.BatchCycles(nil, nil); c != 0 {
-		t.Errorf("empty batch = %d cycles", c)
-	}
-	c := x.BatchCycles([]uint64{1, 2, 3}, []uint64{5, 1})
-	if c != 5+x.HeadLatency {
-		t.Errorf("cycles = %d, want %d", c, 5+x.HeadLatency)
-	}
-}
-
 func TestSpreadCycles(t *testing.T) {
 	x := New(16, 16)
 	if c := x.SpreadCycles(0); c != 0 {

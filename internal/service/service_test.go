@@ -255,15 +255,15 @@ func TestWALKillRestart(t *testing.T) {
 	// Kill: svcA is abandoned here — no Shutdown, no Sync. Every acked batch
 	// was synced by the per-batch WAL policy, so it must survive.
 
-	// A manifest written by a build that still had the pipeline_overlap knob
-	// must recover: the field only ever changed wall-clock time, and the
-	// manifest decode ignores fields this build does not know.
+	// A manifest written by a build that still had the pipeline_overlap,
+	// detailed_timing and inline_degree knobs must recover: the manifest
+	// decode ignores fields this build does not know.
 	manifest := filepath.Join(dir, "w0", manifestName)
 	blob, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatalf("manifest: %v", err)
 	}
-	old := bytes.Replace(blob, []byte(`"config": {`), []byte(`"config": {"pipeline_overlap": true,`), 1)
+	old := bytes.Replace(blob, []byte(`"config": {`), []byte(`"config": {"pipeline_overlap": true, "detailed_timing": true, "inline_degree": 2,`), 1)
 	if bytes.Equal(old, blob) {
 		t.Fatalf("manifest has no config object to edit: %s", blob)
 	}
@@ -732,6 +732,8 @@ func TestCreateErrors(t *testing.T) {
 		{"wal-without-datadir", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"wal_dir":"wal"}}`, 400},
 		{"rebuild-graph-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"rebuild_graph":true}}`, 400},
 		{"pipeline-overlap-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"pipeline_overlap":true}}`, 400},
+		{"detailed-timing-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"detailed_timing":true}}`, 400},
+		{"inline-degree-not-on-wire", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"config":{"inline_degree":2}}`, 400},
 		{"unknown-body-field", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"},"surprise":1}`, 400},
 		{"too-many-vertices", `{"name":"t","graph":{"gen":"er","vertices":99999999,"edges":8},"algorithm":{"name":"sssp"}}`, 400},
 		{"trailing-data", `{"name":"t","graph":{"gen":"er","vertices":8,"edges":8},"algorithm":{"name":"sssp"}} {"name":"u"}`, 400},

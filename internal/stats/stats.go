@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -37,7 +36,7 @@ type Counters struct {
 	// Resilience (ingest validation, recovery).
 	UpdatesDropped     uint64 // invalid updates dropped by the Repair ingest policy
 	BatchesRepaired    uint64 // batches with at least one update dropped
-	ColdStartFallbacks uint64 // watchdog/restore cold-start recomputations
+	ColdStartFallbacks uint64 // watchdog cold-start recomputations
 
 	// Timing results.
 	Cycles uint64 // accelerator cycles at the configured clock
@@ -94,9 +93,6 @@ func (c *Counters) Sub(o *Counters) {
 
 // Reset zeroes every counter.
 func (c *Counters) Reset() { *c = Counters{} }
-
-// VertexAccesses is the Fig 9 numerator: total vertex-state touches.
-func (c *Counters) VertexAccesses() uint64 { return c.VertexReads + c.VertexWrites }
 
 // EventsUnaccounted is the queue conservation residual: at quiescence every
 // generated event has either been processed or coalesced into one that was,
@@ -162,34 +158,6 @@ func (c *Counters) Table() string {
 		}
 	}
 	return b.String()
-}
-
-// Distribution summarizes a set of samples; used by reports on degree
-// distributions and per-batch timings.
-type Distribution struct {
-	Min, Max, Mean, P50, P95 float64
-	N                        int
-}
-
-// Summarize computes a Distribution over xs (xs is not modified).
-func Summarize(xs []float64) Distribution {
-	if len(xs) == 0 {
-		return Distribution{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var sum float64
-	for _, x := range s {
-		sum += x
-	}
-	idx := func(q float64) float64 {
-		i := int(q * float64(len(s)-1))
-		return s[i]
-	}
-	return Distribution{
-		Min: s[0], Max: s[len(s)-1], Mean: sum / float64(len(s)),
-		P50: idx(0.5), P95: idx(0.95), N: len(s),
-	}
 }
 
 // GeoMean returns the geometric mean of xs, ignoring non-positive entries.

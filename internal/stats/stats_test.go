@@ -29,13 +29,6 @@ func TestAddAndReset(t *testing.T) {
 	}
 }
 
-func TestVertexAccesses(t *testing.T) {
-	c := filled()
-	if c.VertexAccesses() != 9 {
-		t.Errorf("VertexAccesses = %d, want 9", c.VertexAccesses())
-	}
-}
-
 func TestMemoryUtilization(t *testing.T) {
 	var c Counters
 	if c.MemoryUtilization() != 0 {
@@ -67,16 +60,6 @@ func TestStringAndTable(t *testing.T) {
 	empty := (&Counters{Cycles: 5}).Table()
 	if strings.Contains(empty, "events processed") {
 		t.Error("Table should omit zero rows")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if d := Summarize(nil); d.N != 0 {
-		t.Error("empty summarize")
-	}
-	d := Summarize([]float64{3, 1, 2, 4, 5})
-	if d.Min != 1 || d.Max != 5 || d.Mean != 3 || d.P50 != 3 || d.N != 5 {
-		t.Errorf("Summarize = %+v", d)
 	}
 }
 

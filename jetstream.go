@@ -203,7 +203,9 @@ type settings struct {
 	accel    *engine.Config // WithAccelerator
 	observer Observer       // WithObserver
 	walFS    wal.FS         // WithWALOptions filesystem override
-	rebuild  bool           // WithGraphRebuild
+	// rebuild applies every batch through graph.Apply, the full-rebuild
+	// oracle; only tests set it (withGraphRebuild).
+	rebuild bool
 }
 
 // WithOpt selects the deletion-recovery optimization (default OptDAP).
@@ -218,26 +220,6 @@ func WithSlices(k int) Option { return func(s *settings) { s.Slices = k } }
 // WithTiming toggles the cycle-accurate timing model (default on). With it
 // off the system is a fast functional streaming-graph engine.
 func WithTiming(on bool) Option { return func(s *settings) { s.Timing = on } }
-
-// WithDetailedTiming selects the per-event pipeline timing model (contended
-// apply units, generation streams, crossbar ports and coalescer pipelines)
-// instead of the default batch-level throughput model. Slower to simulate;
-// resolves port-contention hot spots.
-func WithDetailedTiming() Option {
-	return func(s *settings) { s.DetailedTiming = true }
-}
-
-// WithInlineDegree tunes the degree-adaptive adjacency layout of the
-// incremental host path: vertices with at most n neighbors in a direction are
-// stored in per-vertex cache-line records instead of the shared slack slab,
-// so the common low-degree lookup costs one line fill and zero pointer
-// chases. n = 0 keeps the library default (4), n in [1, 4] sets the
-// threshold, n = -1 disables the inline layout entirely (uniform slab). The
-// logical graph and query results are identical at every setting. Ignored
-// under WithGraphRebuild.
-func WithInlineDegree(n int) Option {
-	return func(s *settings) { s.InlineDegree = n }
-}
 
 // WithParallelism shards the functional compute phases across p worker
 // goroutines, one per simulated PE (see AcceleratorConfig.Parallelism). The
@@ -267,19 +249,6 @@ func WithAccelerator(cfg AcceleratorConfig) Option {
 // deletes of absent edges, inserts of present edges). The default is Strict.
 func WithIngest(p IngestPolicy) Option {
 	return func(s *settings) { s.Ingest = p.String() }
-}
-
-// WithGraphRebuild applies every batch by rebuilding the full CSR (the
-// paper's simplest host model: write a new CSR, swap the pointer) instead of
-// the default incremental slack-based mutation that touches only the
-// adjacencies a batch changes. Query results are identical either way; the
-// switch exists to measure the host-side cost difference and as the
-// reference side of differential tests. It costs O(V+E) per batch, so it is
-// code-only: Config has no field for it and a wire declaration cannot ask
-// for it. A checkpoint still records it, so a restored System stays on the
-// path it was built with.
-func WithGraphRebuild() Option {
-	return func(s *settings) { s.rebuild = true }
 }
 
 // WithWAL attaches a durable write-ahead delta log in dir with the default
@@ -448,9 +417,7 @@ func New(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 	}
 	cfg.Slices = set.Slices
 	cfg.RebuildGraph = set.rebuild
-	cfg.InlineDegree = set.InlineDegree
 	cfg.Engine.Timing = set.Timing
-	cfg.Engine.DetailedTiming = set.DetailedTiming
 	if set.Parallelism > 0 {
 		cfg.Engine.Parallelism = set.Parallelism
 	}

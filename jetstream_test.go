@@ -138,25 +138,6 @@ func TestWithSlices(t *testing.T) {
 	}
 }
 
-func TestDetailedTimingThroughPublicAPI(t *testing.T) {
-	g := RMAT(RMATConfig{Vertices: 300, Edges: 2400, Seed: 13})
-	det, _ := New(g, SSSP(0), WithDetailedTiming())
-	fast, _ := New(g, SSSP(0))
-	dres := det.RunInitial()
-	fres := fast.RunInitial()
-	if dres.Cycles == 0 || fres.Cycles == 0 {
-		t.Fatal("zero cycles")
-	}
-	gen := NewStream(StreamConfig{BatchSize: 40, InsertFrac: 0.6, Seed: 14})
-	b := gen.Next(det.Graph())
-	if _, err := det.ApplyBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if d := det.Verify(); d != 0 {
-		t.Errorf("detailed-timing system diverged by %v", d)
-	}
-}
-
 // TestSystemConstructionCheap pins the tenancy contract end to end: New does
 // no per-vertex work — engine state, dependency arrays and queue slots all
 // materialize on first use — so a server can declare thousands of Systems

@@ -122,8 +122,7 @@ type MetricsSnapshot struct {
 	// is either in place or one re-lay), the slab's physical and dead slots,
 	// both directions summed, and the undo traffic — per-vertex records
 	// in-place batches left with the versions they superseded, and how many of
-	// those a reader of an old version turned back into an adjacency. All zero
-	// under WithGraphRebuild.
+	// those a reader of an old version turned back into an adjacency.
 	GraphLayout GraphLayout
 	// Channels is per-DRAM-channel traffic; nil with the timing model off.
 	Channels []ChannelMetrics

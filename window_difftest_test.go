@@ -101,8 +101,14 @@ func sameEdges(a, b *Graph) string {
 		return fmt.Sprintf("edge count %d vs oracle %d", len(ae), len(be))
 	}
 	key := func(e Edge) [2]uint32 { return [2]uint32{e.Src, e.Dst} }
-	sort.Slice(ae, func(i, j int) bool { ki, kj := key(ae[i]), key(ae[j]); return ki[0] < kj[0] || (ki[0] == kj[0] && ki[1] < kj[1]) })
-	sort.Slice(be, func(i, j int) bool { ki, kj := key(be[i]), key(be[j]); return ki[0] < kj[0] || (ki[0] == kj[0] && ki[1] < kj[1]) })
+	sort.Slice(ae, func(i, j int) bool {
+		ki, kj := key(ae[i]), key(ae[j])
+		return ki[0] < kj[0] || (ki[0] == kj[0] && ki[1] < kj[1])
+	})
+	sort.Slice(be, func(i, j int) bool {
+		ki, kj := key(be[i]), key(be[j])
+		return ki[0] < kj[0] || (ki[0] == kj[0] && ki[1] < kj[1])
+	})
 	for i := range ae {
 		if ae[i] != be[i] {
 			return fmt.Sprintf("edge %d: (%d,%d,%v) vs oracle (%d,%d,%v)",
