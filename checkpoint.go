@@ -444,6 +444,11 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 		if state[i], err = p.f64(); err != nil {
 			return nil, err
 		}
+		// NaN is no kernel's value, and a selective vertex holding it never
+		// settles (NaN != NaN reads as a change). ±Inf is an identity.
+		if math.IsNaN(state[i]) {
+			return nil, fmt.Errorf("%w: vertex %d state is NaN", ErrCorruptCheckpoint, i)
+		}
 	}
 	nd, err := p.u64()
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"math"
 	"testing"
+	"time"
 
 	"jetstream/internal/algo"
 )
@@ -275,5 +277,60 @@ func TestCheckpointMidDeltaChain(t *testing.T) {
 	}
 	if d := algo.MaxAbsDiff(orig.State(), restored.State()); d != 0 {
 		t.Errorf("states differ by %v after continuation", d)
+	}
+}
+
+// nanCheckpoint is a valid SSSP checkpoint whose source vertex holds NaN.
+func nanCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	sys, err := New(RMAT(RMATConfig{Vertices: 32, Edges: 128, Seed: 3}), SSSP(0), WithTiming(false))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys.RunInitial()
+	sys.StateRef()[0] = math.NaN()
+	var buf bytes.Buffer
+	if err := sys.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreRejectsNaNState: a NaN vertex state never settles (NaN != NaN
+// reads as a change), so a restored one would hang the next batch touching
+// it. Restore refuses it; ±Inf, a kernel identity, stays legal. A restore
+// that accepts it runs the batch under a deadline, so the test fails rather
+// than hangs.
+func TestRestoreRejectsNaNState(t *testing.T) {
+	sys, err := Restore(bytes.NewReader(nanCheckpoint(t)))
+	if err == nil {
+		done := make(chan error, 1)
+		go func() {
+			_, err := sys.ApplyBatch(Batch{Inserts: []Edge{absentEdge(sys.Graph())}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			t.Fatalf("NaN state restored; the next batch returned %v", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("NaN state restored; the next batch out of the NaN vertex did not return within 5s")
+		}
+	}
+	if !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("NaN state: %v, want ErrCorruptCheckpoint", err)
+	}
+
+	inf, err := New(RMAT(RMATConfig{Vertices: 32, Edges: 128, Seed: 3}), SSSP(0), WithTiming(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf.RunInitial()
+	inf.StateRef()[1] = math.Inf(1)
+	var buf bytes.Buffer
+	if err := inf.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(&buf); err != nil {
+		t.Fatalf("+Inf state rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 // Command jetlint runs the repo's custom static-analysis suite (internal/lint)
-// over the module: atomicmix, determinism, panicfree, errwrap, syncerr, plus
-// the flow-sensitive lockdiscipline, hotpathalloc, and journalorder analyzers.
+// over the module: the determinism, panicfree, errwrap, syncerr and
+// lockdiscipline analyzers. go test ./... runs the same suite (TestJetlint);
+// this command is for running it alone, or one analyzer at a time.
 //
 // Usage:
 //

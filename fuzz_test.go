@@ -172,6 +172,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[len(ckptMagic)+12:]) // payload without frame
+	f.Add(nanCheckpoint(f))          // a vertex state of NaN
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(form string, r *bytes.Reader) {

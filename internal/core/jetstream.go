@@ -354,8 +354,6 @@ func (j *JetStream) applySelective(b graph.Batch, ng *graph.CSR) {
 // one the host answers it along the asking edge instead — the in-neighbor's
 // current contribution, sent straight to v. An in-neighbor still at Identity
 // was itself reset; its own compute pass will reach v.
-//
-//jetlint:hotpath
 func (j *JetStream) requestImpacted(ng *graph.CSR) {
 	identity := j.alg.Identity()
 	inRegion := uint64(ng.EdgeSlots()) // in-CSR lives after the out-CSR (incl. slack)

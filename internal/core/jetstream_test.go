@@ -752,3 +752,73 @@ func TestRequestsAnsweredAlongAskingEdge(t *testing.T) {
 		t.Errorf("state %v with a cycle model, %v without; want %v", onState, offState, want)
 	}
 }
+
+// TestRecoveryPhaseAllocs pins the delete-tag recovery phase of the Base and
+// DAP policies at zero allocations once warm: the tags travel along whole
+// out-adjacencies (EmitAlongEdges) into reused queue slots and a reused
+// Impact Buffer. Each run restores the converged state and deletes the
+// root's out-edges again.
+func TestRecoveryPhaseAllocs(t *testing.T) {
+	g := graph.RMAT(graph.RMATConfig{Vertices: 2000, Edges: 16000, Seed: 5})
+	a := algo.NewSSSP(0)
+	roots, _ := g.OutAdj(0)
+	for _, opt := range []OptLevel{OptBase, OptDAP} {
+		t.Run(opt.String(), func(t *testing.T) {
+			js := New(g, a, cfgOpt(opt, false), nil)
+			js.RunInitial()
+			state := slices.Clone(js.eng.State())
+			dep := slices.Clone(js.eng.Dep())
+			h := js.deleteHandler()
+			reset := uint64(0)
+			phase := func() {
+				copy(js.eng.State(), state)
+				copy(js.eng.Dep(), dep)
+				js.impact = js.impact[:0]
+				before := js.st.VerticesReset
+				js.setCoalescing(opt != OptDAP)
+				for _, dst := range roots {
+					js.eng.EmitTo(dst, a.Identity(), 0, event.FlagDelete)
+				}
+				js.eng.RunPhase(h)
+				js.setCoalescing(true)
+				reset = js.st.VerticesReset - before
+			}
+			for i := 0; i < 5; i++ {
+				phase()
+			}
+			if allocs := testing.AllocsPerRun(20, phase); allocs != 0 {
+				t.Fatalf("recovery phase resetting %d vertices: %v allocations, want 0", reset, allocs)
+			}
+			if reset < 100 {
+				t.Fatalf("recovery phase reset %d vertices; the test wants a deep cascade", reset)
+			}
+		})
+	}
+}
+
+// TestReapproximateAllocs pins the Reapproximate step at zero allocations
+// once warm, with a cycle model (request events, charged to the setup trace)
+// and without one (answered along the asking edge).
+func TestReapproximateAllocs(t *testing.T) {
+	g := graph.RMAT(graph.RMATConfig{Vertices: 2000, Edges: 16000, Seed: 5})
+	a := algo.NewSSSP(0)
+	var impact []graph.VertexID
+	for v := 0; v < g.NumVertices(); v += 8 {
+		impact = append(impact, graph.VertexID(v))
+	}
+	for _, timing := range []bool{false, true} {
+		js := New(g, a, cfgOpt(OptDAP, timing), nil)
+		js.RunInitial()
+		step := func() {
+			js.impact = append(js.impact[:0], impact...)
+			js.requestImpacted(js.g)
+			js.eng.RunPhase(func(event.Event) {}) // drain what the step queued
+		}
+		for i := 0; i < 5; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Errorf("timing %v: Reapproximate over %d vertices: %v allocations, want 0", timing, len(impact), allocs)
+		}
+	}
+}

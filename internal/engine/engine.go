@@ -260,16 +260,14 @@ func (e *Engine) Emit(ev event.Event) { e.EmitTo(ev.Target, ev.Value, ev.Source,
 // the cycle model, and merged into the queue slot of its target — or spilled
 // to the pending list of its slice when slicing is active and the target
 // lies in an inactive slice. Every emitter ends here.
-//
-//jetlint:hotpath
 func (e *Engine) EmitTo(t graph.VertexID, val float64, src graph.VertexID, fl event.Flags) {
 	e.st.EventsGenerated++
 	if e.tm != nil {
-		e.batchGenT = append(e.batchGenT, t) //jetlint:allow hotpathalloc -- timing runs only; reset to [:0] per row batch, so it grows to the largest batch once
+		e.batchGenT = append(e.batchGenT, t)
 	}
 	if e.part != nil {
 		if s := e.part.SliceOf(t); s != e.active {
-			e.pending[s] = append(e.pending[s], event.Event{Target: t, Value: val, Source: src, Flags: fl}) //jetlint:allow hotpathalloc -- sliced runs only: the off-chip spill list of an inactive slice
+			e.pending[s] = append(e.pending[s], event.Event{Target: t, Value: val, Source: src, Flags: fl})
 			return
 		}
 	}
@@ -280,8 +278,6 @@ func (e *Engine) EmitTo(t graph.VertexID, val float64, src graph.VertexID, fl ev
 // stream: it counts the edge reads and, for the cycle model, records the
 // adjacency range. ws is cut to len(ids) so a loop over ids indexes it
 // without a bounds check.
-//
-//jetlint:hotpath
 func (e *Engine) outAdj(u graph.VertexID) (ids []graph.VertexID, ws []graph.Weight) {
 	ids, ws = e.view.OutAdj(u)
 	if len(ids) == 0 {
@@ -289,7 +285,7 @@ func (e *Engine) outAdj(u graph.VertexID) (ids []graph.VertexID, ws []graph.Weig
 	}
 	e.st.EdgeReads += uint64(len(ids))
 	if e.tm != nil {
-		e.batchFetches = append(e.batchFetches, EdgeFetch{Offset: e.csr.EdgeOffset(u), Count: len(ids)}) //jetlint:allow hotpathalloc -- timing runs only; reset to [:0] per row batch
+		e.batchFetches = append(e.batchFetches, EdgeFetch{Offset: e.csr.EdgeOffset(u), Count: len(ids)})
 	}
 	return ids, ws[:len(ids)]
 }
@@ -297,8 +293,6 @@ func (e *Engine) outAdj(u graph.VertexID) (ids []graph.VertexID, ws []graph.Weig
 // EmitAlongEdges sends val unchanged along every out-edge of u in the active
 // view, tagging the events with source u and flags — the delete tag of the
 // recovery phase (Algorithm 4), which carries no per-edge contribution.
-//
-//jetlint:hotpath
 func (e *Engine) EmitAlongEdges(u graph.VertexID, val float64, flags event.Flags) {
 	ids, _ := e.outAdj(u)
 	for _, dst := range ids {
@@ -315,8 +309,6 @@ func (e *Engine) EmitAlongEdges(u graph.VertexID, val float64, flags event.Flags
 // already dominates it is not emitted: inside a compute phase a selective
 // state only improves, so the pop would change nothing. Under a cycle model
 // every event is emitted, as the hardware would.
-//
-//jetlint:hotpath
 func (e *Engine) PropagateValue(u graph.VertexID, x float64, flags event.Flags) {
 	ids, ws := e.outAdj(u)
 	if len(ids) == 0 {

@@ -323,8 +323,6 @@ func (w *peWorker) main() {
 // writes a count again before passing the next first barrier — so the
 // barriers are the whole synchronization, and every worker reaches the same
 // verdict in the same superstep.
-//
-//jetlint:hotpath
 func (w *peWorker) loop() {
 	r := w.run
 	for {
@@ -385,8 +383,6 @@ func (w *peWorker) process(ev event.Event) {
 
 // propagate sends x from u along every out-edge in the active view — the
 // parallel twin of Engine.PropagateValue.
-//
-//jetlint:hotpath
 func (w *peWorker) propagate(u graph.VertexID, x float64) {
 	r := w.run
 	ids, ws := r.view.OutAdj(u)
@@ -407,8 +403,6 @@ func (w *peWorker) propagate(u graph.VertexID, x float64) {
 
 // emit routes an event to the owner of its target: merged into the local
 // shard directly, appended to the outbox of another worker.
-//
-//jetlint:hotpath
 func (w *peWorker) emit(t graph.VertexID, val float64, src graph.VertexID) {
 	w.st.EventsGenerated++
 	d := w.run.sq.Owner(t)
@@ -418,7 +412,7 @@ func (w *peWorker) emit(t graph.VertexID, val float64, src graph.VertexID) {
 		}
 		return
 	}
-	w.staging[d] = append(w.staging[d], event.Event{Target: t, Value: val, Source: src}) //jetlint:allow hotpathalloc -- the outbox: kept across supersteps up to recycleCap, left to the collector beyond (see recycleCap)
+	w.staging[d] = append(w.staging[d], event.Event{Target: t, Value: val, Source: src})
 	w.sent[d]++
 	w.forwarded++
 }

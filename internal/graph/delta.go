@@ -315,8 +315,6 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 // tail headroom cannot take this batch's relocations — or when the receiver
 // has no mutable slacked layout to edit (a dense build, a superseded
 // version). Validation errors match Apply's.
-//
-//jetlint:hotpath
 func (g *CSR) ApplyDelta(b Batch) (*CSR, error) {
 	cfg := DefaultDeltaConfig()
 	if g.ver != nil {
@@ -414,8 +412,6 @@ func (sc *deltaScratch) mirror() {
 // counting pass per byte of the largest key present, ping-ponging between
 // ops and tmp (equal lengths). It returns the sorted slice and the spare one.
 // No comparison callback runs: a batch is ordered in a few linear sweeps.
-//
-//jetlint:hotpath
 func radixSort(ops, tmp []segOp, byV bool) (sorted, spare []segOp) {
 	var top VertexID
 	for i := range ops {
@@ -710,8 +706,6 @@ func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, inlCap in
 // the first touched slot moves, no slot moves more than twice, and no copy of
 // the segment exists. Returns the new used length; the contents equal what
 // mergeSeg produces for the same input.
-//
-//jetlint:hotpath
 func editSeg(ids []VertexID, ws []Weight, n int, ops []segOp) int {
 	// Deletes. Slots [r, p) between two deleted positions slide down to the
 	// write cursor w; from bounds the next search, the ops being ascending.

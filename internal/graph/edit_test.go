@@ -379,33 +379,41 @@ func TestConcurrentFirstReads(t *testing.T) {
 
 // TestSteadyStateAllocs pins what a steady in-place batch allocates: the head
 // object, plus the undo chunks amortized over the batches that share one —
-// and nothing when a superseded version is never read.
+// and nothing when a superseded version is never read. ApplyDelta, the
+// wrapper that reuses the version's tuning, adds nothing to ApplyDeltaCfg.
 func TestSteadyStateAllocs(t *testing.T) {
 	g := RMAT(RMATConfig{Vertices: 2000, Edges: 16000, Seed: 4})
 	cfg := DefaultDeltaConfig()
 	cfg.CompactFrac = 1e9 // the waste trigger counts edits; keep it out of the run
-	cur, err := g.ApplyDeltaCfg(Batch{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batch and its exact inverse, so no segment ever outgrows its gap.
-	fwd := randomValidBatch(rand.New(rand.NewSource(8)), cur, 200)
-	rev := Batch{Inserts: fwd.Deletes, Deletes: fwd.Inserts}
-	batches := [2]Batch{fwd, rev}
-	relays := cur.relayouts
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		ng, err := cur.ApplyDelta(batches[i&1])
+	steady := func(apply func(*CSR, Batch) (*CSR, error)) float64 {
+		cur, err := g.ApplyDeltaCfg(Batch{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = ng
-		i++
-	})
-	if cur.relayouts != relays {
-		t.Fatalf("%d re-lays during the run; want every batch in place", cur.relayouts-relays)
+		// A batch and its exact inverse, so no segment ever outgrows its gap.
+		fwd := randomValidBatch(rand.New(rand.NewSource(8)), cur, 200)
+		rev := Batch{Inserts: fwd.Deletes, Deletes: fwd.Inserts}
+		batches := [2]Batch{fwd, rev}
+		relays := cur.relayouts
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			ng, err := apply(cur, batches[i&1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = ng
+			i++
+		})
+		if cur.relayouts != relays {
+			t.Fatalf("%d re-lays during the run; want every batch in place", cur.relayouts-relays)
+		}
+		return allocs
 	}
-	if allocs > 2 {
-		t.Fatalf("a steady in-place batch allocates %v times, want the head object plus amortized chunk growth (<= 2)", allocs)
+	direct := steady(func(c *CSR, b Batch) (*CSR, error) { return c.ApplyDeltaCfg(b, cfg) })
+	if direct > 2 {
+		t.Fatalf("a steady in-place batch allocates %v times, want the head object plus amortized chunk growth (<= 2)", direct)
+	}
+	if wrapped := steady((*CSR).ApplyDelta); wrapped != direct {
+		t.Fatalf("ApplyDelta allocates %v times a batch, ApplyDeltaCfg %v; the wrapper must add nothing", wrapped, direct)
 	}
 }

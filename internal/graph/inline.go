@@ -43,8 +43,6 @@ const (
 // when the vertex is inline, the slab segment otherwise. Callers must hold a
 // live (unfrozen) version — frozen versions read through their undo records
 // in OutAdj/InAdj. The returned slices alias the graph's storage.
-//
-//jetlint:hotpath
 func (a *adj) live(v VertexID) ([]VertexID, []Weight) {
 	if a.inl != nil {
 		r := &a.inl[v]
@@ -87,8 +85,6 @@ func (a *adj) deg(v VertexID) int {
 // version's adjacency wherever that lives. Reports whether v was relocated.
 // The ids/ws arguments must not alias the destination (callers pass the merge
 // scratch).
-//
-//jetlint:hotpath
 func (a *adj) store(v VertexID, ids []VertexID, ws []Weight, inlCap int) (relocated bool) {
 	if a.inl != nil && len(ids) <= inlCap {
 		r := &a.inl[v]

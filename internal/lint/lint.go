@@ -1,12 +1,8 @@
 // Package lint implements jetlint, a static-analysis suite enforcing the
 // repo-specific invariants that go vet and staticcheck cannot see:
 //
-//   - atomicmix: a field or package-level variable accessed through
-//     sync/atomic anywhere in the module must never be read or written with
-//     a plain load/store — -race only catches the mix when the schedule
-//     cooperates, the analyzer catches it always.
-//   - determinism: the simulated-timeline packages (engine, sim, mem, noc,
-//     queue, event) must not consult wall-clock time or unseeded global
+//   - determinism: the simulated-timeline packages (engine, mem, noc, queue,
+//     event, graph) must not consult wall-clock time or unseeded global
 //     randomness; golden-trace replay and checkpoint difftests depend on
 //     bit-identical re-execution.
 //   - panicfree: exported functions of the public boundary (the root
@@ -15,27 +11,23 @@
 //   - errwrap: fmt.Errorf with an error argument must use %w, and exported
 //     root-package functions must not return bare errors minted by other
 //     packages, so callers can errors.Is/As across the public boundary.
-//   - syncerr: the durability-bearing packages (root, internal/wal,
-//     cmd/jetstream) must not silently discard the error of Close or Sync; a
-//     dropped fsync error is a dropped durability guarantee.
+//   - syncerr: the durability-bearing packages must not silently discard the
+//     error of Close or Sync; a dropped fsync error is a dropped durability
+//     guarantee.
+//   - lockdiscipline: in the root package and internal/service every
+//     Lock/RLock (and the System acquire guard) is followed immediately by its
+//     deferred release, and nothing else locks or unlocks.
 //
-// Three analyzers are flow-sensitive, built on the intra-procedural CFG and
-// worklist dataflow solver in cfg.go/dataflow.go:
-//
-//   - lockdiscipline: every Lock/RLock (and the System acquire/release CAS
-//     guard) is released on all paths out of the function, never acquired
-//     twice on one path, and never held across a return.
-//   - hotpathalloc: functions annotated //jetlint:hotpath must not contain
-//     allocation-inducing constructs on paths that reach a successful exit.
-//   - journalorder: on commit paths, the WAL append precedes every state
-//     mutation, nothing mutates after a failed append, and journaled batches
-//     are applied before a successful return.
+// Every analyzer is syntactic over the type-checked AST. What a test already
+// measures stays with the test: allocation budgets are AllocsPerRun
+// assertions, copies of typed atomics are go vet's copylocks, and the
+// journal-before-apply order is held by the crashpoint sweeps.
 //
 // A diagnostic can be suppressed with a justified escape hatch on the same
 // line or the line above, naming one or more analyzers:
 //
 //	//jetlint:allow determinism -- wall clock feeds the operator log only
-//	//jetlint:allow lockdiscipline,hotpathalloc -- reason
+//	//jetlint:allow determinism,syncerr -- reason
 //
 // The justification after "--" is mandatory; a directive without one is
 // itself reported, as is a stale directive — one naming an analyzer that ran
@@ -68,8 +60,7 @@ func (d Diagnostic) String() string {
 }
 
 // Pass carries one analyzer run over the whole module. Analyzers iterate
-// pass.Mod.Pkgs themselves: module-scope properties (atomicmix) need every
-// package at once, and package-scope ones just filter.
+// pass.Mod.Pkgs themselves and filter to their scope.
 type Pass struct {
 	Mod    *Module
 	report func(token.Pos, string)
@@ -95,8 +86,7 @@ type Analyzer struct {
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Atomicmix, Determinism, Panicfree, Errwrap, Syncerr,
-		Lockdiscipline, Hotpathalloc, Journalorder,
+		Determinism, Panicfree, Errwrap, Syncerr, Lockdiscipline,
 	}
 }
 
@@ -260,21 +250,6 @@ func staleDirectives(allows map[string]map[int][]*directive, ran map[string]bool
 
 // ---- shared AST/type helpers ----
 
-// walkStack traverses root, calling fn for every node with its ancestor
-// stack (outermost first, not including n itself).
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}
-
 // callee resolves the object a call invokes: a *types.Func for functions and
 // methods, a *types.Builtin for builtins, nil for indirect calls and
 // conversions.
@@ -297,18 +272,6 @@ func calleeFromPkg(info *types.Info, call *ast.CallExpr, pkgPath, name string) b
 		return false
 	}
 	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
-// refObject resolves the variable or field an expression denotes: x, x.f,
-// pkg.V. Returns nil for anything else (index expressions, calls, ...).
-func refObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
 }
 
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)

@@ -21,15 +21,12 @@ var fixtureCases = []struct {
 	importPath string
 	analyzer   *Analyzer
 }{
-	{"atomicmix", "jetstream/fix/atomicmix", Atomicmix},
 	{"determinism", "jetstream/internal/engine", Determinism},
 	{"determinism_graph", "jetstream/internal/graph", Determinism},
 	{"panicfree", "jetstream", Panicfree},
 	{"errwrap", "jetstream", Errwrap},
 	{"syncerr", "jetstream/internal/wal", Syncerr},
 	{"lockdiscipline", "jetstream/internal/service", Lockdiscipline},
-	{"hotpathalloc", "jetstream/internal/queue", Hotpathalloc},
-	{"journalorder", "jetstream/internal/service", Journalorder},
 }
 
 func TestAnalyzers(t *testing.T) {
@@ -167,7 +164,7 @@ func TestAllNames(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, ",")
-	if got != "atomicmix,determinism,panicfree,errwrap,syncerr,lockdiscipline,hotpathalloc,journalorder" {
+	if got != "determinism,panicfree,errwrap,syncerr,lockdiscipline" {
 		t.Fatalf("All() = %s", got)
 	}
 }

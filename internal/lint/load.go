@@ -32,16 +32,6 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// Lookup returns the package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Path == path {
-			return p
-		}
-	}
-	return nil
-}
-
 // rawPkg is a parsed-but-not-yet-checked package.
 type rawPkg struct {
 	path    string

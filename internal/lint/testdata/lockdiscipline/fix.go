@@ -1,7 +1,7 @@
-// Fixture for the lockdiscipline analyzer: leaked locks, double locks,
-// double unlocks, conditional acquisition (TryLock and the acquire/release
-// CAS guard), and the false-positive regressions for every clean pattern
-// the service layer actually uses.
+// Fixture for the lockdiscipline analyzer: every acquisition not followed
+// immediately by its deferred release, every other lock call, a second
+// acquisition of one receiver, and the clean forms the service layer and the
+// root System actually use.
 package service
 
 import (
@@ -22,71 +22,89 @@ type registry struct {
 // ---- positives ----
 
 func leakOnReturn(t *tenant) int {
-	t.mu.Lock()
-	return t.n // want "return exits while holding t.mu"
+	t.mu.Lock() // want "t.mu.Lock.. is not followed immediately by defer t.mu.Unlock.."
+	return t.n
 }
 
-func leakOnSomePaths(t *tenant, fast bool) int {
-	t.mu.Lock()
-	if fast {
-		return t.n // want "return exits while holding t.mu"
-	}
-	n := t.n
-	t.mu.Unlock()
-	return n
-}
-
-func maybeHeldAtReturn(t *tenant, c bool) {
-	if c {
-		t.mu.Lock()
-	}
+func deferTooLate(t *tenant) {
+	t.mu.Lock() // want "t.mu.Lock.. is not followed immediately by defer t.mu.Unlock.."
 	t.n++
-	// The unlock is missing on the c path entirely.
-	return // want "return may exit while holding t.mu"
+	defer t.mu.Unlock() // want "t.mu.Unlock.. outside the lock-then-defer idiom"
 }
 
-func leakFallingOffEnd(t *tenant) {
-	t.mu.Lock()
-	t.n++
-} // want "function exit exits while holding t.mu"
+func earlyReturnBeforeDefer(r *registry) error {
+	r.mu.Lock() // want "r.mu.Lock.. is not followed immediately by defer r.mu.Unlock.."
+	if r.set == nil {
+		return errors.New("closed")
+	}
+	defer r.mu.Unlock() // want "r.mu.Unlock.. outside the lock-then-defer idiom"
+	return nil
+}
+
+func handUnlockedBranches(r *registry, k string) (*tenant, error) {
+	r.mu.Lock() // want "r.mu.Lock.. is not followed immediately by defer r.mu.Unlock.."
+	t, ok := r.set[k]
+	if !ok {
+		r.mu.Unlock() // want "r.mu.Unlock.. outside the lock-then-defer idiom"
+		return nil, errors.New("missing")
+	}
+	r.mu.Unlock() // want "r.mu.Unlock.. outside the lock-then-defer idiom"
+	return t, nil
+}
+
+func wrongRelease(r *registry) int {
+	r.mu.RLock()        // want "r.mu.RLock.. is not followed immediately by defer r.mu.RUnlock.."
+	defer r.mu.Unlock() // want "r.mu.Unlock.. outside the lock-then-defer idiom"
+	return len(r.set)
+}
 
 func doubleLock(t *tenant) {
 	t.mu.Lock()
-	t.mu.Lock() // want "t.mu acquired again while already held"
-	t.mu.Unlock()
-}
-
-func doubleLockViaBranch(t *tenant, c bool) {
-	t.mu.Lock()
-	if c {
-		t.mu.Lock() // want "t.mu acquired again while already held"
-		t.mu.Unlock()
-	}
-	t.mu.Unlock()
-}
-
-func unlockNotHeld(t *tenant) {
-	t.mu.Unlock() // want "t.mu released but not held"
-}
-
-func unlockTwiceWithDefer(t *tenant) {
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.n++
-	t.mu.Unlock()
-	return // want "deferred unlock of t.mu runs with the lock already released"
+	t.mu.Lock() // want "t.mu acquired a second time in this function"
+	defer t.mu.Unlock()
 }
 
-func readLockLeak(r *registry, k string) *tenant {
+func readThenWrite(r *registry) {
 	r.mu.RLock()
-	return r.set[k] // want "return exits while holding r.mu"
+	defer r.mu.RUnlock()
+	if r.set == nil {
+		r.mu.Lock() // want "r.mu acquired a second time in this function"
+		defer r.mu.Unlock()
+	}
+}
+
+func tryLock(t *tenant) bool {
+	if t.mu.TryLock() { // want "t.mu.TryLock.. outside the lock-then-defer idiom"
+		defer t.mu.Unlock() // want "t.mu.Unlock.. outside the lock-then-defer idiom"
+		return true
+	}
+	return false
+}
+
+func deferredClosure(t *tenant) {
+	t.mu.Lock() // want "t.mu.Lock.. is not followed immediately by defer t.mu.Unlock.."
+	defer func() {
+		t.mu.Unlock() // want "t.mu.Unlock.. outside the lock-then-defer idiom"
+	}()
+	t.n++
+}
+
+func lockPerIteration(ts []*tenant) int {
+	sum := 0
+	for _, t := range ts {
+		t.mu.Lock() // want "t.mu.Lock.. is not followed immediately by defer t.mu.Unlock.."
+		sum += t.n
+		t.mu.Unlock() // want "t.mu.Unlock.. outside the lock-then-defer idiom"
+	}
+	return sum
 }
 
 // lockedHandoff returns with the lock held on purpose; the annotation both
 // documents and suppresses it.
 func lockedHandoff(t *tenant) *tenant {
-	t.mu.Lock()
-	return t //jetlint:allow lockdiscipline -- caller unlocks after the handoff
+	t.mu.Lock() //jetlint:allow lockdiscipline -- caller unlocks after the handoff
+	return t
 }
 
 // ---- the acquire/release CAS guard ----
@@ -107,26 +125,25 @@ func (s *system) acquire(op string) error {
 
 func (s *system) release() { s.busy = false }
 
-func guardLeak(s *system, work func()) error {
-	if err := s.acquire("leak"); err != nil {
+func guardWithoutDefer(s *system, work func()) error {
+	if err := s.acquire("leak"); err != nil { // want "s.acquire.. is not followed immediately by defer s.release.."
 		return err
 	}
 	work()
-	return nil // want "return exits while holding s.acquire"
-}
-
-func guardLeakOnBranch(s *system, bad bool) error {
-	if err := s.acquire("branch"); err != nil {
-		return err
-	}
-	if bad {
-		return errBusy // want "return exits while holding s.acquire"
-	}
-	s.release()
+	s.release() // want "s.release.. outside the lock-then-defer idiom"
 	return nil
 }
 
-// ---- false-positive regressions ----
+func guardSplitForm(s *system) error {
+	err := s.acquire("split") // want "s.acquire.. outside the lock-then-defer idiom"
+	if err != nil {
+		return err
+	}
+	defer s.release() // want "s.release.. outside the lock-then-defer idiom"
+	return nil
+}
+
+// ---- clean ----
 
 func cleanDeferPair(t *tenant) int {
 	t.mu.Lock()
@@ -134,19 +151,10 @@ func cleanDeferPair(t *tenant) int {
 	return t.n
 }
 
-func cleanExplicitBranches(r *registry, k string) (*tenant, error) {
-	r.mu.Lock()
-	if r.set == nil {
-		r.mu.Unlock()
-		return nil, errors.New("closed")
-	}
-	t, ok := r.set[k]
-	if !ok {
-		r.mu.Unlock()
-		return nil, errors.New("missing")
-	}
-	r.mu.Unlock()
-	return t, nil
+func cleanReadLock(r *registry) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.set)
 }
 
 func cleanGuard(s *system, work func()) error {
@@ -158,64 +166,27 @@ func cleanGuard(s *system, work func()) error {
 	return nil
 }
 
-func cleanGuardExplicit(s *system) error {
-	err := s.acquire("explicit")
-	if err != nil {
-		return err
+// cleanHelper is the shape an early-exit section takes: its own function.
+func cleanHelper(r *registry, k string) (*tenant, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t, ok := r.set[k]
+	if !ok {
+		return nil, errors.New("missing")
 	}
-	s.release()
-	return nil
-}
-
-func cleanTryLockCond(t *tenant) bool {
-	if t.mu.TryLock() {
-		t.n++
-		t.mu.Unlock()
-		return true
-	}
-	return false
-}
-
-func cleanTryLockBound(t *tenant) {
-	ok := t.mu.TryLock()
-	if ok {
-		t.n++
-		t.mu.Unlock()
-	}
-}
-
-func cleanLockPerIteration(ts []*tenant) int {
-	sum := 0
-	for _, t := range ts {
-		t.mu.Lock()
-		sum += t.n
-		t.mu.Unlock()
-	}
-	return sum
-}
-
-func cleanDeferredClosure(t *tenant) {
-	t.mu.Lock()
-	defer func() {
-		t.n++
-		t.mu.Unlock()
-	}()
-	t.n++
+	delete(r.set, k)
+	return t, nil
 }
 
 func cleanClosureOwnsItsLock(t *tenant) func() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	undo := func() {
 		t.mu.Lock()
+		defer t.mu.Unlock()
 		t.n--
-		t.mu.Unlock()
 	}
 	return undo
-}
-
-func cleanReadLock(r *registry) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.set)
 }
 
 func cleanTwoLocksNested(r *registry, t *tenant) int {
@@ -224,4 +195,13 @@ func cleanTwoLocksNested(r *registry, t *tenant) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.n + len(r.set)
+}
+
+func cleanInCase(t *tenant, op int) {
+	switch op {
+	case 1:
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.n++
+	}
 }

@@ -155,8 +155,6 @@ func (q *Coalescing) Insert(e event.Event) { q.Put(e.Target, e.Value, e.Source, 
 // Put is Insert with the event's fields as scalars, for emitters that compute
 // them per edge: an occupied slot is merged in place and an empty one written
 // field by field, so no event record is built to be copied.
-//
-//jetlint:hotpath
 func (q *Coalescing) Put(t graph.VertexID, val float64, src graph.VertexID, fl event.Flags) {
 	if int(t) >= q.n {
 		panic(fmt.Sprintf("queue: target %d out of range (%d slots)", t, q.n))
@@ -215,8 +213,6 @@ func (q *Coalescing) Rows() int {
 // cursor only moves forward, which preserves the dense-scan ordering
 // contract above — a same-row or earlier-row reinsertion waits for the next
 // round even if its row still has the occupancy bit set.
-//
-//jetlint:hotpath
 func (q *Coalescing) DrainRound(fn func(batch []event.Event)) int {
 	if q.occ == nil {
 		// Nothing was ever inserted; count the (empty) round for parity with
@@ -229,7 +225,7 @@ func (q *Coalescing) DrainRound(fn func(batch []event.Event)) int {
 	batch := q.drain[:0]
 	for row := q.occ.nextRow(0); row >= 0; row = q.occ.nextRow(row + 1) {
 		batch = batch[:0]
-		q.occ.drainRow(row, func(slot int) { //jetlint:allow hotpathalloc -- the row visitor does not escape drainRow and stays on the stack
+		q.occ.drainRow(row, func(slot int) {
 			batch = append(batch, q.slots[slot])
 		})
 		if len(batch) > 0 {

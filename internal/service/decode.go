@@ -52,8 +52,6 @@ type batchDecoder struct {
 // escaped, null leaves a number alone and empties an array, a repeated key
 // decodes on top of what the first occurrence left, integers take no sign,
 // fraction or exponent, and a weight that overflows float64 is an error.
-//
-//jetlint:hotpath
 func decodeBatch(data []byte) (jetstream.Batch, error) {
 	d := batchDecoder{data: data}
 	var b jetstream.Batch
@@ -89,8 +87,6 @@ func (d *batchDecoder) fail(what string) error {
 // next skips JSON whitespace and returns the byte at the cursor without
 // consuming it; 0 at the end of input (a literal NUL is valid nowhere, so
 // callers need not tell the two apart).
-//
-//jetlint:hotpath
 func (d *batchDecoder) next() byte {
 	for d.pos < len(d.data) {
 		switch c := d.data[d.pos]; c {
@@ -114,8 +110,6 @@ func (d *batchDecoder) null() error {
 
 // sep consumes the separator after an object member or array element and
 // reports whether another one follows.
-//
-//jetlint:hotpath
 func (d *batchDecoder) sep(end byte) (more bool, err error) {
 	switch d.next() {
 	case ',':
@@ -132,8 +126,6 @@ func (d *batchDecoder) sep(end byte) (more bool, err error) {
 // of the name it selects among names — byte-equal, or equal under Unicode
 // case folding once unquoted, as encoding/json matches struct fields. Any
 // other key is an error: unknown fields are disallowed.
-//
-//jetlint:hotpath
 func (d *batchDecoder) key(names []string) (int, error) {
 	if d.next() != '"' {
 		return 0, d.fail("want an object key")
@@ -185,8 +177,6 @@ func (d *batchDecoder) key(names []string) (int, error) {
 }
 
 // batch decodes the members of the batch object; the '{' is consumed.
-//
-//jetlint:hotpath
 func (d *batchDecoder) batch(b *jetstream.Batch) error {
 	if d.next() == '}' {
 		d.pos++
@@ -214,8 +204,6 @@ func (d *batchDecoder) batch(b *jetstream.Batch) error {
 // edges decodes one edge array onto *dst. Element i is decoded on top of
 // whatever (*dst)[:cap][i] holds — zeros, unless an earlier occurrence of
 // the same key left an edge there — and null or [] drop the array altogether.
-//
-//jetlint:hotpath
 func (d *batchDecoder) edges(dst *[]jetstream.Edge) error {
 	switch d.next() {
 	case 'n':
@@ -239,13 +227,12 @@ func (d *batchDecoder) edges(dst *[]jetstream.Edge) error {
 		if end := bytes.IndexByte(rest, ']'); end >= 0 {
 			rest = rest[:end]
 		}
-		//jetlint:allow hotpathalloc -- the batch's edge slice, sized once
 		s = make([]jetstream.Edge, 0, bytes.Count(rest, []byte("{")))
 	}
 	i := 0
 	for more := true; more; i++ {
 		if i == cap(s) {
-			//jetlint:allow hotpathalloc -- only null elements or a repeated key outgrow the hint
+			// Only null elements or a repeated key outgrow the hint.
 			s = append(s[:i], jetstream.Edge{})
 		}
 		s = s[:max(len(s), i+1)]
@@ -272,8 +259,6 @@ func (d *batchDecoder) edges(dst *[]jetstream.Edge) error {
 }
 
 // edge decodes the members of one edge object onto e; the '{' is consumed.
-//
-//jetlint:hotpath
 func (d *batchDecoder) edge(e *jetstream.Edge) error {
 	if d.next() == '}' {
 		d.pos++
@@ -307,8 +292,6 @@ func (d *batchDecoder) edge(e *jetstream.Edge) error {
 // vertex consumes an unsigned decimal integer that fits uint32. A sign,
 // fraction or exponent stops the scan and fails the separator check behind
 // it, as it fails encoding/json's ParseUint.
-//
-//jetlint:hotpath
 func (d *batchDecoder) vertex() (uint32, error) {
 	start := d.pos
 	var n uint64
@@ -330,8 +313,6 @@ func (d *batchDecoder) vertex() (uint32, error) {
 
 // weight consumes a number in JSON's grammar and converts it the way
 // encoding/json does.
-//
-//jetlint:hotpath
 func (d *batchDecoder) weight() (float64, error) {
 	start := d.pos
 	if d.pos < len(d.data) && d.data[d.pos] == '-' {
@@ -367,8 +348,6 @@ func (d *batchDecoder) weight() (float64, error) {
 }
 
 // digits consumes a run of decimal digits and reports whether there was one.
-//
-//jetlint:hotpath
 func (d *batchDecoder) digits() bool {
 	start := d.pos
 	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {

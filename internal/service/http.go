@@ -208,8 +208,13 @@ func (s *Service) handleTenantMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	t.metricsHandler().ServeHTTP(w, r)
+}
+
+// metricsHandler reads the tenant's metrics handler under its lock; serving
+// it needs no lock.
+func (t *Tenant) metricsHandler() http.Handler {
 	t.mu.Lock()
-	h := t.sys.MetricsHandler()
-	t.mu.Unlock()
-	h.ServeHTTP(w, r)
+	defer t.mu.Unlock()
+	return t.sys.MetricsHandler()
 }

@@ -205,36 +205,15 @@ func (s *Service) Create(req CreateRequest) (*Tenant, error) {
 
 	// Reserve the name under the registry lock, then build outside it so a
 	// large tenant construction cannot stall unrelated tenants.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	t, err := s.reserve(req)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := s.tenants[req.Name]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrExists, req.Name)
-	}
-	if len(s.tenants) >= s.opts.MaxTenants {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d)", ErrTenantLimit, s.opts.MaxTenants)
-	}
-	t := &Tenant{
-		name: req.Name,
-		req:  req,
-		sem:  make(chan struct{}, s.opts.QueueDepth),
-	}
-	if s.opts.DataDir != "" {
-		t.dir = filepath.Join(s.opts.DataDir, req.Name)
-	}
-	s.tenants[req.Name] = t
-	s.tenantsG.Set(int64(len(s.tenants)))
-	s.mu.Unlock()
-
 	undo := func() {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		delete(s.tenants, req.Name)
 		s.tenantsG.Set(int64(len(s.tenants)))
-		s.mu.Unlock()
 	}
 	if t.dir != "" {
 		if err := s.writeManifest(t); err != nil {
@@ -251,6 +230,33 @@ func (s *Service) Create(req CreateRequest) (*Tenant, error) {
 		return nil, err
 	}
 	t.sys = sys
+	return t, nil
+}
+
+// reserve registers a dormant tenant record under req.Name, refusing a closed
+// service, a taken name and a full registry.
+func (s *Service) reserve(req CreateRequest) (*Tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	if _, ok := s.tenants[req.Name]; ok {
+		return nil, fmt.Errorf("%w: %q", ErrExists, req.Name)
+	}
+	if len(s.tenants) >= s.opts.MaxTenants {
+		return nil, fmt.Errorf("%w (%d)", ErrTenantLimit, s.opts.MaxTenants)
+	}
+	t := &Tenant{
+		name: req.Name,
+		req:  req,
+		sem:  make(chan struct{}, s.opts.QueueDepth),
+	}
+	if s.opts.DataDir != "" {
+		t.dir = filepath.Join(s.opts.DataDir, req.Name)
+	}
+	s.tenants[req.Name] = t
+	s.tenantsG.Set(int64(len(s.tenants)))
 	return t, nil
 }
 
@@ -395,19 +401,10 @@ func (s *Service) tenant(name string) (*Tenant, error) { return s.get(name) }
 // Delete closes the tenant, removes it from the registry, and deletes its
 // durable directory. Deleting is final: the WAL and manifest go with it.
 func (s *Service) Delete(name string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	t, err := s.remove(name)
+	if err != nil {
+		return err
 	}
-	t, ok := s.tenants[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(s.tenants, name)
-	s.tenantsG.Set(int64(len(s.tenants)))
-	s.mu.Unlock()
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -423,6 +420,22 @@ func (s *Service) Delete(name string) error {
 	return nil
 }
 
+// remove unregisters the named tenant and returns it.
+func (s *Service) remove(name string) (*Tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	t, ok := s.tenants[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	delete(s.tenants, name)
+	s.tenantsG.Set(int64(len(s.tenants)))
+	return t, nil
+}
+
 // Shutdown drains and closes every tenant gracefully: new requests are
 // refused, then each tenant is checkpointed-or-synced — WAL tenants fsync
 // their log (their snapshot+log pair is already durable); non-WAL tenants
@@ -430,9 +443,21 @@ func (s *Service) Delete(name string) error {
 // their exact state; memory-only tenants just close. The first error is
 // returned but every tenant is still processed.
 func (s *Service) Shutdown() error {
+	var first error
+	for _, t := range s.markClosed() {
+		if err := s.closeTenant(t); err != nil && first == nil {
+			first = fmt.Errorf("service: shutdown %q: %w", t.name, err)
+		}
+	}
+	return first
+}
+
+// markClosed refuses every later request and returns the tenants to drain; a
+// second call returns none.
+func (s *Service) markClosed() []*Tenant {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
@@ -440,22 +465,19 @@ func (s *Service) Shutdown() error {
 	for _, t := range s.tenants {
 		tenants = append(tenants, t)
 	}
-	s.mu.Unlock()
+	return tenants
+}
 
-	var first error
-	for _, t := range tenants {
-		t.mu.Lock()
-		t.closed = true
-		err := s.persistLocked(t)
-		if cerr := t.sys.Close(); err == nil {
-			err = cerr
-		}
-		t.mu.Unlock()
-		if err != nil && first == nil {
-			first = fmt.Errorf("service: shutdown %q: %w", t.name, err)
-		}
+// closeTenant makes one tenant durable and closes it.
+func (s *Service) closeTenant(t *Tenant) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	err := s.persistLocked(t)
+	if cerr := t.sys.Close(); err == nil {
+		err = cerr
 	}
-	return first
+	return err
 }
 
 // persistLocked makes a tenant's state durable at shutdown. Caller holds
@@ -582,12 +604,9 @@ func (s *Service) recoverTenant(name string) error {
 
 // Stats snapshots the aggregate service counters.
 func (s *Service) Stats() StatsResponse {
-	s.mu.RLock()
-	tenants := len(s.tenants)
-	s.mu.RUnlock()
 	lat := s.latency.Snapshot()
 	return StatsResponse{
-		Tenants:        tenants,
+		Tenants:        s.tenantCount(),
 		BatchesTotal:   s.batchesC.Load(),
 		Throttled:      s.throttledC.Load(),
 		RejectedTotal:  s.rejectedC.Load(),
@@ -595,4 +614,11 @@ func (s *Service) Stats() StatsResponse {
 		IngestP50Ns:    lat.Quantile(0.50),
 		IngestP99Ns:    lat.Quantile(0.99),
 	}
+}
+
+// tenantCount is the number of live tenants.
+func (s *Service) tenantCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.tenants)
 }

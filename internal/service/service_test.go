@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -783,5 +784,34 @@ func TestCreateErrors(t *testing.T) {
 	}
 	if _, err := dsvc.Create(req); err != nil {
 		t.Fatalf("recreate after delete: %v", err)
+	}
+}
+
+// TestCreateAfterShutdown covers Create's closed-service branch: it refuses
+// with ErrClosed and leaves the registry lock free, so the calls after it
+// return instead of blocking.
+func TestCreateAfterShutdown(t *testing.T) {
+	svc := New(Options{})
+	if _, err := svc.Create(erRequest("before", "sssp", false)); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if err := svc.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if _, err := svc.Create(erRequest("after", "sssp", false)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("create after shutdown: %v, want ErrClosed", err)
+	}
+	done := make(chan StatsResponse, 1)
+	go func() {
+		svc.Names()
+		done <- svc.Stats()
+	}()
+	select {
+	case st := <-done:
+		if st.Tenants != 1 {
+			t.Fatalf("stats after shutdown: %d tenants, want the 1 created before", st.Tenants)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Names/Stats blocked after a refused Create: the registry lock leaked")
 	}
 }

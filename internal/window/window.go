@@ -143,8 +143,6 @@ func (r *Ring) Record(epoch uint64, b graph.Batch) {
 // recording) are skipped. skip, when non-nil, marks pairs the caller is
 // already deleting in this batch: they leave the age map but are excluded
 // from the returned set so the merged deletion batch holds no duplicates.
-//
-//jetlint:hotpath
 func (r *Ring) Expire(epoch uint64, skip func(Key) bool) []Key {
 	limit := int64(epoch) - int64(r.ttl)
 	if limit <= r.done {
@@ -157,7 +155,7 @@ func (r *Ring) Expire(epoch uint64, skip func(Key) bool) []Key {
 	for e := r.done + 1; e <= limit; e++ {
 		n += len(r.buckets[uint64(e)%uint64(len(r.buckets))])
 	}
-	out := make([]Key, 0, n) //jetlint:allow hotpathalloc -- the returned expiry set is this batch's one sanctioned allocation
+	out := make([]Key, 0, n)
 	for e := r.done + 1; e <= limit; e++ {
 		slot := uint64(e) % uint64(len(r.buckets))
 		for _, k := range r.buckets[slot] {

@@ -166,3 +166,42 @@ func TestSeedMidStream(t *testing.T) {
 	r.Record(8, graph.Batch{})
 	keys(t, r.Expire(9, nil), k(1, 2))
 }
+
+// TestExpireAllocs pins Expire's allocation budget: the returned set is its
+// one allocation when something expires, and nothing is allocated when
+// nothing does.
+func TestExpireAllocs(t *testing.T) {
+	r, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.Batch{Inserts: make([]graph.Edge, 64)}
+	for i := range b.Inserts {
+		b.Inserts[i] = e(i, i+1)
+	}
+	epoch := uint64(0)
+	expired := 0
+	step := func() {
+		epoch++
+		expired = len(r.Expire(epoch, nil))
+		r.Record(epoch, b)
+	}
+	for i := 0; i < 8; i++ { // warm the bucket slices and the age map
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 1 || expired != len(b.Inserts) {
+		t.Fatalf("expiring %d edges: %v allocations, want 1 (the returned set)", expired, allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { expired = len(r.Expire(epoch, nil)) }); allocs != 0 || expired != 0 {
+		t.Fatalf("repeated expiry of a drained epoch: %d edges, %v allocations, want none", expired, allocs)
+	}
+	empty := func() {
+		epoch++
+		expired = len(r.Expire(epoch, nil))
+		r.Record(epoch, graph.Batch{})
+	}
+	empty()
+	if allocs := testing.AllocsPerRun(50, empty); allocs != 0 || expired != 0 {
+		t.Fatalf("draining empty epochs: %d edges, %v allocations, want none", expired, allocs)
+	}
+}

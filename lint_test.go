@@ -7,8 +7,8 @@ import (
 )
 
 // TestJetlint runs the full static-analysis suite over the module as part of
-// the ordinary test run, so an invariant regression (a plain read of an
-// atomic field, a time.Now in the engine, a severed error chain) fails
+// the ordinary test run, so an invariant regression (a time.Now in the
+// engine, a severed error chain, a lock without its deferred release) fails
 // go test ./... without anyone remembering to run the linter.
 func TestJetlint(t *testing.T) {
 	if testing.Short() {
