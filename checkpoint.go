@@ -157,8 +157,9 @@ func (r *ckptReader) str() (string, error) {
 // the stream continues exactly where this one stands, with identical
 // per-vertex state and cumulative counters. Systems running kernels that
 // cannot be reconstructed by name (custom Algorithm implementations,
-// LinSolve) return an error. Custom accelerator configurations passed via
-// WithAccelerator are not serialized; pass the same option to Restore.
+// non-default constants) return an error. Custom accelerator configurations
+// passed via WithAccelerator are not serialized; pass the same option to
+// Restore.
 func (s *System) Checkpoint(w io.Writer) error {
 	if err := s.acquire("Checkpoint"); err != nil {
 		return err
@@ -543,7 +544,7 @@ func Restore(r io.Reader, opts ...Option) (*System, error) {
 	if replayParallel {
 		rec.Parallelism = int(parallel)
 	}
-	sys, err := New(g, alg, append(rec.Options(), opts...)...)
+	sys, err := newSystem(g, alg, append(rec.Options(), opts...)...)
 	if err != nil {
 		// With no caller options the recorded configuration alone failed to
 		// reconstruct — that is checkpoint damage (CRC-validated bytes can

@@ -146,15 +146,16 @@ func TestCheckpointRejectsUnreconstructibleKernel(t *testing.T) {
 	if err := sys.Checkpoint(&bytes.Buffer{}); err != nil {
 		t.Errorf("default pagerank checkpoint rejected: %v", err)
 	}
-	// ...but a kernel that cannot be rebuilt by name (LinSolve carries its
-	// constant-term vector) is rejected at checkpoint time, not restore time.
-	lg := algo.RowNormalize(RMAT(RMATConfig{Vertices: 100, Edges: 500, Seed: 24}), 0.7)
-	lin, err := New(lg, algo.NewLinSolve(nil, 1e-7), WithTiming(false))
+	// ...but a kernel that cannot be rebuilt by name (PageRank with a
+	// non-default damping) is rejected at checkpoint time, not restore time.
+	custom := algo.NewPageRank(0)
+	custom.Alpha = 0.2
+	other, err := New(g, custom, WithTiming(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin.RunInitial()
-	if err := lin.Checkpoint(&bytes.Buffer{}); err == nil {
+	other.RunInitial()
+	if err := other.Checkpoint(&bytes.Buffer{}); err == nil {
 		t.Error("non-reconstructible kernel checkpoint accepted")
 	}
 }

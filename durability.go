@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 
+	"jetstream/internal/algo"
+	"jetstream/internal/graph"
+	"jetstream/internal/obs"
 	"jetstream/internal/wal"
 )
 
@@ -180,6 +183,13 @@ func (s *System) WALSize() int64 {
 // wrapping ErrCorruptCheckpoint. Options are applied on top of the recorded
 // configuration, exactly as in Restore; WAL sync options for the resumed log
 // may be passed via WithWALOptions(dir, ...).
+//
+// A selective kernel without a cycle model folds the tail into one net delta
+// and converges once (replayFolded); every other System replays it one
+// ApplyBatch at a time. Both land on the same state; a journaled record that
+// does not apply to the graph it was journaled against refuses recovery with
+// an error wrapping *BatchError (a folded replay's *FoldError names the
+// record and unwraps to it). Recovery reports what it did.
 func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 	var scratch settings
 	for _, o := range opts {
@@ -212,12 +222,21 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("jetstream: recover %s: read log: %w", dir, err)
 	}
+	fold := sys.foldsReplay()
+	var tail []Batch
 	st, err := wal.Replay(logData, sys.batches, func(r wal.Record) error {
+		if fold {
+			tail = append(tail, r.Batch)
+			return nil
+		}
 		if _, aerr := sys.applyBatch(r.Batch, false); aerr != nil {
 			return fmt.Errorf("replay batch %d: %w", r.Seq, aerr)
 		}
 		return nil
 	})
+	if err == nil && len(tail) > 0 {
+		err = sys.replayFolded(tail)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("jetstream: recover %s: %w", dir, err)
 	}
@@ -232,5 +251,91 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 	if st.Replayed > 0 {
 		sys.reg.Counter("jetstream_wal_replayed_total").Add(uint64(st.Replayed))
 	}
+	sys.recovery = RecoveryReport{
+		Replayed: st.Replayed, Folded: len(tail) > 0,
+		Truncated: st.Truncated, ValidSize: st.ValidSize,
+	}
 	return sys, nil
+}
+
+// RecoveryReport says what RecoverFromDir did to bring a System back.
+type RecoveryReport struct {
+	// Replayed counts the log records applied past the snapshot.
+	Replayed int
+	// Folded reports that the records were folded into one net delta and
+	// converged once, rather than replayed one batch at a time.
+	Folded bool
+	// Truncated reports a torn record at the end of the log, which recovery
+	// cut away; ValidSize is the log's length in bytes up to it.
+	Truncated bool
+	ValidSize int64
+}
+
+// Recovery returns what RecoverFromDir did to build this System; the zero
+// report for a System built any other way.
+func (s *System) Recovery() RecoveryReport { return s.recovery }
+
+// foldsReplay is the one predicate that picks the replay path. A selective
+// kernel without a cycle model converges to the unique fixpoint of the final
+// graph whatever the batch boundaries were, so its log tail folds into one
+// net delta and one compute. An accumulative kernel's state and a cycle
+// model's counters depend on the boundaries, so they replay record by record.
+func (s *System) foldsReplay() bool {
+	return s.alg.Class() == algo.Selective && !s.cfg.Engine.Timing
+}
+
+// replayFolded replays a log tail as one batch. The window advances record by
+// record (Expire, then Record) and each expired key joins its record as a
+// delete; graph.Fold turns the records into their net delta against the
+// current graph, refusing a record that does not apply with a *FoldError; one
+// js.ApplyBatch converges on it. Batches() and jetstream_batches_total
+// advance by the record count; everything else reports the tail as one
+// batch: one counter delta and batch-latency observation, one
+// BatchStart/BatchEnd trace pair (A: the first and the last record, B: the
+// net delta's size and the events processed), and one watchdog check if the
+// tail crossed a check index.
+func (s *System) replayFolded(tail []Batch) error {
+	first, last := s.batches+1, s.batches+uint64(len(tail))
+	var expired uint64
+	if s.win != nil {
+		for i, b := range tail {
+			epoch := first + uint64(i)
+			keys := s.expire(epoch, b.Deletes)
+			s.win.Record(epoch, b)
+			if len(keys) == 0 {
+				continue
+			}
+			dels := make([]Edge, len(keys), len(keys)+len(b.Deletes))
+			for j, k := range keys {
+				dels[j] = Edge{Src: k.Src, Dst: k.Dst}
+			}
+			tail[i].Deletes = append(dels, b.Deletes...)
+			expired += uint64(len(keys))
+		}
+	}
+	net, err := graph.Fold(s.js.Graph(), first, tail)
+	if err != nil {
+		return err
+	}
+	clear(tail) // the records end here: the apply's memory peak need not carry them
+	s.trace(obs.TraceEvent{Kind: obs.KindBatchStart, A: first, B: uint64(net.Size())})
+	if err := s.js.ApplyBatch(net); err != nil {
+		return fmt.Errorf("jetstream: apply batch: %w", err)
+	}
+	s.js.Engine().ReleaseBuffers()
+	if s.win != nil {
+		s.expiredC.Add(expired)
+	}
+	s.batches = last
+	if s.wd.Enabled() {
+		if at := last - last%uint64(s.wd.Every); at >= first {
+			s.js.WatchdogCheck(s.wd, at)
+		}
+	}
+	res := s.delta()
+	s.latency.Observe(uint64(res.Duration.Nanoseconds()))
+	s.batchesC.Add(last - first + 1)
+	s.trace(obs.TraceEvent{Kind: obs.KindBatchEnd, A: last,
+		B: res.Stats.EventsProcessed, F: res.Duration.Seconds()})
+	return nil
 }

@@ -98,32 +98,57 @@ func BenchmarkIncrementalCheckpoint(b *testing.B) {
 }
 
 // BenchmarkWALRecovery measures replay: recover a directory holding a
-// snapshot plus a journaled tail of the given length.
+// snapshot plus a journaled tail. The tail-N arms are SSSP on the 50k/400k
+// graph with N 200-update batches; the durable-bulk arms are the benchmark
+// workload's tenant shape: RMAT 4,000/64,000, 64 batches of 1,024 updates at
+// 50 % inserts, bfs and sswp.
 func BenchmarkWALRecovery(b *testing.B) {
 	for _, tail := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("tail-%d", tail), func(b *testing.B) {
 			dir := b.TempDir()
 			sys, gen := benchDurableSystem(b, WithWAL(dir))
-			for i := 0; i < tail; i++ {
-				if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := sys.Close(); err != nil {
+			benchRecover(b, dir, sys, gen, tail)
+		})
+	}
+	for _, k := range []struct {
+		name string
+		alg  Algorithm
+	}{{"bfs", BFS(0)}, {"sswp", SSWP(0)}} {
+		b.Run("durable-bulk/"+k.name, func(b *testing.B) {
+			dir := b.TempDir()
+			g := RMAT(RMATConfig{Vertices: 4000, Edges: 64000, Seed: 5})
+			sys, err := New(g, k.alg, WithTiming(false), WithWAL(dir))
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec, err := RecoverFromDir(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := rec.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
+			sys.RunInitial()
+			benchRecover(b, dir, sys, NewStream(StreamConfig{BatchSize: 1024, InsertFrac: 0.5, Seed: 12}), 64)
 		})
+	}
+}
+
+// benchRecover journals tail batches from gen through sys, closes it, and
+// times RecoverFromDir on its directory.
+func benchRecover(b *testing.B, dir string, sys *System, gen *StreamGenerator, tail int) {
+	b.Helper()
+	for i := 0; i < tail; i++ {
+		if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := RecoverFromDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := rec.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"jetstream/internal/fault"
+	"jetstream/internal/graph"
+	"jetstream/internal/wal"
 )
 
 // The crashpoint harness. Every test here follows the same discipline: a
@@ -572,6 +574,116 @@ func TestCheckpointTruncatedVsCorrupt(t *testing.T) {
 			}
 			if errors.Is(err, ErrTruncated) {
 				t.Fatalf("flip at %d: in-place damage reported as truncation: %v", at, err)
+			}
+		})
+	}
+}
+
+// TestRecoveryRefusesRecordThatDoesNotApply plants a journaled record that
+// deletes an absent edge behind two good ones. Both replay paths must refuse
+// it with a typed error rather than skip it: the folded path (sssp) with a
+// *FoldError naming record 3, the per-record path (pagerank) with the
+// record's *BatchError. The ingest policy, which the checkpoint restores,
+// does not change that: a Repair tenant refuses the record too.
+func TestRecoveryRefusesRecordThatDoesNotApply(t *testing.T) {
+	for _, k := range []struct {
+		name   string
+		alg    Algorithm
+		ingest IngestPolicy
+		folded bool
+	}{
+		{"sssp", SSSP(0), Strict, true},
+		{"pagerank", PageRank(0), Strict, false},
+		{"sssp-repair", SSSP(0), Repair, true},
+		{"pagerank-repair", PageRank(0), Repair, false},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys, err := New(durGraph(false), k.alg, durOpts(WithWAL(dir), WithIngest(k.ingest))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.RunInitial()
+			gen := durStream(false)
+			for i := 0; i < 2; i++ {
+				if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			absent := absentEdge(sys.Graph())
+			l, err := wal.Open(dir, wal.Options{Sync: wal.SyncEveryBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(3, Batch{Deletes: []Edge{absent}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = RecoverFromDir(dir)
+			var be *BatchError
+			if !errors.As(err, &be) || len(be.Issues) != 1 || be.Issues[0].Kind != graph.IssueMissingDelete ||
+				be.Issues[0].Edge.Src != absent.Src || be.Issues[0].Edge.Dst != absent.Dst {
+				t.Fatalf("recover = %v, want a *BatchError for the delete of absent (%d,%d)", err, absent.Src, absent.Dst)
+			}
+			var fe *FoldError
+			if errors.As(err, &fe) != k.folded || (k.folded && fe.Seq != 3) {
+				t.Fatalf("recover = %v: folded path %v, want %v at record 3", err, errors.As(err, &fe), k.folded)
+			}
+		})
+	}
+}
+
+// TestRepairRecoveryReplaysSanitizedLog: a Repair tenant journals the
+// sanitized batch, so its log replays clean on both paths even though every
+// live batch carried a delete of an absent edge and a duplicate insert. The
+// recovered state is bitwise the live one.
+func TestRepairRecoveryReplaysSanitizedLog(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		alg  Algorithm
+	}{{"sssp", SSSP(0)}, {"pagerank", PageRank(0)}} {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys, err := New(durGraph(false), k.alg, durOpts(WithWAL(dir), WithIngest(Repair), WithWindow(3))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.RunInitial()
+			gen := durStream(false)
+			for i := 0; i < 6; i++ {
+				b := gen.Next(sys.Graph())
+				b.Deletes = append(b.Deletes, absentEdge(sys.Graph()))
+				if len(b.Inserts) > 0 {
+					b.Inserts = append(b.Inserts, b.Inserts[0])
+				}
+				res, err := sys.ApplyBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Repaired == 0 {
+					t.Fatalf("batch %d: nothing repaired; the test needs a dirty batch", i+1)
+				}
+			}
+			live := sys.State()
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := RecoverFromDir(dir)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			defer rec.Close()
+			if r := rec.Recovery(); r.Replayed != 6 {
+				t.Fatalf("replayed %d records, want 6", r.Replayed)
+			}
+			if !bitwiseEqual(rec.State(), live) {
+				t.Fatal("recovered state differs from the live one")
 			}
 		})
 	}

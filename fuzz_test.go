@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"jetstream/internal/engine"
+	"jetstream/internal/graph"
 	"jetstream/internal/wal"
 )
 
@@ -357,6 +358,128 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if _, err := wal.Scan(data); err != nil && !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("Scan rejection does not wrap ErrCorrupt: %v", err)
+		}
+	})
+}
+
+// foldRecords decodes a byte string into one to six raw batches over a
+// 12-vertex graph: the first byte picks the record count, then every three
+// bytes are one update (op byte: low bit delete, next two bits weight−1;
+// source; destination). Small ids make records collide on pairs, which is
+// what the fold has to get right; the batches are not sanitized.
+func foldRecords(data []byte) []Batch {
+	recs, ops := make([]Batch, 1), data
+	if len(data) > 0 {
+		recs, ops = make([]Batch, 1+int(data[0])%6), data[1:]
+	}
+	per := max(1, len(ops)/3/len(recs))
+	for i := 0; i+3 <= len(ops); i += 3 {
+		b := &recs[min(i/3/per, len(recs)-1)]
+		e := Edge{Src: uint32(ops[i+1]) % 12, Dst: uint32(ops[i+2]) % 12, Weight: float64(1 + ops[i]>>1&3)}
+		if ops[i]&1 == 1 {
+			b.Deletes = append(b.Deletes, e)
+		} else {
+			b.Inserts = append(b.Inserts, e)
+		}
+	}
+	return recs
+}
+
+// FuzzFold checks the fold against sequential application. The records are
+// sanitized one by one against the evolving graph, as the journal holds
+// them. Arm one: graph.Fold's net delta, applied in one batch, reaches the
+// same edge set and a bitwise-equal state for each selective kernel. Arm
+// two: a windowed system journals the records and a folded recovery lands
+// on the same graph, state and epoch ring — the next TTL batches expire the
+// same edges on both.
+func FuzzFold(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 0, 1, 2, 1, 1, 2}, uint8(1))                            // insert then delete: cancels
+	f.Add([]byte{2, 1, 0, 1, 2, 0, 1}, uint8(2))                            // delete then re-insert: weight change
+	f.Add([]byte{5, 0, 3, 4, 0, 4, 5, 1, 3, 4, 2, 3, 4, 0, 7, 8}, uint8(3)) // churn across records
+	g := RMAT(RMATConfig{Vertices: 12, Edges: 40, Seed: 9})
+	kernels := []func() Algorithm{func() Algorithm { return SSSP(0) }, func() Algorithm { return SSWP(0) }, func() Algorithm { return BFS(0) }}
+	f.Fuzz(func(t *testing.T, data []byte, ttl uint8) {
+		raw := foldRecords(data)
+		for _, alg := range kernels {
+			seq, err := New(g, alg(), WithTiming(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq.RunInitial()
+			var recs []Batch
+			for _, b := range raw {
+				clean, _ := seq.Graph().SanitizeBatch(b)
+				if _, err := seq.ApplyBatch(clean); err != nil {
+					t.Fatalf("sequential %s: %v", seq.alg.Name(), err)
+				}
+				recs = append(recs, clean)
+			}
+			net, err := graph.Fold(g, 1, recs)
+			if err != nil {
+				t.Fatalf("fold of sanitized records: %v", err)
+			}
+			folded, err := New(g, alg(), WithTiming(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded.RunInitial()
+			if _, err := folded.ApplyBatch(net); err != nil {
+				t.Fatalf("%s: net delta does not apply: %v", seq.alg.Name(), err)
+			}
+			if diff := sameEdges(folded.Graph(), seq.Graph()); diff != "" {
+				t.Fatalf("%s: folded graph: %s", seq.alg.Name(), diff)
+			}
+			if !bitwiseEqual(folded.State(), seq.State()) {
+				t.Fatalf("%s: folded state differs from sequential", seq.alg.Name())
+			}
+		}
+
+		w := 1 + int(ttl%4)
+		dir := t.TempDir()
+		seq, err := New(g, SSSP(0), WithTiming(false), WithIngest(Repair), WithWindow(w),
+			WithWALOptions(dir, WALOptions{Sync: WALSyncNone}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq.RunInitial()
+		for _, b := range raw {
+			if _, err := seq.ApplyBatch(b); err != nil {
+				t.Fatalf("windowed sequential: %v", err)
+			}
+		}
+		if err := seq.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := RecoverFromDir(dir)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		defer rec.Close()
+		if got := rec.Recovery(); got.Replayed != len(raw) || !got.Folded {
+			t.Fatalf("recovery report %+v after %d records", got, len(raw))
+		}
+		for k := 0; ; k++ {
+			if diff := sameEdges(rec.Graph(), seq.Graph()); diff != "" {
+				t.Fatalf("windowed, %d batches after recovery: %s", k, diff)
+			}
+			if !bitwiseEqual(rec.State(), seq.State()) {
+				t.Fatalf("windowed, %d batches after recovery: state differs", k)
+			}
+			if k == w {
+				break
+			}
+			want, err := seq.ApplyBatch(Batch{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rec.ApplyBatch(Batch{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Expired != want.Expired {
+				t.Fatalf("batch %d after recovery expired %d edges, sequential %d", k+1, got.Expired, want.Expired)
+			}
 		}
 	})
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
+
+	"jetstream/internal/graph"
 )
 
 func TestStateReturnsIsolatedCopy(t *testing.T) {
@@ -153,4 +156,57 @@ func TestWatchdogCatchesNaN(t *testing.T) {
 	if d := sys.Verify(); d != 0 || math.IsNaN(sys.State()[5]) {
 		t.Fatalf("after fallback: Verify = %v, state[5] = %v", d, sys.State()[5])
 	}
+}
+
+// TestNegativeCycleRefused: a graph holding a negative cycle (0→1 w 1,
+// 1→2 w −3, 2→1 w 1) never reaches a compute phase, where a selective kernel
+// would relax around the cycle forever. BuildGraph refuses the edge list with
+// the batch insert's bad-weight rule, and New refuses such a graph made by
+// other means (Apply takes any weight). Each path runs under a deadline, so a
+// build that lets the graph through fails instead of hanging.
+func TestNegativeCycleRefused(t *testing.T) {
+	within := func(what string, f func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5s", what)
+			return nil
+		}
+	}
+	run := func(g *Graph) error {
+		sys, err := New(g, SSSP(0), WithTiming(false))
+		if err != nil {
+			return err
+		}
+		sys.RunInitial()
+		return nil
+	}
+	wantBadWeight := func(what string, err error) {
+		t.Helper()
+		var be *BatchError
+		if !errors.As(err, &be) || len(be.Issues) != 1 || be.Issues[0].Kind != graph.IssueBadWeight ||
+			be.Issues[0].Edge != (Edge{Src: 1, Dst: 2, Weight: -3}) {
+			t.Fatalf("%s: err = %v, want a *BatchError for the bad weight of (1,2)", what, err)
+		}
+	}
+
+	g, err := BuildGraph(3, []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: -3}, {Src: 2, Dst: 1, Weight: 1}})
+	if err == nil {
+		err = within("New + RunInitial on the built cycle", func() error { return run(g) })
+	}
+	wantBadWeight("BuildGraph", err)
+
+	pos, err := BuildGraph(3, []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 1, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyc, err := pos.Apply(Batch{Inserts: []Edge{{Src: 1, Dst: 2, Weight: -3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBadWeight("New", within("New + RunInitial on the applied cycle", func() error { return run(cyc) }))
 }

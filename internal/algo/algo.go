@@ -21,9 +21,7 @@ import (
 var ErrUnknown = errors.New("unknown algorithm")
 
 // SpecNames lists the kernels a declarative AlgorithmSpec may name, in a
-// stable order. "linsolve" is deliberately absent: its coefficient matrix
-// cannot be carried by a plain-data spec, so it is constructible only through
-// code.
+// stable order.
 func SpecNames() []string {
 	return []string{"sssp", "sswp", "bfs", "cc", "wcc", "pagerank", "adsorption"}
 }
@@ -342,8 +340,6 @@ func New(name string, root graph.VertexID, eps float64) (Algorithm, error) {
 		return NewPageRank(eps), nil
 	case "adsorption":
 		return NewAdsorption(eps), nil
-	case "linsolve":
-		return NewLinSolve(nil, eps), nil
 	default:
 		return nil, fmt.Errorf("algo: %w %q", ErrUnknown, name)
 	}
@@ -351,8 +347,8 @@ func New(name string, root graph.VertexID, eps float64) (Algorithm, error) {
 
 // Params extracts the constructor arguments that rebuild a via New — the
 // algorithm identity a checkpoint serializes. Kernels New cannot reconstruct
-// exactly (LinSolve's coefficient matrix, caller-customized constants,
-// user-defined Algorithm implementations) return an error; their sessions are
+// exactly (caller-customized constants, user-defined Algorithm
+// implementations) return an error; their sessions are
 // not checkpointable.
 func Params(a Algorithm) (name string, root graph.VertexID, eps float64, err error) {
 	switch k := a.(type) {
@@ -381,9 +377,7 @@ func Params(a Algorithm) (name string, root graph.VertexID, eps float64, err err
 	}
 }
 
-// Names lists the paper's Table 3 workloads in row order. The extension
-// kernel "linsolve" is registered with New but not part of the evaluation
-// grid.
+// Names lists the paper's Table 3 workloads in row order.
 func Names() []string {
 	return []string{"sswp", "sssp", "bfs", "cc", "pagerank", "adsorption"}
 }

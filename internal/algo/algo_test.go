@@ -347,63 +347,3 @@ func TestMaxAbsDiff(t *testing.T) {
 		}
 	}
 }
-
-func TestLinSolveReference(t *testing.T) {
-	g := RowNormalize(graph.RMAT(graph.RMATConfig{Vertices: 300, Edges: 2400, Seed: 31}), 0.8)
-	a := NewLinSolve(nil, 1e-12)
-	x := LinSolveRef(g, a.bAt, 1e-14)
-	// Residual of x = b + Wx must vanish.
-	for v := 0; v < g.NumVertices(); v++ {
-		sum := 1.0
-		g.InEdges(graph.VertexID(v), func(u graph.VertexID, w graph.Weight) {
-			sum += x[u] * w
-		})
-		if math.Abs(sum-x[v]) > 1e-10 {
-			t.Fatalf("residual at %d: %v vs %v", v, x[v], sum)
-		}
-	}
-}
-
-func TestRowNormalizeContracts(t *testing.T) {
-	g := RowNormalize(graph.ErdosRenyi(200, 1600, 32, 33), 0.8)
-	for v := 0; v < g.NumVertices(); v++ {
-		sum := 0.0
-		g.InEdges(graph.VertexID(v), func(_ graph.VertexID, w graph.Weight) {
-			sum += math.Abs(w)
-		})
-		if sum > 0.8+1e-9 {
-			t.Fatalf("in-weight sum at %d = %v > 0.8", v, sum)
-		}
-	}
-	// Signs alternate, so some weights must be negative.
-	neg := false
-	for _, e := range g.Edges() {
-		if e.Weight < 0 {
-			neg = true
-		}
-	}
-	if !neg {
-		t.Error("RowNormalize produced no negative weights")
-	}
-}
-
-func TestLinSolveCustomB(t *testing.T) {
-	b := []float64{2, 0, -1}
-	a := NewLinSolve(b, 0)
-	if v, ok := a.InitialEventFor(0, nil); !ok || v != 2 {
-		t.Errorf("seed(0) = %v,%v", v, ok)
-	}
-	if _, ok := a.InitialEventFor(1, nil); ok {
-		t.Error("zero b must not seed")
-	}
-	if v, ok := a.InitialEventFor(2, nil); !ok || v != -1 {
-		t.Errorf("seed(2) = %v,%v", v, ok)
-	}
-	// Out-of-range vertices contribute nothing.
-	if _, ok := a.InitialEventFor(9, nil); ok {
-		t.Error("out-of-range b must not seed")
-	}
-	if _, err := New("linsolve", 0, 0); err != nil {
-		t.Error("linsolve not registered")
-	}
-}

@@ -30,8 +30,6 @@ func Reference(a Algorithm, g *graph.CSR) []float64 {
 		return PageRankRef(g, alg.Alpha, alg.Eps/10)
 	case *Adsorption:
 		return AdsorptionRef(g, alg.Inj, alg.Cont, alg.Eps/10)
-	case *LinSolve:
-		return LinSolveRef(g, alg.bAt, alg.Eps/10)
 	default:
 		panic("algo: no reference solver for " + a.Name())
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -562,55 +561,6 @@ func TestAblationNoCoalesceTruncates(t *testing.T) {
 	}
 	if ablErr > 0.8 {
 		t.Errorf("no-coalescing error %.4f unboundedly wrong", ablErr)
-	}
-}
-
-func TestStreamingLinSolveMatchesReference(t *testing.T) {
-	// The extension workload: a streaming linear system x = b + Wx with
-	// coefficient updates. RowNormalize keeps every version a contraction
-	// (deletions only shrink in-weight sums; insertions use tiny weights).
-	g := algo.RowNormalize(graph.RMAT(graph.RMATConfig{Vertices: 250, Edges: 2000, Seed: 41}), 0.7)
-	a := algo.NewLinSolve(nil, 1e-11)
-	js := New(g, a, cfgOpt(OptDAP, false), nil)
-	js.RunInitial()
-	rng := rand.New(rand.NewSource(43))
-	for batch := 0; batch < 5; batch++ {
-		var b graph.Batch
-		cur := js.Graph()
-		seen := map[[2]graph.VertexID]bool{}
-		for len(b.Deletes) < 15 {
-			e := cur.EdgeAt(rng.Intn(cur.NumEdges()))
-			k := [2]graph.VertexID{e.Src, e.Dst}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			b.Deletes = append(b.Deletes, e)
-		}
-		for len(b.Inserts) < 20 {
-			u := graph.VertexID(rng.Intn(cur.NumVertices()))
-			v := graph.VertexID(rng.Intn(cur.NumVertices()))
-			if u == v {
-				continue
-			}
-			k := [2]graph.VertexID{u, v}
-			if seen[k] {
-				continue
-			}
-			if _, ok := cur.HasEdge(u, v); ok {
-				continue
-			}
-			seen[k] = true
-			w := (rng.Float64() - 0.5) * 0.02 // tiny coefficients keep contraction
-			b.Inserts = append(b.Inserts, graph.Edge{Src: u, Dst: v, Weight: w})
-		}
-		if err := js.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		tol := Tolerance(a, js.Graph().NumEdges(), batch+1)
-		if d := js.Verify(); d > tol {
-			t.Fatalf("batch %d diverged by %v (tol %v)", batch, d, tol)
-		}
 	}
 }
 

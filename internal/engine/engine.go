@@ -482,6 +482,16 @@ func (e *Engine) ChargeSpill(n int) {
 	}
 }
 
+// ReleaseBuffers drops the queues' overflow buffers, which otherwise stay at
+// the largest phase's peak (queue.Coalescing.ReleaseOverflow). Call it
+// between phases.
+func (e *Engine) ReleaseBuffers() {
+	e.q.ReleaseOverflow()
+	if e.run != nil {
+		e.run.sq.ReleaseOverflow()
+	}
+}
+
 // Repartition recomputes the slice assignment against the current graph
 // version. §4.7: "the partitions may not remain optimal as the graph
 // continues to evolve. To reduce the fraction of edge-cuts, we can

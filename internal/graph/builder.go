@@ -8,12 +8,21 @@ import (
 // Build constructs a CSR over n vertices from an edge list. Duplicate (src,
 // dst) pairs are an error: the streaming model treats the pair as the edge's
 // identity (a weight change is a delete followed by an insert, paper §2.1).
-// Self-loops are permitted; endpoints must be < n.
+// Self-loops are permitted; endpoints must be < n. Weights obey a batch
+// insert's rule: an edge list holding a NaN, infinite or non-positive weight
+// is refused with an error wrapping a *BatchError of IssueBadWeight issues.
 func Build(n int, edges []Edge) (*CSR, error) {
+	var bad []Edge
 	for _, e := range edges {
 		if int(e.Src) >= n || int(e.Dst) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.Src, e.Dst, n)
 		}
+		if badWeight(e.Weight) {
+			bad = append(bad, e)
+		}
+	}
+	if bad != nil {
+		return nil, weightError(bad)
 	}
 	es := append([]Edge(nil), edges...)
 	sort.Slice(es, func(i, j int) bool {

@@ -292,6 +292,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"a b\n",
 		"1 b\n",
 		"1 2 x\n",
+		"1 2 NaN\n", // Build's weight rule refuses these three
+		"1 2 -Inf\n",
+		"1 2 0\n",
 	}
 	for _, s := range bad {
 		if _, err := ReadEdgeList(strings.NewReader(s), 0); err == nil {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -484,7 +483,7 @@ func (g *CSR) audit(sc *deltaScratch, weights bool) (bad int) {
 					keptDel = true
 					op.w = ws[from]
 					continue
-				case weights && (math.IsNaN(op.w) || math.IsInf(op.w, 0) || op.w <= 0):
+				case weights && badWeight(op.w):
 					issue = IssueBadWeight
 				case keptIns:
 					issue = IssueDuplicate
@@ -846,6 +845,11 @@ func mergeSeg(dstIDs []VertexID, dstWs []Weight, ids []VertexID, ws []Weight, op
 // edge set without any undo machinery.
 func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 	rebuilt := new(atomic.Uint64)
+	// A graph heading no chain (a dense build, a superseded version) ordered
+	// this batch in fresh buffers sized to it alone; the new chain starts
+	// with empty ones rather than pin them. A recovery's folded log tail is
+	// such a batch.
+	kept := &deltaScratch{}
 	if vi := g.ver; vi != nil {
 		rebuilt = vi.rebuilt
 		if !vi.frozen {
@@ -856,6 +860,7 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 			// the wrong layout. Detached versions build a private index instead.
 			vi.cum = nil
 			vi.scratch = nil
+			kept = sc
 		}
 	}
 	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
@@ -867,7 +872,7 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 		relocations:  g.relocations,
 		relayouts:    g.relayouts + 1,
 		undoRecords:  g.undoRecords,
-		ver:          &versionInfo{cfg: cfg, scratch: sc, rebuilt: rebuilt},
+		ver:          &versionInfo{cfg: cfg, scratch: kept, rebuilt: rebuilt},
 	}
 	// Untouched vertices keep their sum bit for bit; relayAdj recomputes the
 	// touched ones left to right over the merged segment.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -61,9 +60,6 @@ func parseEdges(r io.Reader) ([]Edge, int, error) {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, 0, fmt.Errorf("graph: line %d: bad weight: %w", line, err)
-			}
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, 0, fmt.Errorf("graph: line %d: non-finite weight", line)
 			}
 		}
 		if int(src) > maxID {

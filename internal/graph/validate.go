@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -100,6 +101,43 @@ func (e *BatchError) Error() string {
 		fmt.Fprintf(&b, "; %s", is)
 	}
 	return b.String()
+}
+
+// badWeight is the one weight rule of every edge that enters a graph through
+// the public boundary — a batch insert, an edge list, a graph handed to a
+// System: a weight must be finite and positive. A zero or negative weight
+// would let a selective kernel relax around a cycle forever.
+func badWeight(w Weight) bool { return math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 }
+
+// weightError returns the typed refusal of a graph holding the bad-weight
+// edges es: a *BatchError of IssueBadWeight issues, in the order given.
+func weightError(es []Edge) error {
+	issues := make([]BatchIssue, len(es))
+	for i, e := range es {
+		issues[i] = BatchIssue{Kind: IssueBadWeight, Edge: e}
+	}
+	return fmt.Errorf("graph: edge weights refused: %w", &BatchError{Issues: issues})
+}
+
+// CheckWeights refuses a graph holding an edge whose weight breaks the rule
+// a batch insert obeys (NaN, ±Inf or ≤ 0) with an error wrapping a
+// *BatchError that lists every such edge in (src,dst) order; nil otherwise.
+// Build applies the rule to its edge list; a graph made some other way (Apply
+// takes any weight) is checked by System construction.
+func (g *CSR) CheckWeights() error {
+	var bad []Edge
+	for v := 0; v < g.n; v++ {
+		ids, ws := g.OutAdj(VertexID(v))
+		for i, w := range ws {
+			if badWeight(w) {
+				bad = append(bad, Edge{Src: VertexID(v), Dst: ids[i], Weight: w})
+			}
+		}
+	}
+	if bad != nil {
+		return weightError(bad)
+	}
+	return nil
 }
 
 // SanitizeBatch audits b against g and returns a copy containing only the

@@ -251,6 +251,12 @@ func (o *overflow) push(t graph.VertexID, val float64, src graph.VertexID, fl ev
 	o.fill = append(o.fill, event.Event{Target: t, Value: val, Source: src, Flags: fl})
 }
 
+// ReleaseOverflow drops the overflow FIFO's buffers. They grow to the largest
+// non-coalescing phase the queue has run and are kept for its life otherwise,
+// so a caller that has just run one outsized batch — a folded recovery —
+// releases them. Call it only on an empty queue.
+func (q *Coalescing) ReleaseOverflow() { q.overflow = overflow{} }
+
 // drainRound emits the events parked before the call, FIFO in rowSize
 // batches; events fn parks wait for the next round. Returns the number
 // emitted.

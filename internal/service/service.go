@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -497,7 +498,8 @@ func (s *Service) persistLocked(t *Tenant) error {
 // Recover scans DataDir for tenant manifests and resurrects each: WAL-backed
 // tenants through RecoverFromDir (snapshot + durable log tail), checkpointed
 // tenants through Restore, and declared-but-never-run tenants by rebuilding
-// from the manifest. Returns how many tenants were brought back. Call before
+// from the manifest, one directory at a time in directory order, each with
+// one log line. Returns how many tenants were brought back. Call before
 // serving.
 func (s *Service) Recover() (int, error) {
 	if s.opts.DataDir == "" {
@@ -524,8 +526,11 @@ func (s *Service) Recover() (int, error) {
 	return n, nil
 }
 
-// recoverTenant resurrects one tenant directory.
+// recoverTenant resurrects one tenant directory and writes its one log line:
+// the evidence it came back from, the log records replayed and how, any torn
+// tail cut, and the wall time.
 func (s *Service) recoverTenant(name string) error {
+	start := time.Now()
 	dir := filepath.Join(s.opts.DataDir, name)
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -540,6 +545,7 @@ func (s *Service) recoverTenant(name string) error {
 	}
 
 	t := &Tenant{name: name, dir: dir, req: req, sem: make(chan struct{}, s.opts.QueueDepth)}
+	evidence, report := "manifest", jetstream.RecoveryReport{}
 	switch {
 	case req.Config.WALDir != "":
 		walDir, werr := tenantWALDir(dir, req.Config.WALDir)
@@ -558,6 +564,7 @@ func (s *Service) recoverTenant(name string) error {
 				return fmt.Errorf("service: recover %q: %w", name, rerr)
 			}
 			t.sys, t.started = sys, true
+			evidence, report = "snapshot+log", sys.Recovery()
 		} else {
 			// Declared with a WAL but never journaled a batch (the snapshot
 			// lands with the first one): rebuild from the manifest. A stale
@@ -580,6 +587,7 @@ func (s *Service) recoverTenant(name string) error {
 				return fmt.Errorf("service: recover %q: %w", name, cerr)
 			}
 			t.sys, t.started = sys, true
+			evidence = "shutdown checkpoint"
 		} else {
 			sys, berr := buildSystem(req, dir)
 			if berr != nil {
@@ -588,16 +596,34 @@ func (s *Service) recoverTenant(name string) error {
 			t.sys = sys
 		}
 	}
+	if err := s.register(t); err != nil {
+		_ = t.sys.Close() // refusing anyway; err is authoritative
+		return err
+	}
+	replay := "none"
+	switch {
+	case report.Folded:
+		replay = "folded"
+	case report.Replayed > 0:
+		replay = "per-record"
+	}
+	slog.Info("tenant recovered", "tenant", name, "evidence", evidence,
+		"replayed", report.Replayed, "replay", replay,
+		"truncated", report.Truncated, "valid_size", report.ValidSize, "took", time.Since(start))
+	return nil
+}
 
+// register adds a recovered tenant to the registry.
+func (s *Service) register(t *Tenant) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.tenants[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, name)
+	if _, ok := s.tenants[t.name]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, t.name)
 	}
-	s.tenants[name] = t
+	s.tenants[t.name] = t
 	s.tenantsG.Set(int64(len(s.tenants)))
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -813,5 +814,123 @@ func TestCreateAfterShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Names/Stats blocked after a refused Create: the registry lock leaked")
+	}
+}
+
+// TestCreateRefusesNegativeCycle: an edge list holding a negative cycle
+// (0→1 w 1, 1→2 w −3, 2→1 w 1) is refused at create with 400 and the
+// bad-weight issue. A service that let it through would hang the tenant's
+// first batch in the initial evaluation; that batch runs under a deadline so
+// the test fails instead.
+func TestCreateRefusesNegativeCycle(t *testing.T) {
+	svc := New(Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	req := CreateRequest{
+		Name: "neg",
+		Graph: GraphSpec{Vertices: 3, EdgeList: []WireEdge{
+			{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: -3}, {Src: 2, Dst: 1, Weight: 1},
+		}},
+		Algorithm: jetstream.AlgorithmSpec{Name: "sssp"},
+	}
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/v1/tenants", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusCreated {
+		done := make(chan error, 1)
+		go func() {
+			_, err := svc.Ingest("neg", jetstream.Batch{Inserts: []jetstream.Edge{{Src: 0, Dst: 2, Weight: 1}}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			t.Fatalf("negative cycle created; the first batch returned %v", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("negative cycle created; the first batch did not return within 5s")
+		}
+	}
+	var body ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || len(body.Issues) != 1 || body.Issues[0].Edge.Weight != -3 {
+		t.Fatalf("create: status %d, issues %v, want 400 with the (1,2,-3) issue", resp.StatusCode, body.Issues)
+	}
+}
+
+// TestRecoverLogsEachTenant: Recover writes one log line per tenant, in
+// directory order, naming the evidence, the records replayed and how, any
+// torn tail, and the wall time.
+func TestRecoverLogsEachTenant(t *testing.T) {
+	dir := t.TempDir()
+	svcA := New(Options{DataDir: dir})
+	walCfg := jetstream.Config{WALDir: "wal", WALSync: "batch"}
+	reqs := []CreateRequest{
+		{Name: "a-bfs", Graph: GraphSpec{Gen: "er", Vertices: 64, Edges: 256, Seed: 3}, Algorithm: jetstream.AlgorithmSpec{Name: "bfs"}, Config: walCfg},
+		{Name: "b-pr", Graph: GraphSpec{Gen: "er", Vertices: 64, Edges: 256, Seed: 4}, Algorithm: jetstream.AlgorithmSpec{Name: "pagerank"}, Config: walCfg},
+		{Name: "c-dormant", Graph: GraphSpec{Gen: "er", Vertices: 64, Edges: 256, Seed: 5}, Algorithm: jetstream.AlgorithmSpec{Name: "sssp"}},
+	}
+	for i, req := range reqs {
+		if _, err := svcA.Create(req); err != nil {
+			t.Fatalf("create %s: %v", req.Name, err)
+		}
+		if i == 2 {
+			break
+		}
+		ref := newRefTenant(t, req, int64(10+i))
+		for k := 0; k < 3; k++ {
+			if _, err := svcA.Ingest(req.Name, ref.nextBatch(t).Batch()); err != nil {
+				t.Fatalf("%s batch %d: %v", req.Name, k, err)
+			}
+		}
+	}
+	// Tear the last record of b-pr's log: recovery cuts it and replays two.
+	logPath := filepath.Join(dir, "b-pr", "wal", "wal.log")
+	fi, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(logPath, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey || a.Key == "took" {
+				return slog.Attr{}
+			}
+			return a
+		},
+	})))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	svcB := New(Options{DataDir: dir})
+	if n, err := svcB.Recover(); err != nil || n != 3 {
+		t.Fatalf("recover: n=%d err=%v", n, err)
+	}
+	defer svcB.Shutdown()
+	want := []string{
+		`level=INFO msg="tenant recovered" tenant=a-bfs evidence=snapshot+log replayed=3 replay=folded truncated=false valid_size=`,
+		`level=INFO msg="tenant recovered" tenant=b-pr evidence=snapshot+log replayed=2 replay=per-record truncated=true valid_size=`,
+		`level=INFO msg="tenant recovered" tenant=c-dormant evidence=manifest replayed=0 replay=none truncated=false valid_size=0`,
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("log:\n%s\nwant %d lines", out.String(), len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
+	if _, batches, err := svcB.State("b-pr"); err != nil || batches != 2 {
+		t.Fatalf("b-pr after the torn tail: %d batches, err %v", batches, err)
 	}
 }

@@ -73,6 +73,9 @@ type (
 	BatchError = graph.BatchError
 	// BatchIssue describes one invalid update within a rejected batch.
 	BatchIssue = graph.BatchIssue
+	// FoldError is a folded recovery's refusal of a journaled record that
+	// does not apply; it unwraps to the record's *BatchError.
+	FoldError = graph.FoldError
 	// GraphLayout is the physical-layout bookkeeping of a graph version.
 	GraphLayout = graph.LayoutStats
 	// WatchdogConfig parameterizes the divergence watchdog (see WithWatchdog).
@@ -98,7 +101,9 @@ const (
 
 // Graph constructors.
 var (
-	// BuildGraph constructs a CSR over n vertices from an edge list.
+	// BuildGraph constructs a CSR over n vertices from an edge list. An edge
+	// weight must be finite and positive, as in a batch insert; otherwise the
+	// error wraps a *BatchError of bad-weight issues.
 	BuildGraph = graph.Build
 	// Symmetrize mirrors every edge (required for Connected Components).
 	Symmetrize = graph.Symmetrize
@@ -358,6 +363,7 @@ type System struct {
 	walDir   string
 	walOpts  wal.Options
 	snapDone bool
+	recovery RecoveryReport
 
 	// Sliding window: per-edge insertion ages (nil without WithWindow) and
 	// the cumulative expired-edge counter.
@@ -396,8 +402,19 @@ func (s *System) acquire(op string) error {
 // release returns the single-writer guard.
 func (s *System) release() { s.inUse.Store(false) }
 
-// New builds a System for query a over initial graph g.
+// New builds a System for query a over initial graph g. Every edge weight of
+// g must be finite and positive, the rule a batch insert obeys; otherwise New
+// fails with an error wrapping a *BatchError that lists the offending edges.
 func New(g *Graph, a Algorithm, opts ...Option) (*System, error) {
+	if err := g.CheckWeights(); err != nil {
+		return nil, fmt.Errorf("jetstream: %w", err)
+	}
+	return newSystem(g, a, opts...)
+}
+
+// newSystem is New for a graph whose weights are already known good: Restore
+// builds its graph with graph.Build, which applies the same rule.
+func newSystem(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 	if algo.NeedsSymmetric(a) && !g.Symmetric() {
 		return nil, fmt.Errorf("jetstream: %s requires a symmetric graph; use Symmetrize", a.Name())
 	}
@@ -530,7 +547,10 @@ func (s *System) ApplyBatch(b Batch) (Result, error) {
 
 // applyBatch is ApplyBatch with the journaling step controllable: recovery
 // replays already-journaled batches with journal=false so the log is not
-// re-appended with its own contents.
+// re-appended with its own contents. A replayed record was journaled clean
+// (Repair journals the sanitized batch), so an issue on replay means the log
+// does not match the graph: it is refused whatever the ingest policy, as the
+// folded replay refuses it.
 func (s *System) applyBatch(b Batch, journal bool) (Result, error) {
 	if !s.init {
 		return Result{}, fmt.Errorf("jetstream: call RunInitial before ApplyBatch")
@@ -540,7 +560,7 @@ func (s *System) applyBatch(b Batch, journal bool) (Result, error) {
 	// normalized to the stored edge weight, so a stale weight cannot poison
 	// the value-aware recovery.
 	clean, issues := s.js.Graph().SanitizeBatch(b)
-	if len(issues) > 0 && s.ingest == Strict {
+	if len(issues) > 0 && (s.ingest == Strict || !journal) {
 		return Result{}, &BatchError{Issues: issues}
 	}
 	if journal && s.wal != nil {
@@ -597,17 +617,7 @@ func (s *System) expireInto(clean Batch) (Batch, uint64, error) {
 	if s.win == nil {
 		return clean, 0, nil
 	}
-	// A batch with no deletes (the common insert-only case) has nothing to
-	// exclude: Expire takes a nil skip and no set is built.
-	var skip func(window.Key) bool
-	if len(clean.Deletes) > 0 {
-		userDel := make(map[window.Key]struct{}, len(clean.Deletes))
-		for _, e := range clean.Deletes {
-			userDel[window.Key{Src: e.Src, Dst: e.Dst}] = struct{}{}
-		}
-		skip = func(k window.Key) bool { _, ok := userDel[k]; return ok }
-	}
-	expired := s.win.Expire(s.batches+1, skip)
+	expired := s.expire(s.batches+1, clean.Deletes)
 	if len(expired) == 0 {
 		return clean, 0, nil
 	}
@@ -627,6 +637,23 @@ func (s *System) expireInto(clean Batch) (Batch, uint64, error) {
 	}
 	merged.Deletes = append(merged.Deletes, clean.Deletes...)
 	return merged, uint64(len(expired)), nil
+}
+
+// expire advances the window to epoch and returns the keys that age out
+// ahead of a batch deleting dels. The user's deleted pairs leave the ring but
+// are not returned, so the merged batch deletes no pair twice.
+func (s *System) expire(epoch uint64, dels []Edge) []window.Key {
+	// A batch with no deletes (the common insert-only case) has nothing to
+	// exclude: Expire takes a nil skip and no set is built.
+	var skip func(window.Key) bool
+	if len(dels) > 0 {
+		userDel := make(map[window.Key]struct{}, len(dels))
+		for _, e := range dels {
+			userDel[window.Key{Src: e.Src, Dst: e.Dst}] = struct{}{}
+		}
+		skip = func(k window.Key) bool { _, ok := userDel[k]; return ok }
+	}
+	return s.win.Expire(epoch, skip)
 }
 
 // Window returns the sliding-window TTL in batches, or 0 when no window is
