@@ -185,12 +185,23 @@ func (s *System) WALSize() int64 {
 // may be passed via WithWALOptions(dir, ...).
 //
 // A selective kernel without a cycle model folds the tail into one net delta
-// and converges once (replayFolded); every other System replays it one
-// ApplyBatch at a time. Both land on the same state; a journaled record that
-// does not apply to the graph it was journaled against refuses recovery with
-// an error wrapping *BatchError (a folded replay's *FoldError names the
-// record and unwraps to it). Recovery reports what it did.
+// and converges once (replayFolded): incrementally, or — when the delta
+// rewrites much of the graph — by merging it into a fresh graph and
+// evaluating that from scratch. Every other System replays the tail one
+// ApplyBatch at a time. All paths land on the same state; a journaled record
+// that does not apply to the graph it was journaled against refuses recovery
+// with an error wrapping *BatchError (a folded replay's *FoldError names the
+// record and unwraps to it). Recovery reports which path ran.
 func RecoverFromDir(dir string, opts ...Option) (*System, error) {
+	return recoverDir(dir, ReplayNone, opts)
+}
+
+// recoverDir is RecoverFromDir with the replay path pinned, so tests and
+// benchmarks can compare the paths on one directory: ReplayPerRecord replays
+// record by record, ReplayFolded and ReplayRebuilt override rebuildsTail's
+// choice for a tail that folds, and ReplayNone leaves both choices to the
+// System.
+func recoverDir(dir string, force ReplayPath, opts []Option) (*System, error) {
 	var scratch settings
 	for _, o := range opts {
 		o(&scratch)
@@ -222,7 +233,7 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("jetstream: recover %s: read log: %w", dir, err)
 	}
-	fold := sys.foldsReplay()
+	fold := sys.foldsReplay() && force != ReplayPerRecord
 	var tail []Batch
 	st, err := wal.Replay(logData, sys.batches, func(r wal.Record) error {
 		if fold {
@@ -234,8 +245,12 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 		}
 		return nil
 	})
+	path := ReplayNone
+	if st.Replayed > 0 {
+		path = ReplayPerRecord
+	}
 	if err == nil && len(tail) > 0 {
-		err = sys.replayFolded(tail)
+		path, err = sys.replayFolded(tail, force)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("jetstream: recover %s: %w", dir, err)
@@ -252,7 +267,7 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 		sys.reg.Counter("jetstream_wal_replayed_total").Add(uint64(st.Replayed))
 	}
 	sys.recovery = RecoveryReport{
-		Replayed: st.Replayed, Folded: len(tail) > 0,
+		Replayed: st.Replayed, Replay: path,
 		Truncated: st.Truncated, ValidSize: st.ValidSize,
 	}
 	return sys, nil
@@ -262,18 +277,65 @@ func RecoverFromDir(dir string, opts ...Option) (*System, error) {
 type RecoveryReport struct {
 	// Replayed counts the log records applied past the snapshot.
 	Replayed int
-	// Folded reports that the records were folded into one net delta and
-	// converged once, rather than replayed one batch at a time.
-	Folded bool
+	// Replay names the path that brought them in.
+	Replay ReplayPath
 	// Truncated reports a torn record at the end of the log, which recovery
 	// cut away; ValidSize is the log's length in bytes up to it.
 	Truncated bool
 	ValidSize int64
 }
 
+// ReplayPath names how RecoverFromDir brought the log tail in.
+type ReplayPath uint8
+
+const (
+	// ReplayNone: no record lay past the snapshot.
+	ReplayNone ReplayPath = iota
+	// ReplayPerRecord: each record was applied as its own batch — an
+	// accumulative kernel, or a System with the cycle model.
+	ReplayPerRecord
+	// ReplayFolded: the records were folded into one net delta, applied
+	// incrementally and converged once.
+	ReplayFolded
+	// ReplayRebuilt: the net delta was large enough against the graph that
+	// the final graph was built by one merge and evaluated from scratch.
+	ReplayRebuilt
+)
+
+func (p ReplayPath) String() string {
+	switch p {
+	case ReplayNone:
+		return "none"
+	case ReplayPerRecord:
+		return "per-record"
+	case ReplayFolded:
+		return "folded"
+	case ReplayRebuilt:
+		return "rebuilt"
+	default:
+		return fmt.Sprintf("ReplayPath(%d)", int(p))
+	}
+}
+
 // Recovery returns what RecoverFromDir did to build this System; the zero
 // report for a System built any other way.
 func (s *System) Recovery() RecoveryReport { return s.recovery }
+
+// rebuildDiv places the crossover between the two ways to converge on a
+// folded tail. Applying a net delta of d ops incrementally costs work that
+// grows with d (the re-lay of the dense restored graph, deletion tagging and
+// resets, compute from the touched vertices); merging it into a fresh graph
+// and evaluating from scratch costs O(V + E) whatever d is. Rebuilding wins
+// once d reaches about E / rebuildDiv. The value is 1 / the median
+// break-even net/E of BenchmarkRecoveryCrossover's sweep over every selective
+// kernel on the BenchmarkWALRecovery shapes, rounded: 0.137, 0.151 and 0.141
+// in three sweeps on a 2-vCPU x86-64 box (their tables are in results/).
+const rebuildDiv = 7
+
+// rebuildsTail is the one predicate that picks between the folded paths: it
+// reports whether a net delta of net ops against a graph of edges edges is
+// past the crossover.
+func rebuildsTail(net, edges int) bool { return net*rebuildDiv >= edges }
 
 // foldsReplay is the one predicate that picks the replay path. A selective
 // kernel without a cycle model converges to the unique fixpoint of the final
@@ -287,14 +349,16 @@ func (s *System) foldsReplay() bool {
 // replayFolded replays a log tail as one batch. The window advances record by
 // record (Expire, then Record) and each expired key joins its record as a
 // delete; graph.Fold turns the records into their net delta against the
-// current graph, refusing a record that does not apply with a *FoldError; one
-// js.ApplyBatch converges on it. Batches() and jetstream_batches_total
-// advance by the record count; everything else reports the tail as one
-// batch: one counter delta and batch-latency observation, one
-// BatchStart/BatchEnd trace pair (A: the first and the last record, B: the
-// net delta's size and the events processed), and one watchdog check if the
-// tail crossed a check index.
-func (s *System) replayFolded(tail []Batch) error {
+// current graph, refusing a record that does not apply with a *FoldError.
+// Below the crossover (rebuildsTail; force overrides it) one js.ApplyBatch
+// converges on the delta; past it, graph.Merge builds the final graph and
+// js.Rebuild evaluates it from scratch. Batches() and
+// jetstream_batches_total advance by the record count; everything else
+// reports the tail as one batch: one counter delta and batch-latency
+// observation, one BatchStart/BatchEnd trace pair (A: the first and the last
+// record, B: the net delta's size and the events processed), and one
+// watchdog check if the tail crossed a check index.
+func (s *System) replayFolded(tail []Batch, force ReplayPath) (ReplayPath, error) {
 	first, last := s.batches+1, s.batches+uint64(len(tail))
 	var expired uint64
 	if s.win != nil {
@@ -313,14 +377,28 @@ func (s *System) replayFolded(tail []Batch) error {
 			expired += uint64(len(keys))
 		}
 	}
-	net, err := graph.Fold(s.js.Graph(), first, tail)
+	g := s.js.Graph()
+	net, err := graph.Fold(g, first, tail)
 	if err != nil {
-		return err
+		return ReplayNone, err
 	}
 	clear(tail) // the records end here: the apply's memory peak need not carry them
+	path := force
+	if path != ReplayFolded && path != ReplayRebuilt {
+		path = ReplayFolded
+		if rebuildsTail(net.Size(), g.NumEdges()) {
+			path = ReplayRebuilt
+		}
+	}
 	s.trace(obs.TraceEvent{Kind: obs.KindBatchStart, A: first, B: uint64(net.Size())})
-	if err := s.js.ApplyBatch(net); err != nil {
-		return fmt.Errorf("jetstream: apply batch: %w", err)
+	if path == ReplayRebuilt {
+		ng, err := graph.Merge(g, net)
+		if err != nil {
+			return ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
+		}
+		s.js.Rebuild(ng)
+	} else if err := s.js.ApplyBatch(net); err != nil {
+		return ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
 	}
 	s.js.Engine().ReleaseBuffers()
 	if s.win != nil {
@@ -337,5 +415,5 @@ func (s *System) replayFolded(tail []Batch) error {
 	s.batchesC.Add(last - first + 1)
 	s.trace(obs.TraceEvent{Kind: obs.KindBatchEnd, A: last,
 		B: res.Stats.EventsProcessed, F: res.Duration.Seconds()})
-	return nil
+	return path, nil
 }

@@ -70,21 +70,7 @@ func bitwiseEqual(a, b []float64) bool {
 // which lets a continuation advance a fresh generator identically.
 func runReference(t *testing.T, alg Algorithm, sym bool, n int) (states [][]float64, graphs []*Graph) {
 	t.Helper()
-	sys, err := New(durGraph(sym), alg, durOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.RunInitial()
-	gen := durStream(sym)
-	states = append(states, sys.State())
-	graphs = append(graphs, sys.Graph())
-	for i := 0; i < n; i++ {
-		if _, err := sys.ApplyBatch(gen.Next(sys.Graph())); err != nil {
-			t.Fatalf("reference batch %d: %v", i+1, err)
-		}
-		states = append(states, sys.State())
-		graphs = append(graphs, sys.Graph())
-	}
+	_, states, graphs = recordRun(t, alg, sym, n, durOpts())
 	return states, graphs
 }
 

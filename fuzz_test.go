@@ -389,9 +389,9 @@ func foldRecords(data []byte) []Batch {
 // sanitized one by one against the evolving graph, as the journal holds
 // them. Arm one: graph.Fold's net delta, applied in one batch, reaches the
 // same edge set and a bitwise-equal state for each selective kernel. Arm
-// two: a windowed system journals the records and a folded recovery lands
-// on the same graph, state and epoch ring — the next TTL batches expire the
-// same edges on both.
+// two: a windowed system journals the records and a folded recovery, forced
+// down each of its paths (incremental and rebuilt), lands on the same graph,
+// state and epoch ring — the next TTL batches expire the same edges on both.
 func FuzzFold(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 0, 1, 2, 1, 1, 2}, uint8(1))                            // insert then delete: cancels
@@ -436,49 +436,51 @@ func FuzzFold(f *testing.F) {
 		}
 
 		w := 1 + int(ttl%4)
-		dir := t.TempDir()
-		seq, err := New(g, SSSP(0), WithTiming(false), WithIngest(Repair), WithWindow(w),
-			WithWALOptions(dir, WALOptions{Sync: WALSyncNone}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq.RunInitial()
-		for _, b := range raw {
-			if _, err := seq.ApplyBatch(b); err != nil {
-				t.Fatalf("windowed sequential: %v", err)
-			}
-		}
-		if err := seq.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := RecoverFromDir(dir)
-		if err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-		defer rec.Close()
-		if got := rec.Recovery(); got.Replayed != len(raw) || !got.Folded {
-			t.Fatalf("recovery report %+v after %d records", got, len(raw))
-		}
-		for k := 0; ; k++ {
-			if diff := sameEdges(rec.Graph(), seq.Graph()); diff != "" {
-				t.Fatalf("windowed, %d batches after recovery: %s", k, diff)
-			}
-			if !bitwiseEqual(rec.State(), seq.State()) {
-				t.Fatalf("windowed, %d batches after recovery: state differs", k)
-			}
-			if k == w {
-				break
-			}
-			want, err := seq.ApplyBatch(Batch{})
+		for _, force := range []ReplayPath{ReplayFolded, ReplayRebuilt} {
+			dir := t.TempDir()
+			seq, err := New(g, SSSP(0), WithTiming(false), WithIngest(Repair), WithWindow(w),
+				WithWALOptions(dir, WALOptions{Sync: WALSyncNone}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rec.ApplyBatch(Batch{})
-			if err != nil {
+			seq.RunInitial()
+			for _, b := range raw {
+				if _, err := seq.ApplyBatch(b); err != nil {
+					t.Fatalf("windowed sequential: %v", err)
+				}
+			}
+			if err := seq.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got.Expired != want.Expired {
-				t.Fatalf("batch %d after recovery expired %d edges, sequential %d", k+1, got.Expired, want.Expired)
+			rec, err := recoverDir(dir, force, nil)
+			if err != nil {
+				t.Fatalf("recover %v: %v", force, err)
+			}
+			defer rec.Close()
+			if got := rec.Recovery(); got.Replayed != len(raw) || got.Replay != force {
+				t.Fatalf("recovery report %+v after %d records, forced %v", got, len(raw), force)
+			}
+			for k := 0; ; k++ {
+				if diff := sameEdges(rec.Graph(), seq.Graph()); diff != "" {
+					t.Fatalf("windowed %v, %d batches after recovery: %s", force, k, diff)
+				}
+				if !bitwiseEqual(rec.State(), seq.State()) {
+					t.Fatalf("windowed %v, %d batches after recovery: state differs", force, k)
+				}
+				if k == w {
+					break
+				}
+				want, err := seq.ApplyBatch(Batch{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rec.ApplyBatch(Batch{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Expired != want.Expired {
+					t.Fatalf("%v: batch %d after recovery expired %d edges, sequential %d", force, k+1, got.Expired, want.Expired)
+				}
 			}
 		}
 	})

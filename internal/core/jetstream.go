@@ -691,7 +691,17 @@ func (j *JetStream) VerifySample(sample int) float64 {
 func (j *JetStream) ColdStart() {
 	j.st.ColdStartFallbacks++
 	j.trace(obs.TraceEvent{Kind: obs.KindFallback, A: j.st.ColdStartFallbacks})
-	j.eng.SetGraph(j.g, nil)
+	j.Rebuild(j.g)
+}
+
+// Rebuild makes g the current graph version and evaluates the query on it
+// from scratch — the initial evaluation (§4.6.1) in place of an incremental
+// update, for a delta so large that re-deriving everything is the cheaper
+// path. It is a choice, not a fallback: nothing is counted or traced beyond
+// the evaluation's own work. g must have the current vertex count.
+func (j *JetStream) Rebuild(g *graph.CSR) {
+	j.g = g
+	j.eng.SetGraph(g, nil)
 	j.eng.RunToConvergence()
 	j.eng.FlushObs()
 }

@@ -600,15 +600,8 @@ func (s *Service) recoverTenant(name string) error {
 		_ = t.sys.Close() // refusing anyway; err is authoritative
 		return err
 	}
-	replay := "none"
-	switch {
-	case report.Folded:
-		replay = "folded"
-	case report.Replayed > 0:
-		replay = "per-record"
-	}
 	slog.Info("tenant recovered", "tenant", name, "evidence", evidence,
-		"replayed", report.Replayed, "replay", replay,
+		"replayed", report.Replayed, "replay", report.Replay.String(),
 		"truncated", report.Truncated, "valid_size", report.ValidSize, "took", time.Since(start))
 	return nil
 }

@@ -917,7 +917,7 @@ func TestRecoverLogsEachTenant(t *testing.T) {
 	}
 	defer svcB.Shutdown()
 	want := []string{
-		`level=INFO msg="tenant recovered" tenant=a-bfs evidence=snapshot+log replayed=3 replay=folded truncated=false valid_size=`,
+		`level=INFO msg="tenant recovered" tenant=a-bfs evidence=snapshot+log replayed=3 replay=rebuilt truncated=false valid_size=`,
 		`level=INFO msg="tenant recovered" tenant=b-pr evidence=snapshot+log replayed=2 replay=per-record truncated=true valid_size=`,
 		`level=INFO msg="tenant recovered" tenant=c-dormant evidence=manifest replayed=0 replay=none truncated=false valid_size=0`,
 	}

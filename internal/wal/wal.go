@@ -279,8 +279,9 @@ func (l *Log) Sync() error {
 }
 
 // CompactTo truncates the log prefix covered by a snapshot at sequence seq:
-// records with Seq <= seq are dropped, the survivors are rewritten to a temp
-// file, fsynced, and renamed over the log — atomic, so a crash at any point
+// records with Seq <= seq are dropped, the survivors (none when seq >=
+// LastSeq, and then the log is not read) are rewritten to a temp file,
+// fsynced, and renamed over the log — atomic, so a crash at any point
 // leaves either the old complete log or the new one. Call it after the
 // snapshot itself is durably in place: the snapshot-then-compact order means
 // a crash between the two steps only leaves already-covered records, which
@@ -303,16 +304,21 @@ func (l *Log) CompactTo(seq uint64) error {
 	}
 	l.f = nil
 
-	data, err := l.fs.ReadFile(l.path())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("wal: compact: read log: %w", err)
-	}
+	// A snapshot at or past the last record covers the whole log — always
+	// the case for System.Compact — so there are no survivors to look for
+	// and the log is replaced by an empty one without being read.
 	var kept []byte
-	if _, err := Replay(data, seq, func(r Record) error {
-		kept = append(kept, data[r.Off:r.Off+int64(r.Size)]...)
-		return nil
-	}); err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
+	if seq < l.lastSeq {
+		data, err := l.fs.ReadFile(l.path())
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("wal: compact: read log: %w", err)
+		}
+		if _, err := Replay(data, seq, func(r Record) error {
+			kept = append(kept, data[r.Off:r.Off+int64(r.Size)]...)
+			return nil
+		}); err != nil {
+			return fmt.Errorf("wal: compact: %w", err)
+		}
 	}
 	if err := WriteFileAtomic(l.fs, l.path(), func(w io.Writer) error {
 		if len(kept) == 0 {

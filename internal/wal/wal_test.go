@@ -287,10 +287,49 @@ func TestCompactToAll(t *testing.T) {
 	}
 }
 
-// countingFS counts fsync calls to verify the sync policies.
+// TestCompactCoveredLogReadsNothing: compacting to the last record — what
+// System.Compact always asks for — replaces a 2,048-record log with an empty
+// one without reading a byte of it, and the log goes on from the same floor.
+func TestCompactCoveredLogReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	fs := &countingFS{FS: OSFS{}}
+	l, err := Open(dir, Options{Sync: SyncNone, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 2048)
+	fs.read = 0
+	if err := l.CompactTo(l.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	if fs.read != 0 || l.Size() != 0 {
+		t.Fatalf("compact of a covered log read %d bytes and left %d", fs.read, l.Size())
+	}
+	appendN(t, l, 2049, 2049)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Replay(data, 2048, nil); err != nil || st.Replayed != 1 || st.LastSeq != 2049 {
+		t.Fatalf("log after compact and one append: %+v, %v", st, err)
+	}
+}
+
+// countingFS counts fsync calls to verify the sync policies, and the bytes
+// read back through ReadFile.
 type countingFS struct {
 	FS
 	syncs int
+	read  int
+}
+
+func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	data, err := c.FS.ReadFile(path)
+	c.read += len(data)
+	return data, err
 }
 
 type countingFile struct {

@@ -201,6 +201,17 @@ func FromEntries(ttl int, batches uint64, entries []Entry) (*Ring, error) {
 	if d := int64(batches) - int64(ttl); d > r.done {
 		r.done = d
 	}
+	// Size the age map and every bucket once: a restored window can hold a
+	// whole seeded graph in one epoch, and growing to it rehashes and copies
+	// each structure several times.
+	r.age = make(map[Key]uint64, len(entries))
+	counts := make([]int, len(r.buckets))
+	for _, en := range entries {
+		counts[en.Epoch%uint64(len(r.buckets))]++
+	}
+	for i, c := range counts {
+		r.buckets[i] = make([]Key, 0, c)
+	}
 	for _, en := range entries {
 		if en.Epoch > batches || int64(en.Epoch) <= r.done {
 			return nil, fmt.Errorf("window: entry (%d,%d) epoch %d outside window (%d, %d]",
