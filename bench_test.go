@@ -16,11 +16,9 @@ import (
 	"jetstream/internal/bench"
 	"jetstream/internal/core"
 	"jetstream/internal/event"
-	"jetstream/internal/graph"
 	"jetstream/internal/mem"
 	"jetstream/internal/queue"
 	"jetstream/internal/stats"
-	"jetstream/internal/stream"
 )
 
 // ---------------------------------------------------------------------------
@@ -507,73 +505,4 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		}
 		report(b, events, elapsed)
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Cache-conscious hot path
-// ---------------------------------------------------------------------------
-
-// BenchmarkDegreeAdaptive measures the degree-adaptive adjacency against the
-// uniform slab on adversarial stream shapes. Each sub-benchmark churns a
-// power-law graph through shape batches (hubchurn tears hub adjacencies down
-// and rebuilds them, flashcrowd grows dense neighborhoods), then times the
-// event-style read path: scattered point lookups of out-adjacencies — the
-// access pattern of a drain round, where distinct cache lines touched per
-// lookup dominate, not sequential bandwidth. The sampled targets are the
-// low-degree population (degree at or below the inline capacity): in a
-// power-law graph that is the bulk of all vertices and exactly the set the
-// adaptive layout serves from a single 64-byte record, where the uniform slab
-// pays the ptr, len, destination, and weight lines with a dependent
-// pointer-to-payload chain. Hub adjacencies live in the slab either way and
-// would only dilute the comparison. The inline variant must hold 0 allocs/op
-// and beat the slab on ns/op (the bench-hotpath CI job uploads the ratio);
-// inline-frac reports how much of the graph the adaptive layout captured.
-func BenchmarkDegreeAdaptive(b *testing.B) {
-	const nv, ne, lookups = 400000, 2400000, 100000
-	for _, kind := range []stream.ShapeKind{stream.HubChurn, stream.FlashCrowd} {
-		base := RMAT(RMATConfig{Vertices: nv, Edges: ne, Seed: 1})
-		for _, mode := range []string{"inline", "slab"} {
-			b.Run(fmt.Sprintf("%s/%s", kind, mode), func(b *testing.B) {
-				cfg := graph.DefaultDeltaConfig()
-				if mode == "slab" {
-					cfg.InlineCap = 0
-				}
-				cur, err := base.ApplyDeltaCfg(graph.Batch{}, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gen := stream.NewShape(stream.ShapeConfig{Kind: kind, BatchSize: 1000, Seed: 3})
-				for i := 0; i < 10; i++ {
-					ng, err := cur.ApplyDeltaCfg(gen.Next(cur), cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cur = ng
-				}
-				rng := rand.New(rand.NewSource(5))
-				targets := make([]graph.VertexID, 0, lookups)
-				for len(targets) < lookups {
-					v := graph.VertexID(rng.Intn(nv))
-					if cur.OutDegree(v) <= graph.DefaultDeltaConfig().InlineCap {
-						targets = append(targets, v)
-					}
-				}
-				var sum float64
-				visit := func(dst graph.VertexID, w graph.Weight) { sum += float64(w) }
-				out, in, total := cur.RepresentationMix()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, v := range targets {
-						cur.OutEdges(v, visit)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(out+in)/float64(2*total), "inline-frac")
-				if sum == 0 {
-					b.Fatal("sweep read nothing")
-				}
-			})
-		}
-	}
 }

@@ -165,7 +165,8 @@ func (s *System) Close() error {
 }
 
 // WALSize returns the write-ahead log's current byte length, or 0 without a
-// WAL — the signal driving periodic Compact calls.
+// WAL. The System never compacts on its own: the log grows with every
+// journaled batch until the caller runs Compact, which empties it.
 func (s *System) WALSize() int64 {
 	if s.wal == nil {
 		return 0

@@ -349,11 +349,25 @@ func TestWALDiskFull(t *testing.T) {
 
 // TestCompactTruncatesAndSurvivesCrash checks both halves of the compaction
 // contract: a completed Compact bounds the log while preserving recovery, and
-// a crash mid-compaction (during the snapshot rewrite) leaves the old
-// snapshot + full log pair, which still recovers the complete stream.
+// a crash anywhere inside Compact — while the snapshot temp file is written,
+// at its rename, at the log's temp file or at the log's rename — leaves a
+// snapshot + log pair that still recovers the complete stream.
 func TestCompactTruncatesAndSurvivesCrash(t *testing.T) {
 	const n = 5
 	refStates, _ := runReference(t, SSSP(0), false, n)
+	recoverAll := func(name, dir string) {
+		t.Helper()
+		rec, err := RecoverFromDir(dir)
+		if err != nil {
+			t.Fatalf("%s: recover: %v", name, err)
+		}
+		if rec.Batches() != n || !bitwiseEqual(rec.State(), refStates[n]) {
+			t.Fatalf("%s: recovered %d batches, want %d (bitwise)", name, rec.Batches(), n)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Completed compaction.
 	dir := t.TempDir()
@@ -378,43 +392,132 @@ func TestCompactTruncatesAndSurvivesCrash(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecoverFromDir(dir)
-	if err != nil {
+	recoverAll("post-compact", dir)
+
+	// Measure Compact on a clean disk: the bytes it writes (all of them the
+	// snapshot's — the snapshot covers every record, so the log's temp file
+	// is empty) and the filesystem operations it makes.
+	clean := &opKillFS{Disk: fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: -1, FlipBitAt: -1, FullAtByte: -1}), left: -1}
+	sys = streamSystemThroughDisk(t, clean, n)
+	pre := clean.Written()
+	clean.armed = true
+	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Batches() != n || !bitwiseEqual(rec.State(), refStates[n]) {
-		t.Fatalf("post-compact recovery: %d batches", rec.Batches())
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
+	volume, ops := clean.Written()-pre, clean.ops
+	if volume == 0 || ops == 0 {
+		t.Fatalf("compact wrote %d bytes in %d operations", volume, ops)
 	}
 
-	// Crash during compaction's snapshot rewrite: measure the pre-compact
-	// cumulative write volume with a clean disk, then kill just past it.
-	measure := fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: -1, FlipBitAt: -1, FullAtByte: -1})
-	preCompact := streamThroughDisk(t, measure, n)
-	for _, extra := range []int64{64, 4096} {
-		d := fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: preCompact + extra, FlipBitAt: -1, FullAtByte: -1})
-		sys := streamSystemThroughDisk(t, d, n)
+	// Kill the disk at every stride-th byte of that volume and at its last
+	// byte: the write carrying that offset is torn.
+	stride := max(volume/256, 1)
+	for off := int64(0); ; off = min(off+stride, volume-1) {
+		d := fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: pre + off, FlipBitAt: -1, FullAtByte: -1})
+		sys := streamSystemThroughDisk(t, &opKillFS{Disk: d, left: -1}, n)
 		if err := sys.Compact(); err == nil {
-			t.Fatalf("extra=%d: compact on killed disk succeeded", extra)
+			t.Fatalf("byte %d of %d: compact on killed disk succeeded", off, volume)
 		}
-		rec, err := RecoverFromDir(d.Root())
-		if err != nil {
-			t.Fatalf("extra=%d: recover after torn compact: %v", extra, err)
-		}
-		if rec.Batches() != n || !bitwiseEqual(rec.State(), refStates[n]) {
-			t.Fatalf("extra=%d: recovered %d batches, want %d (bitwise)", extra, rec.Batches(), n)
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
+		recoverAll(fmt.Sprintf("byte %d of %d", off, volume), d.Root())
+		if off == volume-1 {
+			break
 		}
 	}
+	// Kill it between two operations instead, after each of Compact's first
+	// k: the renames and the log's temp file are reached here.
+	for k := 0; k < ops; k++ {
+		d := &opKillFS{Disk: fault.NewDisk(t.TempDir(), fault.DiskConfig{KillAtByte: -1, FlipBitAt: -1, FullAtByte: -1}), left: k}
+		sys := streamSystemThroughDisk(t, d, n)
+		d.armed = true
+		if err := sys.Compact(); err == nil {
+			t.Fatalf("operation %d of %d: compact on killed disk succeeded", k, ops)
+		}
+		recoverAll(fmt.Sprintf("operation %d of %d", k, ops), d.Root())
+	}
+}
+
+// opKillFS is a fault.Disk that, once armed, lets left more filesystem
+// operations through and fails every later one with fault.ErrDiskKilled —
+// a crash between two operations, where KillAtByte can only crash inside a
+// write. A negative left never kills; ops counts the operations made while
+// armed.
+type opKillFS struct {
+	*fault.Disk
+	armed     bool
+	left, ops int
+}
+
+func (f *opKillFS) op() error {
+	if !f.armed {
+		return nil
+	}
+	if f.left == 0 {
+		return fault.ErrDiskKilled
+	}
+	f.left--
+	f.ops++
+	return nil
+}
+
+func (f *opKillFS) MkdirAll(dir string) error {
+	if err := f.op(); err != nil {
+		return err
+	}
+	return f.Disk.MkdirAll(dir)
+}
+
+func (f *opKillFS) OpenAppend(path string) (wal.File, error) {
+	if err := f.op(); err != nil {
+		return nil, err
+	}
+	return f.Disk.OpenAppend(path)
+}
+
+func (f *opKillFS) Create(path string) (wal.File, error) {
+	if err := f.op(); err != nil {
+		return nil, err
+	}
+	return f.Disk.Create(path)
+}
+
+func (f *opKillFS) ReadFile(path string) ([]byte, error) {
+	if err := f.op(); err != nil {
+		return nil, err
+	}
+	return f.Disk.ReadFile(path)
+}
+
+func (f *opKillFS) Rename(oldpath, newpath string) error {
+	if err := f.op(); err != nil {
+		return err
+	}
+	return f.Disk.Rename(oldpath, newpath)
+}
+
+func (f *opKillFS) Remove(path string) error {
+	if err := f.op(); err != nil {
+		return err
+	}
+	return f.Disk.Remove(path)
+}
+
+func (f *opKillFS) Truncate(path string, size int64) error {
+	if err := f.op(); err != nil {
+		return err
+	}
+	return f.Disk.Truncate(path, size)
+}
+
+func (f *opKillFS) SyncDir(dir string) error {
+	if err := f.op(); err != nil {
+		return err
+	}
+	return f.Disk.SyncDir(dir)
 }
 
 // streamSystemThroughDisk streams n batches of the standard sssp stream into
 // a WAL on the given disk and returns the live system.
-func streamSystemThroughDisk(t *testing.T, d *fault.Disk, n int) *System {
+func streamSystemThroughDisk(t *testing.T, d *opKillFS, n int) *System {
 	t.Helper()
 	sys, err := New(durGraph(false), SSSP(0), durOpts(WithWALOptions(d.Root(), WALOptions{FS: d}))...)
 	if err != nil {
@@ -428,16 +531,6 @@ func streamSystemThroughDisk(t *testing.T, d *fault.Disk, n int) *System {
 		}
 	}
 	return sys
-}
-
-// streamThroughDisk is streamSystemThroughDisk returning the write volume.
-func streamThroughDisk(t *testing.T, d *fault.Disk, n int) int64 {
-	t.Helper()
-	sys := streamSystemThroughDisk(t, d, n)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return d.Written()
 }
 
 // TestNewRefusesResumableDir pins the footgun guards around WAL directories:

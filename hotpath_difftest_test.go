@@ -1,11 +1,10 @@
 package jetstream
 
-// Differential harness for the cache-conscious hot path: the degree-adaptive
-// adjacency layout is a pure representation optimization, so every kernel
-// must produce the same results with it as without. The comparisons run
-// against the full-rebuild reference (a dense CSR with no slack and no inline
-// records — maximally different memory layout, identical logical graph); the
-// graph package's TestInlineMatchesRebuildAllCaps covers every other cap.
+// Differential harness for the delta layout: slack segments, in-place edits,
+// relocation and re-lays change only where the edges are stored, so every
+// kernel must produce the same results on it as on the full-rebuild reference
+// (a dense CSR with no slack — maximally different memory layout, identical
+// logical graph).
 
 import (
 	"fmt"
@@ -15,13 +14,13 @@ import (
 	"jetstream/internal/core"
 )
 
-// TestInlineAdjacencyAllKernelsAllParallelisms drives every kernel at
-// parallelism 1, 2, and 8 with the default inline layout (threshold 4) and
-// compares against the rebuild reference at parallelism 1. Selective kernels
-// must match bitwise at every parallelism; accumulative kernels carry the
-// usual epsilon-truncation tolerance above p=1 and must be bitwise at p=1.
+// TestDeltaLayoutAllKernelsAllParallelisms drives every kernel at
+// parallelism 1, 2, and 8 on the default delta layout and compares against
+// the rebuild reference at parallelism 1. Selective kernels must match
+// bitwise at every parallelism; accumulative kernels carry the usual
+// epsilon-truncation tolerance above p=1 and must be bitwise at p=1.
 // The logical graphs must be identical everywhere.
-func TestInlineAdjacencyAllKernelsAllParallelisms(t *testing.T) {
+func TestDeltaLayoutAllKernelsAllParallelisms(t *testing.T) {
 	for _, name := range algo.Names() {
 		t.Run(name, func(t *testing.T) {
 			a := makeAlgByName(t, name)

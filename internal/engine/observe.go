@@ -33,13 +33,8 @@ type Obs struct {
 	queueLive *obs.Gauge
 	queueHigh *obs.Max
 
-	// Degree-adaptive adjacency representation mix (see graph.CSR
-	// RepresentationMix), refreshed at every flush boundary.
-	inlineOut *obs.Gauge
-	inlineIn  *obs.Gauge
-
 	// Layout work of the delta mutation layer (graph.CSR LayoutStats),
-	// refreshed at the same boundary; layoutPub is the last published reading
+	// refreshed at every flush boundary; layoutPub is the last published reading
 	// the counters advance from.
 	relocations *obs.Counter
 	relayouts   *obs.Counter
@@ -82,8 +77,6 @@ func NewObs(reg *obs.Registry, tr obs.Tracer) *Obs {
 		Tr:        tr,
 		queueLive: reg.Gauge("jetstream_queue_live_events"),
 		queueHigh: reg.Max("jetstream_queue_highwater"),
-		inlineOut: reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "out")),
-		inlineIn:  reg.Gauge("jetstream_graph_inline_vertices", obs.L("dir", "in")),
 
 		relocations: reg.Counter("jetstream_graph_relocations_total"),
 		relayouts:   reg.Counter("jetstream_graph_relayouts_total"),
@@ -239,9 +232,6 @@ func (e *Engine) FlushObs() {
 	e.obPub = *e.st
 	e.ob.queueLive.Set(int64(e.q.Len()))
 	e.ob.queueHigh.Observe(uint64(e.q.HighWater()))
-	out, in, _ := e.csr.RepresentationMix()
-	e.ob.inlineOut.Set(int64(out))
-	e.ob.inlineIn.Set(int64(in))
 	ls := e.csr.LayoutStats()
 	e.ob.relocations.Add(ls.Relocations - e.ob.layoutPub.Relocations)
 	e.ob.relayouts.Add(ls.Relayouts - e.ob.layoutPub.Relayouts)

@@ -54,18 +54,34 @@ type Edge struct {
 type adj struct {
 	ptr []uint64 // n+1 entries; ptr[n] is the end of the packed region
 	cap []uint32 // slacked: segment capacity per vertex
-	len []uint32 // slacked: used slots per vertex (0 for inline vertices)
+	len []uint32 // slacked: used slots per vertex
 	ids []VertexID
 	ws  []Weight
 
-	// Degree-adaptive layout (inline.go): vertices with at most CSR.inlCap
-	// neighbors keep them in their cache-line record instead of the slab.
-	// nil for dense builds and slab-only layouts.
-	inl    []inlineRec
-	inline int // vertices currently stored inline
-
 	tail uint64 // slacked: first unused slot of the tail headroom
 	dead int    // slacked: slots vacated by relocations since the last re-lay
+}
+
+// live returns v's adjacency as stored by the live layout: the slab segment
+// [ptr[v], ptr[v]+len[v]) of a slacked layout, [ptr[v], ptr[v+1]) of a dense
+// one. Callers must hold a live (unfrozen) version — frozen versions read
+// through their undo records in OutAdj/InAdj. The returned slices alias the
+// graph's storage.
+func (a *adj) live(v VertexID) ([]VertexID, []Weight) {
+	lo := a.ptr[v]
+	hi := a.ptr[v+1]
+	if a.len != nil {
+		hi = lo + uint64(a.len[v])
+	}
+	return a.ids[lo:hi], a.ws[lo:hi]
+}
+
+// deg returns v's degree on the live layout.
+func (a *adj) deg(v VertexID) int {
+	if a.len != nil {
+		return int(a.len[v])
+	}
+	return int(a.ptr[v+1] - a.ptr[v])
 }
 
 // CSR is a compressed-sparse-row graph with both directions indexed.
@@ -93,10 +109,6 @@ type CSR struct {
 	// from their in-neighbor id list; 0 means the edge set is closed under
 	// reversal. Maintained incrementally by the delta mutation layer.
 	asymCount int
-
-	// inlCap is the adaptive layout's inline capacity, shared by both
-	// directions; 0 for dense builds and slab-only layouts.
-	inlCap uint8
 
 	// relocations, relayouts and undoRecords count the layout work done along
 	// this version's mutation chain (LayoutStats).
@@ -159,6 +171,12 @@ func (g *CSR) LayoutStats() LayoutStats {
 	}
 	return ls
 }
+
+// RepresentationMix reports how many vertices each direction stores outside
+// the slab, plus the vertex count. Every live version keeps each adjacency in
+// its slab segment, so it returns (0, 0, n); it is kept only for the
+// benchmark's graph.inline_frac probe, until that probe is dropped.
+func (g *CSR) RepresentationMix() (outInline, inInline, n int) { return 0, 0, g.n }
 
 // OutAdj returns v's out-adjacency (destinations and weights, sorted by
 // destination, equal length) as observed by this version. A superseded version
@@ -281,8 +299,6 @@ func (g *CSR) EdgeAt(i int) Edge {
 	if g.ver != nil && !g.ver.frozen {
 		cum := g.ver.rankIndex(g)
 		u := sort.Search(g.n, func(v int) bool { return cum[v+1] > uint64(i) })
-		// Index through the live segment rather than the slab directly: an
-		// inline vertex's edges live in its record, not at ptr[u].
 		ids, ws := g.out.live(VertexID(u))
 		k := uint64(i) - cum[u]
 		return Edge{VertexID(u), ids[k], ws[k]}
@@ -407,24 +423,17 @@ func (g *CSR) validateLayout() error {
 	if (g.out.len == nil) != (g.in.len == nil) {
 		return fmt.Errorf("graph: slack layout must cover both directions")
 	}
-	if (g.out.inl == nil) != (g.in.inl == nil) {
-		return fmt.Errorf("graph: adaptive layout must cover both directions")
-	}
-	if g.out.inl != nil && (g.inlCap == 0 || g.inlCap > inlineCapMax) {
-		return fmt.Errorf("graph: inline capacity %d out of range", g.inlCap)
-	}
-	if err := g.out.validate("out", g.n, g.m, int(g.inlCap)); err != nil {
+	if err := g.out.validate("out", g.n, g.m); err != nil {
 		return err
 	}
-	return g.in.validate("in", g.n, g.m, int(g.inlCap))
+	return g.in.validate("in", g.n, g.m)
 }
 
 // validate checks one direction's physical invariants: dense pointers are a
 // prefix sum over exactly m slots; slacked segments hold len ≤ cap, lie inside
 // the slab below the tail, are pairwise disjoint, and together with the dead
-// slots and the free tail account for every slot of the slab; inline records
-// agree with the used counts and the inline tally.
-func (a *adj) validate(dir string, n, m, inlCap int) error {
+// slots and the free tail account for every slot of the slab.
+func (a *adj) validate(dir string, n, m int) error {
 	if len(a.ptr) != n+1 {
 		return fmt.Errorf("graph: %s pointer array length mismatch", dir)
 	}
@@ -432,9 +441,6 @@ func (a *adj) validate(dir string, n, m, inlCap int) error {
 		return fmt.Errorf("graph: %s id and weight arrays differ in length", dir)
 	}
 	if a.len == nil {
-		if a.inl != nil {
-			return fmt.Errorf("graph: adaptive layout requires a slacked layout")
-		}
 		if a.ptr[0] != 0 || a.ptr[n] != uint64(len(a.ids)) || m != len(a.ids) {
 			return fmt.Errorf("graph: dense %s layout records %d edges over %d slots", dir, m, len(a.ids))
 		}
@@ -477,29 +483,6 @@ func (a *adj) validate(dir string, n, m, inlCap int) error {
 	}
 	if free := uint64(len(a.ids)) - a.tail; live+uint64(a.dead)+free != uint64(len(a.ids)) {
 		return fmt.Errorf("graph: %s slab of %d slots != %d live + %d dead + %d free", dir, len(a.ids), live, a.dead, free)
-	}
-	if a.inl == nil {
-		return nil
-	}
-	if len(a.inl) != n {
-		return fmt.Errorf("graph: %s inline record array length mismatch", dir)
-	}
-	inline := 0
-	for v := 0; v < n; v++ {
-		k := a.inl[v].n
-		if k == inlineSpilled {
-			continue
-		}
-		if int(k) > inlCap {
-			return fmt.Errorf("graph: inline %s record of %d holds %d > cap %d", dir, v, k, inlCap)
-		}
-		if a.len[v] != 0 {
-			return fmt.Errorf("graph: vertex %d is inline but its %s length is %d", v, dir, a.len[v])
-		}
-		inline++
-	}
-	if inline != a.inline {
-		return fmt.Errorf("graph: %s inline count %d, recomputed %d", dir, a.inline, inline)
 	}
 	return nil
 }

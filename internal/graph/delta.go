@@ -21,18 +21,11 @@ type DeltaConfig struct {
 	// CompactFrac·E, the next batch re-lays the whole graph with fresh slack
 	// everywhere. This amortizes the O(V+E) re-lay over Θ(E) cheap updates.
 	CompactFrac float64
-	// InlineCap enables the degree-adaptive layout: vertices with at most
-	// InlineCap neighbors in a direction are stored directly in a per-vertex
-	// cache-line record (inline.go) instead of the slack slab. 0 keeps the
-	// uniform slab layout; values above the record capacity (4) are clamped.
-	// The slab still reserves full capacity for every vertex, so flipping the
-	// knob changes locality, never addresses or semantics.
-	InlineCap int
 }
 
 // DefaultDeltaConfig returns the tuning used by the system hot path.
 func DefaultDeltaConfig() DeltaConfig {
-	return DeltaConfig{SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25, InlineCap: inlineCapMax}
+	return DeltaConfig{SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25}
 }
 
 // direction indexes the per-direction halves of a version's undo state.
@@ -279,7 +272,6 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 		cum := buf[:g.n+1]
 		cum[0] = 0
 		for v := 0; v < g.n; v++ {
-			// Logical degree, not len: inline vertices keep len == 0.
 			cum[v+1] = cum[v] + uint64(g.out.deg(VertexID(v)))
 		}
 		vi.cum = cum
@@ -290,10 +282,9 @@ func (vi *versionInfo) rankIndex(g *CSR) []uint64 {
 // ApplyDelta produces the next graph version G+Δ like Apply, but its cost
 // follows the batch, not the degrees of the vertices it lands on: a vertex
 // whose segment still fits is edited where it lies (editSeg: binary searches
-// plus the slots that actually shift), a vertex that changes representation
-// or outgrows its gap is merged and stored afresh (inline record, slab
-// segment, or tail headroom), and outWeightSum, the edge count and the
-// symmetry count are maintained incrementally. Time is
+// plus the slots that actually shift), a vertex that outgrows its gap is
+// merged and relocated into the tail headroom, and outWeightSum, the edge
+// count and the symmetry count are maintained incrementally. Time is
 // O(|Δ|·log d + slots shifted) — plus one read of each touched out-adjacency
 // for its weight sum — and memory O(|Δ|) per batch instead of O(V+E).
 //
@@ -341,8 +332,7 @@ func (g *CSR) ApplyDeltaCfg(b Batch, cfg DeltaConfig) (*CSR, error) {
 	edits += b.Size()
 	if live && g.out.len != nil &&
 		edits+g.out.dead+g.in.dead <= compactThreshold(cfg, g.m) &&
-		g.out.tailFits(sc.out, int(g.inlCap)) &&
-		g.in.tailFits(sc.in, int(g.inlCap)) {
+		g.out.tailFits(sc.out) && g.in.tailFits(sc.in) {
 		return g.applyInPlace(cfg, sc, edits), nil
 	}
 	return g.relay(cfg, sc), nil
@@ -581,17 +571,16 @@ func netGrowth(ops []segOp) int {
 }
 
 // tailFits reports whether the tail headroom can take every relocation the
-// batch causes in this direction: a vertex whose post-batch degree fits
-// neither the inline record nor its segment needs relocCap fresh slots. The
-// batch is already validated, so every delete removes exactly one slot and
-// every insert adds exactly one.
-func (a *adj) tailFits(ops []segOp, inlCap int) bool {
+// batch causes in this direction: a vertex whose post-batch degree does not
+// fit its segment needs relocCap fresh slots. The batch is already validated,
+// so every delete removes exactly one slot and every insert adds exactly one.
+func (a *adj) tailFits(ops []segOp) bool {
 	need := a.tail
 	for i := 0; i < len(ops); {
 		j := groupEnd(ops, i)
 		v := ops[i].v
 		deg := a.deg(v) + netGrowth(ops[i:j])
-		if deg > inlCap && deg > int(a.cap[v]) {
+		if deg > int(a.cap[v]) {
 			need += uint64(relocCap(deg))
 		}
 		i = j
@@ -614,13 +603,12 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 
 	// One allocation for the new head: its CSR and versionInfo together. It
 	// shares every array with the receiver and owns the layout tallies
-	// (inline counts, tail, dead slots) from here on.
+	// (tail, dead slots) from here on.
 	head := &csrWithVer{csr: *g}
 	ng := &head.csr
 	ng.ver = &head.vi
 	vi := g.ver
 	head.vi = versionInfo{cfg: cfg, edits: edits, scratch: sc, rebuilt: vi.rebuilt}
-	inl := int(g.inlCap)
 	ng.m += netGrowth(sc.out)
 
 	// What the receiver keeps of the batch, both directions carved together:
@@ -635,8 +623,8 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 	copy(kept[nOps:], sc.in)
 	vi.undo[outDir] = undoDir{vs: vs[:nOut], recs: recs[:nOut]}
 	vi.undo[inDir] = undoDir{vs: vs[nOut:], recs: recs[nOut:]}
-	ng.relocations += ng.out.applyOps(sc, sc.out, kept[:nOps], vi.undo[outDir], inl, ng.outWeightSum)
-	ng.relocations += ng.in.applyOps(sc, sc.in, kept[nOps:], vi.undo[inDir], inl, nil)
+	ng.relocations += ng.out.applyOps(sc, sc.out, kept[:nOps], vi.undo[outDir], ng.outWeightSum)
+	ng.relocations += ng.in.applyOps(sc, sc.in, kept[nOps:], vi.undo[inDir], nil)
 	ng.undoRecords += uint64(n)
 
 	// Freeze the receiver in place — its existing versionInfo becomes the
@@ -659,11 +647,10 @@ func (g *CSR) applyInPlace(cfg DeltaConfig, sc *deltaScratch, edits int) *CSR {
 // (with sums, the out direction) the pre-batch weight sum, which is then
 // recomputed from the new segment. Returns the number of segments relocated.
 //
-// A spilled vertex whose post-batch degree still fits its capacity and stays
-// above the inline cap is edited inside its segment. Everything else — inline
-// records, inline↔slab migration, relocation to the tail — changes
-// representation or address and goes through mergeSeg → store.
-func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, inlCap int, sums []float64) (relocated uint64) {
+// A vertex whose post-batch degree still fits its capacity is edited inside
+// its segment; one that outgrows it moves to the tail through mergeSeg →
+// store.
+func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, sums []float64) (relocated uint64) {
 	for i, k := 0, 0; i < len(ops); k++ {
 		j := groupEnd(ops, i)
 		v := ops[i].v
@@ -676,14 +663,13 @@ func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, inlCap in
 		if sums != nil {
 			r.wsum = sums[v]
 		}
-		spilled := a.inl == nil || a.inl[v].n == inlineSpilled
-		if editInPlace && spilled && post <= int(a.cap[v]) && (a.inl == nil || post > inlCap) {
+		if editInPlace && post <= int(a.cap[v]) {
 			lo, hi := a.ptr[v], a.ptr[v]+uint64(a.cap[v])
 			a.len[v] = uint32(editSeg(a.ids[lo:hi], a.ws[lo:hi], deg, ops[i:j]))
 		} else {
 			ids, ws := a.live(v)
 			sc.ids, sc.ws = mergeSeg(sc.ids[:0], sc.ws[:0], ids, ws, ops[i:j], false)
-			if a.store(v, sc.ids, sc.ws, inlCap) {
+			if a.store(v, sc.ids, sc.ws) {
 				relocated++
 			}
 		}
@@ -695,6 +681,33 @@ func (a *adj) applyOps(sc *deltaScratch, ops, kept []segOp, u undoDir, inlCap in
 	}
 	return relocated
 }
+
+// store writes v's post-merge adjacency into its slab segment. A vertex that
+// has outgrown its segment is relocated: it takes relocCap slots from the tail
+// headroom (the caller has checked they are there) and its old slots are
+// counted dead — nothing else moves, and no version can still read the old
+// slots, because the batch that relocates a vertex also leaves its ops in the
+// superseded version's undo record, which rebuilds from the next version's
+// adjacency wherever that lives. Reports whether v was relocated. The ids/ws
+// arguments must not alias the destination (callers pass the merge scratch).
+func (a *adj) store(v VertexID, ids []VertexID, ws []Weight) (relocated bool) {
+	if len(ids) > int(a.cap[v]) {
+		a.dead += int(a.cap[v])
+		a.ptr[v] = a.tail
+		a.cap[v] = relocCap(len(ids))
+		a.tail += uint64(a.cap[v])
+		relocated = true
+	}
+	lo := a.ptr[v]
+	copy(a.ids[lo:], ids)
+	copy(a.ws[lo:], ws)
+	a.len[v] = uint32(len(ids))
+	return relocated
+}
+
+// relocCap is the capacity a relocated segment of deg edges receives: room to
+// double before it has to move again.
+func relocCap(deg int) uint32 { return uint32(2 * deg) }
 
 // editSeg applies one vertex's ops to its slab segment where it lies. ids and
 // ws span the segment's capacity, of which the first n slots are used; ops
@@ -863,12 +876,10 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 			kept = sc
 		}
 	}
-	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
 	ng := &CSR{
 		n:            g.n,
 		m:            g.m + netGrowth(sc.out),
 		outWeightSum: make([]float64, g.n),
-		inlCap:       uint8(inl),
 		relocations:  g.relocations,
 		relayouts:    g.relayouts + 1,
 		undoRecords:  g.undoRecords,
@@ -880,8 +891,8 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 		ng.outWeightSum[v] = g.OutWeightSum(VertexID(v))
 	}
 	sc.markAsym(g)
-	ng.out = relayAdj(g.n, g.OutAdj, sc.out, cfg, inl, sc, ng.outWeightSum)
-	ng.in = relayAdj(g.n, g.InAdj, sc.in, cfg, inl, sc, nil)
+	ng.out = relayAdj(g.n, g.OutAdj, sc.out, cfg, sc, ng.outWeightSum)
+	ng.in = relayAdj(g.n, g.InAdj, sc.in, cfg, sc, nil)
 	ng.asymCount = g.asymCount + sc.asymDelta(ng)
 	return ng
 }
@@ -890,15 +901,12 @@ func (g *CSR) relay(cfg DeltaConfig, sc *deltaScratch) *CSR {
 // ops is the batch ordered for this direction. With sums non-nil, the entries
 // of vertices the batch touches are recomputed from their merged segment.
 func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []segOp,
-	cfg DeltaConfig, inl int, sc *deltaScratch, sums []float64) adj {
+	cfg DeltaConfig, sc *deltaScratch, sums []float64) adj {
 	gap := func(deg int) int { return max(int(float64(deg)*cfg.SlackFrac), cfg.SlackMin) }
 	a := adj{
 		ptr: make([]uint64, n+1),
 		cap: make([]uint32, n),
 		len: make([]uint32, n),
-	}
-	if inl > 0 {
-		a.inl = make([]inlineRec, n)
 	}
 	// Pass 1: post-batch degrees fix every segment's start and capacity.
 	j := 0
@@ -920,9 +928,7 @@ func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []segOp,
 	slots := a.tail + uint64(gap(int(a.tail)))
 	a.ids = make([]VertexID, slots)
 	a.ws = make([]Weight, slots)
-	// Pass 2: copy or merge every adjacency into its representation. A
-	// low-degree vertex goes into its inline record and leaves its (still
-	// reserved) slab segment empty.
+	// Pass 2: copy or merge every adjacency into its segment.
 	j = 0
 	for v := 0; v < n; v++ {
 		ids, ws := seg(VertexID(v))
@@ -936,17 +942,6 @@ func relayAdj(n int, seg func(VertexID) ([]VertexID, []Weight), ops []segOp,
 			if sums != nil {
 				sums[v] = segSum(ws)
 			}
-		}
-		if a.inl != nil {
-			r := &a.inl[v]
-			if len(ids) <= inl {
-				r.n = uint8(copy(r.ids[:], ids))
-				copy(r.ws[:], ws)
-				a.len[v] = 0
-				a.inline++
-				continue
-			}
-			r.n = inlineSpilled
 		}
 		copy(a.ids[a.ptr[v]:], ids)
 		copy(a.ws[a.ptr[v]:], ws)

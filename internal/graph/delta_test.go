@@ -145,6 +145,36 @@ func TestApplyDeltaMatchesApply(t *testing.T) {
 	}
 }
 
+// TestInlineMatchesRebuildAllCaps runs the slab layout at SlackMin 4,
+// SlackFrac 0.25, CompactFrac 0.25 against the rebuild oracle on an RMAT
+// graph. The name and the slab0 case date from when the layout also had
+// inline caps 1-4; the uniform slab is the one representation left, so it
+// must report no vertex stored outside it.
+func TestInlineMatchesRebuildAllCaps(t *testing.T) {
+	cfg := DeltaConfig{SlackMin: 4, SlackFrac: 0.25, CompactFrac: 0.25}
+	t.Run("slab0", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(400))
+		base := RMAT(RMATConfig{Vertices: 250, Edges: 1500, Seed: 17})
+		dg, rg := base, base
+		for step := 0; step < 20; step++ {
+			b := randomValidBatch(rng, rg, 30)
+			nd, err := dg.ApplyDeltaCfg(b, cfg)
+			if err != nil {
+				t.Fatalf("step %d: ApplyDeltaCfg: %v", step, err)
+			}
+			nr, err := rg.Apply(b)
+			if err != nil {
+				t.Fatalf("step %d: Apply: %v", step, err)
+			}
+			checkSame(t, step, nd, nr)
+			if out, in, n := nd.RepresentationMix(); out != 0 || in != 0 || n != nd.NumVertices() {
+				t.Fatalf("step %d: uniform slab reports %d out / %d in of %d vertices outside the slab", step, out, in, n)
+			}
+			dg, rg = nd, nr
+		}
+	})
+}
+
 // TestOldVersionsStayReadable pins the versioned pointer-swap contract: after
 // a chain of delta batches, every superseded version still serves its exact
 // historical edge set (the recovery engine reads the old and new graph

@@ -164,7 +164,7 @@ func FuzzUnapplyRoundTrip(f *testing.F) {
 			t.Fatalf("segment %v %v, ops %+v: un-applied to %v %v", ids, ws, ops, backIDs, backWs)
 		}
 
-		cfg := DeltaConfig{SlackMin: slack, SlackFrac: 1, CompactFrac: 100, InlineCap: slack}
+		cfg := DeltaConfig{SlackMin: slack, SlackFrac: 1, CompactFrac: 100}
 		old, err := g.ApplyDeltaCfg(Batch{}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -226,11 +226,11 @@ func checkAgainst(t *testing.T, name string, g, ref *CSR) {
 
 // checkSameLayout requires two live heads to be the same physical layout,
 // field for field: segment starts, capacities, used lengths, tail, dead
-// slots, inline records and tallies, every used slot of both slabs, the
+// slots, every used slot of both slabs, the
 // cached aggregates and the layout counters.
 func checkSameLayout(t *testing.T, step int, got, want *CSR) {
 	t.Helper()
-	if got.n != want.n || got.m != want.m || got.asymCount != want.asymCount || got.inlCap != want.inlCap ||
+	if got.n != want.n || got.m != want.m || got.asymCount != want.asymCount ||
 		got.relocations != want.relocations || got.relayouts != want.relayouts || got.undoRecords != want.undoRecords ||
 		got.ver.edits != want.ver.edits {
 		t.Fatalf("step %d: aggregates (m %d asym %d reloc %d relay %d undo %d edits %d), want (m %d asym %d reloc %d relay %d undo %d edits %d)",
@@ -244,9 +244,9 @@ func checkSameLayout(t *testing.T, step int, got, want *CSR) {
 	}
 	for dir, p := range map[string][2]*adj{"out": {&got.out, &want.out}, "in": {&got.in, &want.in}} {
 		a, w := p[0], p[1]
-		if a.tail != w.tail || a.dead != w.dead || a.inline != w.inline || len(a.ids) != len(w.ids) || (a.inl == nil) != (w.inl == nil) {
-			t.Fatalf("step %d %s: tail %d dead %d inline %d slab %d, want %d %d %d %d", step, dir,
-				a.tail, a.dead, a.inline, len(a.ids), w.tail, w.dead, w.inline, len(w.ids))
+		if a.tail != w.tail || a.dead != w.dead || len(a.ids) != len(w.ids) {
+			t.Fatalf("step %d %s: tail %d dead %d slab %d, want %d %d %d", step, dir,
+				a.tail, a.dead, len(a.ids), w.tail, w.dead, len(w.ids))
 		}
 		for v := 0; v < want.n; v++ {
 			if a.ptr[v] != w.ptr[v] || a.cap[v] != w.cap[v] || a.len[v] != w.len[v] {
@@ -257,20 +257,13 @@ func checkSameLayout(t *testing.T, step int, got, want *CSR) {
 			if !segsEqual(a.ids[lo:hi], a.ws[lo:hi], w.ids[lo:hi], w.ws[lo:hi]) {
 				t.Fatalf("step %d %s %d: slab holds %v %v, want %v %v", step, dir, v, a.ids[lo:hi], a.ws[lo:hi], w.ids[lo:hi], w.ws[lo:hi])
 			}
-			if a.inl != nil {
-				ar, wr := &a.inl[v], &w.inl[v]
-				if ar.n != wr.n || (ar.n != inlineSpilled && (ar.ids != wr.ids || ar.ws != wr.ws)) {
-					// A spilled vertex's record is a tombstone; its stale
-					// contents are nobody's business.
-					t.Fatalf("step %d %s %d: inline record %+v, want %+v", step, dir, v, *ar, *wr)
-				}
-			}
 		}
 	}
 }
 
 // TestEditMatchesStoreLayout is the layout identity behind the bit-equal
-// simulated statistics: over every deltaConfigs suite (and the inline caps),
+// simulated statistics: over every deltaConfigs suite (and two more slack
+// shapes),
 // the head the in-place edit produces is, after every batch, field for field
 // the head that routing every vertex through mergeSeg → store produces —
 // same segment addresses, capacities, lengths, tail, dead slots, relocation
@@ -280,8 +273,8 @@ func TestEditMatchesStoreLayout(t *testing.T) {
 	for name, tc := range deltaConfigs {
 		cfgs[name] = tc.cfg
 	}
-	cfgs["inline2"] = DeltaConfig{SlackMin: 1, SlackFrac: 0.3, CompactFrac: 100, InlineCap: 2}
-	cfgs["inline4_roomy"] = DeltaConfig{SlackMin: 8, SlackFrac: 1, CompactFrac: 4, InlineCap: inlineCapMax}
+	cfgs["min1_frac30"] = DeltaConfig{SlackMin: 1, SlackFrac: 0.3, CompactFrac: 100}
+	cfgs["roomy"] = DeltaConfig{SlackMin: 8, SlackFrac: 1, CompactFrac: 4}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))

@@ -125,7 +125,6 @@ func FuzzApplyDeltaTinySlack(f *testing.F) {
 			SlackMin:    int(slack % 2),
 			SlackFrac:   0.25 + float64(slack%4)/16,
 			CompactFrac: 1e6,
-			InlineCap:   int(slack>>2) % (inlineCapMax + 1),
 		}
 		base := fuzzBase()
 		dg, rg, tailRelay := deltaLockstep(t, base, base, cfg, fuzzBatches(iu, iv, w, du, dv))

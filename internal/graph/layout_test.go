@@ -8,8 +8,8 @@ import (
 )
 
 // Tests for the physical side of the delta mutation layer: what a re-lay
-// produces, and that relocation, inline↔slab migration and re-lays never
-// disturb a version somebody still holds.
+// produces, that relocation and re-lays never disturb a version somebody
+// still holds, and that reading a live head allocates nothing.
 
 // relayOf forces b through the re-lay path whatever g's waste and tail say.
 func relayOf(t *testing.T, g *CSR, b Batch, cfg DeltaConfig) *CSR {
@@ -25,18 +25,16 @@ func relayOf(t *testing.T, g *CSR, b Batch, cfg DeltaConfig) *CSR {
 
 // checkFreshLayout requires ng to be, field for field, the slacked layout of
 // the dense graph want under cfg: segment v starts where the segments before
-// it end, holds deg+gap(deg) slots, keeps its edges in the inline record when
-// deg ≤ the inline cap and in the slab otherwise, nothing is dead, the tail
-// begins behind the last segment, and the cached aggregates carry over bit
-// for bit. This is what the parent's slackify(Apply(b)) produced (the oracle
+// it end, holds deg+gap(deg) slots with its edges in the first deg, nothing
+// is dead, the tail begins behind the last segment, and the cached
+// aggregates carry over bit for bit. This is what the parent's slackify(Apply(b)) produced (the oracle
 // was checked against that routine before it was deleted), plus the tail.
 func checkFreshLayout(t *testing.T, ng, want *CSR, cfg DeltaConfig) {
 	t.Helper()
 	gap := func(deg int) int { return max(int(float64(deg)*cfg.SlackFrac), cfg.SlackMin) }
-	inl := min(max(cfg.InlineCap, 0), inlineCapMax)
-	if ng.n != want.n || ng.m != want.m || ng.asymCount != want.asymCount || int(ng.inlCap) != inl {
-		t.Fatalf("aggregates: n %d/%d m %d/%d asym %d/%d inlCap %d/%d",
-			ng.n, want.n, ng.m, want.m, ng.asymCount, want.asymCount, ng.inlCap, inl)
+	if ng.n != want.n || ng.m != want.m || ng.asymCount != want.asymCount {
+		t.Fatalf("aggregates: n %d/%d m %d/%d asym %d/%d",
+			ng.n, want.n, ng.m, want.m, ng.asymCount, want.asymCount)
 	}
 	for v := range want.outWeightSum {
 		if math.Float64bits(ng.outWeightSum[v]) != math.Float64bits(want.outWeightSum[v]) {
@@ -45,44 +43,28 @@ func checkFreshLayout(t *testing.T, ng, want *CSR, cfg DeltaConfig) {
 	}
 	for dir, p := range map[string][2]*adj{"out": {&ng.out, &want.out}, "in": {&ng.in, &want.in}} {
 		a, d := p[0], p[1]
-		start, inline := uint64(0), 0
+		start := uint64(0)
 		for v := 0; v < want.n; v++ {
 			ids, ws := d.ids[d.ptr[v]:d.ptr[v+1]], d.ws[d.ptr[v]:d.ptr[v+1]]
 			deg := len(ids)
 			if a.ptr[v] != start || int(a.cap[v]) != deg+gap(deg) {
 				t.Fatalf("%s %d: segment [%d,+%d), want [%d,+%d)", dir, v, a.ptr[v], a.cap[v], start, deg+gap(deg))
 			}
-			var rec inlineRec
-			used := deg
-			if inl > 0 {
-				rec.n = inlineSpilled
-				if deg <= inl {
-					rec.n = uint8(copy(rec.ids[:], ids))
-					copy(rec.ws[:], ws)
-					used = 0
-					inline++
-				}
-				if a.inl[v] != rec {
-					t.Fatalf("%s %d: inline record %+v, want %+v", dir, v, a.inl[v], rec)
-				}
+			if int(a.len[v]) != deg {
+				t.Fatalf("%s %d: used %d, want %d", dir, v, a.len[v], deg)
 			}
-			if int(a.len[v]) != used {
-				t.Fatalf("%s %d: used %d, want %d", dir, v, a.len[v], used)
-			}
-			if used > 0 {
-				gotIDs, gotWs := a.ids[start:start+uint64(deg)], a.ws[start:start+uint64(deg)]
-				for i := range ids {
-					if gotIDs[i] != ids[i] || math.Float64bits(gotWs[i]) != math.Float64bits(ws[i]) {
-						t.Fatalf("%s %d: slab slot %d holds (%d,%v), want (%d,%v)", dir, v, i, gotIDs[i], gotWs[i], ids[i], ws[i])
-					}
+			gotIDs, gotWs := a.ids[start:start+uint64(deg)], a.ws[start:start+uint64(deg)]
+			for i := range ids {
+				if gotIDs[i] != ids[i] || math.Float64bits(gotWs[i]) != math.Float64bits(ws[i]) {
+					t.Fatalf("%s %d: slab slot %d holds (%d,%v), want (%d,%v)", dir, v, i, gotIDs[i], gotWs[i], ids[i], ws[i])
 				}
 			}
 			start += uint64(a.cap[v])
 		}
-		if a.ptr[want.n] != start || a.tail != start || a.dead != 0 || a.inline != inline ||
+		if a.ptr[want.n] != start || a.tail != start || a.dead != 0 ||
 			len(a.ids) != int(start)+gap(int(start)) || len(a.ws) != len(a.ids) {
-			t.Fatalf("%s: packed end %d tail %d dead %d inline %d slab %d, want %d %d 0 %d %d",
-				dir, a.ptr[want.n], a.tail, a.dead, a.inline, len(a.ids), start, start, inline, int(start)+gap(int(start)))
+			t.Fatalf("%s: packed end %d tail %d dead %d slab %d, want %d %d 0 %d",
+				dir, a.ptr[want.n], a.tail, a.dead, len(a.ids), start, start, int(start)+gap(int(start)))
 		}
 	}
 }
@@ -93,10 +75,10 @@ func checkFreshLayout(t *testing.T, ng, want *CSR, cfg DeltaConfig) {
 // layout of Apply(b), the rebuild oracle.
 func TestRelayMatchesFreshLayout(t *testing.T) {
 	cfgs := map[string]DeltaConfig{
-		"default":   DefaultDeltaConfig(),
-		"slab_only": {SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25},
-		"inline2":   {SlackMin: 1, SlackFrac: 0.3, CompactFrac: 100, InlineCap: 2},
-		"no_slack":  {CompactFrac: 1, InlineCap: inlineCapMax},
+		"default":     DefaultDeltaConfig(),
+		"slab_only":   {SlackMin: 4, SlackFrac: 0.125, CompactFrac: 0.25},
+		"min1_frac30": {SlackMin: 1, SlackFrac: 0.3, CompactFrac: 100},
+		"no_slack":    {CompactFrac: 1},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -231,14 +213,15 @@ func (p versionPin) check(t *testing.T, name string) {
 }
 
 // TestPinnedVersionsSurviveLayoutWork holds every version of a chain of
-// eleven batches that, in turn, relocate a vertex into the tail, migrate
-// vertices between their inline record and the slab, change a weight through
-// a delete+insert pair beside plain edits of the same segment, fill a segment
+// eleven batches that, in turn, relocate a vertex into the tail, grow and
+// shrink two vertices inside their segments, change a weight through a
+// delete+insert pair beside plain edits of the same segment, fill a segment
 // to its capacity, re-lay the whole graph, and then move the head six more
-// batches on. Nobody reads a superseded version until the end, so g0…g5 are
-// read for the first time when the head is at least five batches past them
-// and every pre-batch adjacency has to be rebuilt through the chain — oldest
-// version first in one run, newest first in the other. Every version must
+// batches on, the last of which re-lays again when relocated low-degree
+// vertices have used up the tail. Nobody reads a superseded version until the
+// end, so g0…g5 are read for the first time when the head is at least five
+// batches past them and every pre-batch adjacency has to be rebuilt through
+// the chain — oldest version first in one run, newest first in the other. Every version must
 // answer every per-vertex reader (OutAdj, InAdj, degrees, OutWeightSum,
 // HasEdge, EdgeAt) exactly like the reference chain built with Apply, and
 // like itself when it was the live head; the test fails if a batch did not do
@@ -250,12 +233,12 @@ func TestPinnedVersionsSurviveLayoutWork(t *testing.T) {
 }
 
 func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
-	cfg := DeltaConfig{SlackMin: 2, SlackFrac: 0.5, CompactFrac: 100, InlineCap: inlineCapMax}
+	cfg := DeltaConfig{SlackMin: 2, SlackFrac: 0.5, CompactFrac: 100}
 	var base []Edge
-	for d := 1; d <= 6; d++ { // vertex 0: out-degree 6, spilled
+	for d := 1; d <= 6; d++ { // vertex 0: out-degree 6
 		base = append(base, Edge{0, VertexID(d), Weight(d)})
 	}
-	for d := 4; d <= 7; d++ { // vertex 3: out-degree 4, inline, room to spill in place
+	for d := 4; d <= 7; d++ { // vertex 3: out-degree 4 of 6 slots
 		base = append(base, Edge{3, VertexID(d), 0.5 * Weight(d)})
 	}
 	base = append(base, Edge{1, 2, 1.25}, Edge{2, 1, 1.25}) // a symmetric pair
@@ -270,16 +253,16 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 	for d := 8; d <= 12; d++ {
 		b1.Inserts = append(b1.Inserts, Edge{1, VertexID(d), 0.1 * Weight(d)})
 	}
-	// Batch 2: vertex 3 grows 4 → 5 (inline → its reserved slab segment),
-	// vertex 0 shrinks 6 → 3 (slab → inline).
+	// Batch 2: vertex 3 grows 4 → 5 and vertex 0 shrinks 6 → 3, both inside
+	// their segments.
 	b2 := Batch{
 		Inserts: []Edge{{3, 8, 2.5}},
 		Deletes: []Edge{{0, 1, 1}, {0, 3, 3}, {0, 5, 5}},
 	}
-	// Batch 3: vertex 1 (spilled, 6 of 12 slots) is edited where it lies — a
+	// Batch 3: vertex 1 (relocated, 6 of 12 slots) is edited where it lies — a
 	// weight change on (1,10) between a delete before it and inserts on both
 	// sides, the delete carrying a weight that is not the stored one — and
-	// the inline pair (2,1) changes weight too.
+	// the pair (2,1) changes weight too.
 	b3 := Batch{
 		Deletes: []Edge{{1, 10, 99}, {1, 8, 99}, {2, 1, 99}},
 		Inserts: []Edge{{1, 10, 7.5}, {1, 3, 0.75}, {1, 14, 1.75}, {2, 1, 2.25}},
@@ -314,9 +297,9 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 					g.relocations, ng.relocations, g.relayouts, ng.relayouts)
 			}
 		case 1:
-			if ng.relayouts != g.relayouts || ng.out.inl[3].n != inlineSpilled || ng.out.inl[0].n != 3 {
-				t.Fatalf("batch 2: want vertex 3 spilled and vertex 0 inline in place (records %d, %d)",
-					ng.out.inl[3].n, ng.out.inl[0].n)
+			if ng.relayouts != g.relayouts || ng.relocations != g.relocations ||
+				ng.out.ptr[3] != g.out.ptr[3] || ng.out.len[3] != 5 || ng.out.ptr[0] != g.out.ptr[0] || ng.out.len[0] != 3 {
+				t.Fatalf("batch 2: want vertices 3 and 0 edited where they lie (used %d, %d)", ng.out.len[3], ng.out.len[0])
 			}
 		case 2:
 			if ng.relayouts != g.relayouts || ng.relocations != g.relocations || ng.out.ptr[1] != g.out.ptr[1] || ng.out.len[1] != 7 {
@@ -329,6 +312,10 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 		case 4:
 			if !tailExhausted(g, ng, b, cfg) {
 				t.Fatal("batch 5: want a re-lay forced by the tail")
+			}
+		case 10:
+			if !tailExhausted(g, ng, b, cfg) {
+				t.Fatal("batch 11: want a re-lay forced by the tail")
 			}
 		default:
 			if ng.relayouts != g.relayouts {
@@ -355,13 +342,10 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 		t.Fatalf("after every version was read: %d of %d undo records rebuilt", ls.UndoRebuilt, ls.UndoRecords)
 	}
 
-	// A View over the live head — inline and spilled vertices both — serves
-	// the same slices, except that a masked vertex has none.
-	if head.out.inline == 0 || head.out.inline == head.n {
-		t.Fatalf("head stores %d of %d vertices inline; want both representations", head.out.inline, head.n)
-	}
+	// A View over the live head serves the same slices, except that a masked
+	// vertex has none.
 	view := NewView(head)
-	for _, u := range []VertexID{0, 2} { // one inline, one spilled
+	for _, u := range []VertexID{0, 2} {
 		want, _ := head.OutAdj(u)
 		if got, _ := view.OutAdj(u); len(want) == 0 || !segIDsEqual(got, want) {
 			t.Fatalf("view.OutAdj(%d) = %v, graph has %v", u, got, want)
@@ -371,4 +355,29 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 			t.Fatalf("masked vertex %d: OutAdj has %d ids, %d weights, OutDegree %d; want a sink", u, len(ids), len(ws), view.OutDegree(u))
 		}
 	}
+}
+
+// TestSlabReadPathAllocs pins the live read path at zero allocations: a full
+// out- and in-edge sweep over a live slacked head reslices its slab segments
+// and must not allocate.
+func TestSlabReadPathAllocs(t *testing.T) {
+	g := RMAT(RMATConfig{Vertices: 400, Edges: 1200, Seed: 23})
+	sl, err := g.ApplyDeltaCfg(Batch{}, DefaultDeltaConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl.out.len == nil || sl.superseded() {
+		t.Fatal("ApplyDelta did not return a live slacked head")
+	}
+	var sink float64
+	allocs := testing.AllocsPerRun(10, func() {
+		for v := 0; v < sl.NumVertices(); v++ {
+			sl.OutEdges(VertexID(v), func(dst VertexID, w Weight) { sink += float64(w) })
+			sl.InEdges(VertexID(v), func(src VertexID, w Weight) { sink += float64(src) })
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("slab read sweep allocates %v times per run, want 0", allocs)
+	}
+	_ = sink
 }

@@ -1,6 +1,6 @@
 // Package pad centralizes the cache-line geometry the hot-path data
-// structures are laid out against. Sharded queues, per-worker stats blocks,
-// and the inline adjacency records all want the same two guarantees:
+// structures are laid out against. Sharded queues, per-worker stats blocks
+// and event records all want the same two guarantees:
 //
 //   - a record that is mutated by one goroutine never shares a cache line
 //     with a record mutated by another (no false sharing), and
