@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 
 	"jetstream/internal/algo"
-	"jetstream/internal/graph"
-	"jetstream/internal/obs"
 	"jetstream/internal/wal"
 )
 
@@ -186,10 +184,10 @@ func (s *System) WALSize() int64 {
 // may be passed via WithWALOptions(dir, ...).
 //
 // A selective kernel without a cycle model folds the tail into one net delta
-// and converges once (replayFolded): incrementally, or — when the delta
-// rewrites much of the graph — by merging it into a fresh graph and
-// evaluating that from scratch. Every other System replays the tail one
-// ApplyBatch at a time. All paths land on the same state; a journaled record
+// and converges once: incrementally, or — when the delta rewrites much of
+// the graph — by merging it into a fresh graph and evaluating that from
+// scratch. Every other System replays the tail one record at a time, as
+// ApplyBatch applied it. All paths land on the same state; a journaled record
 // that does not apply to the graph it was journaled against refuses recovery
 // with an error wrapping *BatchError (a folded replay's *FoldError names the
 // record and unwraps to it). Recovery reports which path ran.
@@ -241,8 +239,15 @@ func recoverDir(dir string, force ReplayPath, opts []Option) (*System, error) {
 			tail = append(tail, r.Batch)
 			return nil
 		}
-		if _, aerr := sys.applyBatch(r.Batch, false); aerr != nil {
-			return fmt.Errorf("replay batch %d: %w", r.Seq, aerr)
+		// A record was journaled clean (Repair journals the sanitized batch),
+		// so an issue means the log does not match the graph: it is refused
+		// whatever the ingest policy, as the fold refuses it.
+		clean, issues := sys.js.Graph().SanitizeBatch(r.Batch)
+		if len(issues) > 0 {
+			return fmt.Errorf("replay batch %d: %w", r.Seq, &BatchError{Issues: issues})
+		}
+		if _, _, err := sys.commit([]Batch{clean}, ReplayPerRecord, nil); err != nil {
+			return fmt.Errorf("replay batch %d: %w", r.Seq, err)
 		}
 		return nil
 	})
@@ -251,7 +256,7 @@ func recoverDir(dir string, force ReplayPath, opts []Option) (*System, error) {
 		path = ReplayPerRecord
 	}
 	if err == nil && len(tail) > 0 {
-		path, err = sys.replayFolded(tail, force)
+		_, path, err = sys.commit(tail, force, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("jetstream: recover %s: %w", dir, err)
@@ -345,76 +350,4 @@ func rebuildsTail(net, edges int) bool { return net*rebuildDiv >= edges }
 // model's counters depend on the boundaries, so they replay record by record.
 func (s *System) foldsReplay() bool {
 	return s.alg.Class() == algo.Selective && !s.cfg.Engine.Timing
-}
-
-// replayFolded replays a log tail as one batch. The window advances record by
-// record (Expire, then Record) and each expired key joins its record as a
-// delete; graph.Fold turns the records into their net delta against the
-// current graph, refusing a record that does not apply with a *FoldError.
-// Below the crossover (rebuildsTail; force overrides it) one js.ApplyBatch
-// converges on the delta; past it, graph.Merge builds the final graph and
-// js.Rebuild evaluates it from scratch. Batches() and
-// jetstream_batches_total advance by the record count; everything else
-// reports the tail as one batch: one counter delta and batch-latency
-// observation, one BatchStart/BatchEnd trace pair (A: the first and the last
-// record, B: the net delta's size and the events processed), and one
-// watchdog check if the tail crossed a check index.
-func (s *System) replayFolded(tail []Batch, force ReplayPath) (ReplayPath, error) {
-	first, last := s.batches+1, s.batches+uint64(len(tail))
-	var expired uint64
-	if s.win != nil {
-		for i, b := range tail {
-			epoch := first + uint64(i)
-			keys := s.expire(epoch, b.Deletes)
-			s.win.Record(epoch, b)
-			if len(keys) == 0 {
-				continue
-			}
-			dels := make([]Edge, len(keys), len(keys)+len(b.Deletes))
-			for j, k := range keys {
-				dels[j] = Edge{Src: k.Src, Dst: k.Dst}
-			}
-			tail[i].Deletes = append(dels, b.Deletes...)
-			expired += uint64(len(keys))
-		}
-	}
-	g := s.js.Graph()
-	net, err := graph.Fold(g, first, tail)
-	if err != nil {
-		return ReplayNone, err
-	}
-	clear(tail) // the records end here: the apply's memory peak need not carry them
-	path := force
-	if path != ReplayFolded && path != ReplayRebuilt {
-		path = ReplayFolded
-		if rebuildsTail(net.Size(), g.NumEdges()) {
-			path = ReplayRebuilt
-		}
-	}
-	s.trace(obs.TraceEvent{Kind: obs.KindBatchStart, A: first, B: uint64(net.Size())})
-	if path == ReplayRebuilt {
-		ng, err := graph.Merge(g, net)
-		if err != nil {
-			return ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
-		}
-		s.js.Rebuild(ng)
-	} else if err := s.js.ApplyBatch(net); err != nil {
-		return ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
-	}
-	s.js.Engine().ReleaseBuffers()
-	if s.win != nil {
-		s.expiredC.Add(expired)
-	}
-	s.batches = last
-	if s.wd.Enabled() {
-		if at := last - last%uint64(s.wd.Every); at >= first {
-			s.js.WatchdogCheck(s.wd, at)
-		}
-	}
-	res := s.delta()
-	s.latency.Observe(uint64(res.Duration.Nanoseconds()))
-	s.batchesC.Add(last - first + 1)
-	s.trace(obs.TraceEvent{Kind: obs.KindBatchEnd, A: last,
-		B: res.Stats.EventsProcessed, F: res.Duration.Seconds()})
-	return path, nil
 }

@@ -6,12 +6,13 @@ import "sync"
 type Kind uint8
 
 const (
-	// KindBatchStart marks the start of a streaming batch. A carries the
-	// batch index, B the update count.
+	// KindBatchStart marks the start of a batch that commits (a folded log
+	// tail is one batch). A carries the first batch index, B the number of
+	// updates handed to the engine.
 	KindBatchStart Kind = iota
-	// KindBatchEnd marks the end of a batch. A carries the batch index, B
-	// the events processed in the batch, F the batch latency in seconds
-	// when the caller timed it (0 otherwise).
+	// KindBatchEnd marks the end of a batch. A carries the last batch
+	// index, B the events processed in the batch, F the batch latency in
+	// seconds when the caller timed it (0 otherwise).
 	KindBatchEnd
 	// KindPhaseStart marks a scheduler phase beginning. A carries the
 	// cumulative phase index.

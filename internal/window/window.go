@@ -121,9 +121,11 @@ func (r *Ring) Seed(atBatch uint64, edges []graph.Edge) {
 
 // Record registers the sanitized user batch applied as epoch: deleted pairs
 // leave the age map (their bucket entries go stale) and inserted pairs are
-// stamped at epoch. The caller must have called Expire(epoch, ...) first —
-// Record and Expire share the bucket slot arithmetic and expiry-before-record
-// ordering is what keeps slot reuse safe.
+// stamped at epoch. Deletes may be recorded at any time; recorded before
+// Expire(epoch, nil), they drop the batch's own deleted pairs from the drain.
+// Inserts may be recorded only after Expire(epoch, ...) — Record and Expire
+// share the bucket slot arithmetic, and expiry-before-insert is what keeps
+// slot reuse safe.
 func (r *Ring) Record(epoch uint64, b graph.Batch) {
 	for _, e := range b.Deletes {
 		delete(r.age, Key{e.Src, e.Dst})

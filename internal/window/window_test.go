@@ -86,6 +86,22 @@ func TestSkipExcludesButStillForgets(t *testing.T) {
 	}
 }
 
+// TestForgetBeforeExpire is the order a batch commits in: its deletes are
+// recorded before the drain, so an expiring pair the batch deletes is not
+// returned, and one it deletes and re-inserts survives at the new epoch.
+func TestForgetBeforeExpire(t *testing.T) {
+	r, _ := New(1)
+	r.Seed(0, []graph.Edge{e(1, 2), e(3, 4), e(5, 6)})
+	dels := graph.Batch{Deletes: []graph.Edge{e(1, 2), e(5, 6)}}
+	r.Record(1, dels)
+	keys(t, r.Expire(1, nil), k(3, 4))
+	r.Record(1, graph.Batch{Inserts: []graph.Edge{e(5, 6)}})
+	if got := r.Entries(); len(got) != 1 || got[0] != (Entry{Src: 5, Dst: 6, Epoch: 1}) {
+		t.Fatalf("entries %v, want only (5,6) at epoch 1", got)
+	}
+	keys(t, r.Expire(2, nil), k(5, 6))
+}
+
 // TestExpireIdempotent: a second call for the same batch returns nothing.
 func TestExpireIdempotent(t *testing.T) {
 	r, _ := New(1)

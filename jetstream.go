@@ -542,118 +542,128 @@ func (s *System) ApplyBatch(b Batch) (Result, error) {
 		return Result{}, err
 	}
 	defer s.release()
-	return s.applyBatch(b, true)
-}
-
-// applyBatch is ApplyBatch with the journaling step controllable: recovery
-// replays already-journaled batches with journal=false so the log is not
-// re-appended with its own contents. A replayed record was journaled clean
-// (Repair journals the sanitized batch), so an issue on replay means the log
-// does not match the graph: it is refused whatever the ingest policy, as the
-// folded replay refuses it.
-func (s *System) applyBatch(b Batch, journal bool) (Result, error) {
 	if !s.init {
 		return Result{}, fmt.Errorf("jetstream: call RunInitial before ApplyBatch")
 	}
-	s.trace(obs.TraceEvent{Kind: obs.KindBatchStart, A: s.batches + 1, B: uint64(b.Size())})
 	// Sanitize unconditionally: even a clean batch has its delete weights
 	// normalized to the stored edge weight, so a stale weight cannot poison
 	// the value-aware recovery.
 	clean, issues := s.js.Graph().SanitizeBatch(b)
-	if len(issues) > 0 && (s.ingest == Strict || !journal) {
+	if len(issues) > 0 && s.ingest == Strict {
 		return Result{}, &BatchError{Issues: issues}
 	}
-	if journal && s.wal != nil {
+	if s.wal != nil {
 		if err := s.journal(clean); err != nil {
 			return Result{}, err
 		}
 	}
-	// Sliding window: synthesize the aging-based deletion set for this batch
-	// and merge it ahead of the user's updates, so one graph version and one
-	// deletion-recovery phase cover both. Only the user batch was journaled —
-	// recovery re-derives expiry deterministically by replaying through this
-	// same path.
-	apply, expired, err := s.expireInto(clean)
-	if err != nil {
-		return Result{}, err
+	res, _, err := s.commit([]Batch{clean}, ReplayPerRecord, issues)
+	return res, err
+}
+
+// commit is the one routine every batch reaching the engine goes through: a
+// live batch and a replayed record (path ReplayPerRecord, one record), and a
+// folded log tail (any other path). It applies recs as batches s.batches+1
+// onwards and reports them as one: one BatchStart/BatchEnd trace pair (A: the
+// first and the last index, B: the updates handed to the engine and the
+// events processed), one counter delta and latency observation, and one
+// watchdog check if the records crossed a check index. issues are the
+// updates Repair dropped from the one live record.
+//
+// The window advances record by record and each expired key joins its record
+// as a delete, ahead of the record's own. A record applied on its own hands
+// the engine exactly that batch, the expired deletes carrying the stored
+// weights; a folded tail hands it graph.Fold's net delta, which re-orders the
+// ops, and rebuildsTail (or a path that pins ReplayFolded or ReplayRebuilt)
+// picks between applying that delta and merging it into a fresh graph that
+// is evaluated from scratch. commit returns the path it took.
+func (s *System) commit(recs []Batch, path ReplayPath, issues []BatchIssue) (Result, ReplayPath, error) {
+	first, last := s.batches+1, s.batches+uint64(len(recs))
+	fold := path != ReplayPerRecord
+	g := s.js.Graph()
+	var expired uint64
+	if s.win != nil {
+		for i, b := range recs {
+			// The user's deletes leave the ring before the drain, so Expire reads
+			// them as stale entries and the merged batch deletes no pair twice.
+			epoch := first + uint64(i)
+			s.win.Record(epoch, Batch{Deletes: b.Deletes})
+			keys := s.win.Expire(epoch, nil)
+			s.win.Record(epoch, Batch{Inserts: b.Inserts})
+			if len(keys) == 0 {
+				continue
+			}
+			dels := make([]Edge, len(keys), len(keys)+len(b.Deletes))
+			for j, k := range keys {
+				dels[j] = Edge{Src: k.Src, Dst: k.Dst}
+				if fold {
+					continue // Fold stamps every net delete with its stored weight
+				}
+				w, ok := g.HasEdge(k.Src, k.Dst)
+				if !ok {
+					// The ring only tracks live edges; a miss means the ring and the
+					// graph version diverged — state corruption, not caller error.
+					return Result{}, ReplayNone, fmt.Errorf("jetstream: window: expiring edge (%d,%d) absent from graph version", k.Src, k.Dst)
+				}
+				dels[j].Weight = w
+			}
+			recs[i].Deletes = append(dels, b.Deletes...)
+			expired += uint64(len(keys))
+		}
 	}
-	if err := s.js.ApplyBatch(apply); err != nil {
-		return Result{}, fmt.Errorf("jetstream: apply batch: %w", err)
+	apply := recs[0]
+	if fold {
+		net, err := graph.Fold(g, first, recs)
+		if err != nil {
+			return Result{}, ReplayNone, err
+		}
+		clear(recs) // the records end here: the apply's memory peak need not carry them
+		apply = net
+		if path != ReplayFolded && path != ReplayRebuilt {
+			path = ReplayFolded
+			if rebuildsTail(net.Size(), g.NumEdges()) {
+				path = ReplayRebuilt
+			}
+		}
+	}
+	s.trace(obs.TraceEvent{Kind: obs.KindBatchStart, A: first, B: uint64(apply.Size())})
+	if path == ReplayRebuilt {
+		ng, err := graph.Merge(g, apply)
+		if err != nil {
+			return Result{}, ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
+		}
+		s.js.Rebuild(ng)
+	} else if err := s.js.ApplyBatch(apply); err != nil {
+		return Result{}, ReplayNone, fmt.Errorf("jetstream: apply batch: %w", err)
+	}
+	if fold {
+		s.js.Engine().ReleaseBuffers()
 	}
 	if s.win != nil {
-		s.win.Record(s.batches+1, clean)
 		s.expiredC.Add(expired)
 	}
-	// Count repairs only after the batch actually applied, so each batch's
-	// Stats delta carries exactly its own dropped-update count (a failed
-	// apply leaves the global counters untouched).
+	s.batches = last
+	var checked, fell bool
+	var div float64
+	if s.wd.Enabled() {
+		if at := last - last%uint64(s.wd.Every); at >= first {
+			checked, div, fell = s.js.WatchdogCheck(s.wd, at)
+		}
+	}
+	// Count repairs only once the batch applied, so each batch's Stats delta
+	// carries exactly its own dropped-update count.
 	if len(issues) > 0 {
 		s.st.UpdatesDropped += uint64(len(issues))
 		s.st.BatchesRepaired++
 	}
-	s.batches++
-	checked, div, fell := s.js.WatchdogCheck(s.wd, s.batches)
 	res := s.delta()
-	res.Repaired = uint64(len(issues))
-	res.Issues = issues
-	res.Expired = expired
+	res.Repaired, res.Issues, res.Expired = uint64(len(issues)), issues, expired
 	res.Checked, res.Divergence, res.FellBack = checked, div, fell
 	s.latency.Observe(uint64(res.Duration.Nanoseconds()))
-	s.batchesC.Inc()
-	s.trace(obs.TraceEvent{Kind: obs.KindBatchEnd, A: s.batches,
+	s.batchesC.Add(last - first + 1)
+	s.trace(obs.TraceEvent{Kind: obs.KindBatchEnd, A: last,
 		B: res.Stats.EventsProcessed, F: res.Duration.Seconds()})
-	return res, nil
-}
-
-// expireInto computes the window's aging-based deletion set for the next
-// batch and merges it ahead of the sanitized user batch, returning the batch
-// to apply and the expired-edge count. Without a window it returns clean
-// unchanged. The expiry deletes carry the stored edge weights (the same
-// normalization SanitizeBatch performs for user deletes) so value-aware
-// deletion recovery sees the true contributions; they are emitted in
-// ascending (src,dst) order, making the merged batch — and therefore the
-// resulting graph version and state — deterministic across replays.
-func (s *System) expireInto(clean Batch) (Batch, uint64, error) {
-	if s.win == nil {
-		return clean, 0, nil
-	}
-	expired := s.expire(s.batches+1, clean.Deletes)
-	if len(expired) == 0 {
-		return clean, 0, nil
-	}
-	g := s.js.Graph()
-	merged := Batch{
-		Deletes: make([]Edge, 0, len(expired)+len(clean.Deletes)),
-		Inserts: clean.Inserts,
-	}
-	for _, k := range expired {
-		w, ok := g.HasEdge(k.Src, k.Dst)
-		if !ok {
-			// The ring only tracks live edges; a miss means the ring and the
-			// graph version diverged — state corruption, not caller error.
-			return Batch{}, 0, fmt.Errorf("jetstream: window: expiring edge (%d,%d) absent from graph version", k.Src, k.Dst)
-		}
-		merged.Deletes = append(merged.Deletes, Edge{Src: k.Src, Dst: k.Dst, Weight: w})
-	}
-	merged.Deletes = append(merged.Deletes, clean.Deletes...)
-	return merged, uint64(len(expired)), nil
-}
-
-// expire advances the window to epoch and returns the keys that age out
-// ahead of a batch deleting dels. The user's deleted pairs leave the ring but
-// are not returned, so the merged batch deletes no pair twice.
-func (s *System) expire(epoch uint64, dels []Edge) []window.Key {
-	// A batch with no deletes (the common insert-only case) has nothing to
-	// exclude: Expire takes a nil skip and no set is built.
-	var skip func(window.Key) bool
-	if len(dels) > 0 {
-		userDel := make(map[window.Key]struct{}, len(dels))
-		for _, e := range dels {
-			userDel[window.Key{Src: e.Src, Dst: e.Dst}] = struct{}{}
-		}
-		skip = func(k window.Key) bool { _, ok := userDel[k]; return ok }
-	}
-	return s.win.Expire(epoch, skip)
+	return res, path, nil
 }
 
 // Window returns the sliding-window TTL in batches, or 0 when no window is
