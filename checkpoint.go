@@ -157,9 +157,7 @@ func (r *ckptReader) str() (string, error) {
 // the stream continues exactly where this one stands, with identical
 // per-vertex state and cumulative counters. Systems running kernels that
 // cannot be reconstructed by name (custom Algorithm implementations,
-// non-default constants) return an error. Custom accelerator configurations
-// passed via WithAccelerator are not serialized; pass the same option to
-// Restore.
+// non-default constants) return an error.
 func (s *System) Checkpoint(w io.Writer) error {
 	if err := s.acquire("Checkpoint"); err != nil {
 		return err
@@ -290,7 +288,7 @@ func (s *System) checkpointLocked(w io.Writer) error {
 // graph version with bit-identical per-vertex state. Damaged input is
 // rejected with an error wrapping ErrCorruptCheckpoint and never yields a
 // partially restored System. Options in opts are applied on top of the
-// recorded configuration (e.g. WithAccelerator, which is not serialized);
+// recorded configuration (e.g. WithObserver, which is not serialized);
 // overriding the optimization level of a checkpoint that recorded dependency
 // tracking is rejected.
 func Restore(r io.Reader, opts ...Option) (*System, error) {

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,8 +30,24 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	flag.Parse()
 
-	r := bench.NewRunner(*quick)
-	r.Seed = *seed
+	if err := run(os.Stdout, *exp, *quick, *seed); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		if errors.Is(err, errUnknown) {
+			flag.Usage()
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+var errUnknown = errors.New("unknown experiment")
+
+// run prints experiment exp ("all" for every one) to w, each followed by a
+// "[name completed in …]" line — the only part of the output that varies
+// between runs of one seed.
+func run(w io.Writer, exp string, quick bool, seed int64) error {
+	r := bench.NewRunner(quick)
+	r.Seed = seed
 
 	render := func(run func() (fmt.Stringer, error)) func() (string, error) {
 		return func() (string, error) {
@@ -57,7 +75,7 @@ func main() {
 		{"ablations", render(func() (fmt.Stringer, error) { return r.Ablations() })},
 	}
 
-	want := strings.ToLower(*exp)
+	want := strings.ToLower(exp)
 	ran := false
 	for _, e := range experiments {
 		if want != "all" && want != e.name {
@@ -67,15 +85,13 @@ func main() {
 		start := time.Now()
 		out, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprintln(w, out)
+		fmt.Fprintf(w, "[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		return fmt.Errorf("%w %q", errUnknown, exp)
 	}
+	return nil
 }

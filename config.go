@@ -19,8 +19,7 @@ import (
 // that Timing is off — the right default for a functional streaming service;
 // New with no options starts from the same struct with Timing on.
 //
-// Runtime-only options have no Config field by design: WithAccelerator (a
-// struct of hardware parameters, not tenant policy), WithObserver (a live
+// Runtime-only options have no Config field by design: WithObserver (a live
 // callback) and the WAL filesystem override (fault-injection hook). They
 // remain available to code via New's option list.
 type Config struct {

@@ -45,7 +45,10 @@ func TestDijkstraFig2(t *testing.T) {
 
 func TestDijkstraAfterDeleteFig2(t *testing.T) {
 	// Fig 2 deletes A->C; expected result from the figure: distances grow.
-	g := fig2Graph().MustApply(graph.Batch{Deletes: []graph.Edge{{Src: 0, Dst: 2, Weight: 3}}})
+	g, err := fig2Graph().Apply(graph.Batch{Deletes: []graph.Edge{{Src: 0, Dst: 2, Weight: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := Dijkstra(g, 0)
 	want := []float64{0, 7, math.Inf(1), 12, 18}
 	for i := range want {

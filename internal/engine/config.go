@@ -88,14 +88,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// SliceCapacity returns how many vertices fit in the event queue for this
-// configuration: one slot per vertex, slot size = event size. Graphs larger
-// than this are partitioned (paper §4.7); JetStream's bigger events mean
-// fewer vertices per slice than GraphPulse (§6.1: 6 vs 3 slices on Twitter).
-func (c Config) SliceCapacity() int {
-	return c.QueueBytes / event.Size(c.EventMode)
-}
-
 // CyclesToSeconds converts a cycle count at the configured clock.
 func (c Config) CyclesToSeconds(cycles uint64) float64 {
 	return float64(cycles) / c.ClockHz

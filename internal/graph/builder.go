@@ -108,8 +108,8 @@ func buildSorted(n int, es []Edge) *CSR {
 
 // Merge returns g+b as a fresh dense CSR, built by one linear merge of g's
 // edges with b's two lists, which must be in (src, dst) order as Fold
-// returns them; a weight change is the pair in both lists. Unlike Apply it
-// neither sorts the batch nor probes a delete set per edge: the three sorted
+// returns them; a weight change is the pair in both lists. It neither
+// sorts the batch nor probes a delete set per edge: the three sorted
 // sequences are walked side by side, so the cost is O(V + E + |b|). A batch
 // that does not apply to g — a delete of a missing edge, an insert of a
 // surviving one, a list out of order or out of range — is refused with an
@@ -171,30 +171,25 @@ func edgeLess(a, b Edge) bool {
 // Symmetrize returns a graph with every edge mirrored (u,v) and (v,u) with
 // the same weight. Connected Components interprets the graph as undirected;
 // the engines propagate along out-edges only, so CC workloads are symmetrized
-// first. Existing reverse edges keep their weight.
+// first. Existing reverse edges keep their weight. The missing reverse edges
+// are read off each vertex's in-adjacency — already in (src, dst) order —
+// skipping the ids its out-adjacency holds, and merged into g in one pass.
 func Symmetrize(g *CSR) *CSR {
-	type key struct{ u, v VertexID }
-	set := make(map[key]Weight, g.NumEdges()*2)
-	for _, e := range g.Edges() {
-		set[key{e.Src, e.Dst}] = e.Weight
-	}
-	for _, e := range g.Edges() {
-		if _, ok := set[key{e.Dst, e.Src}]; !ok {
-			set[key{e.Dst, e.Src}] = e.Weight
+	var mirror []Edge
+	for v := 0; v < g.n; v++ {
+		src := VertexID(v)
+		outs, _ := g.OutAdj(src)
+		ins, ws := g.InAdj(src)
+		for k, u := range ins {
+			outs = outs[searchID(outs, u):]
+			if len(outs) == 0 || outs[0] != u {
+				mirror = append(mirror, Edge{Src: src, Dst: u, Weight: ws[k]})
+			}
 		}
 	}
-	es := make([]Edge, 0, len(set))
-	for k, w := range set {
-		es = append(es, Edge{k.u, k.v, w})
+	ng, err := Merge(g, Batch{Inserts: mirror})
+	if err != nil {
+		panic(err) // unreachable: every insert is in range, absent and in order
 	}
-	// The set is deduplicated by construction and every endpoint comes from
-	// an existing CSR, so build directly from the sorted list — no error (or
-	// panic) path exists.
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
-		}
-		return es[i].Dst < es[j].Dst
-	})
-	return buildSorted(g.NumVertices(), es)
+	return ng
 }

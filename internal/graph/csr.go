@@ -7,9 +7,10 @@
 //
 // Two mutation paths produce the next graph version G+Δ:
 //
-//   - Apply rebuilds a dense CSR from scratch — the paper's "simplest case"
-//     (§4.7) where the host writes a complete new CSR and swaps the pointer.
-//     Cost O(V+E) per batch regardless of batch size.
+//   - Apply rebuilds a dense CSR — the paper's "simplest case" (§4.7) where
+//     the host writes a complete new CSR and swaps the pointer — by running
+//     the batch through the same ordering and audit as ApplyDelta and merging
+//     it with the old edges in one pass (Merge). Cost O(V+E+|Δ|) per batch.
 //   - ApplyDelta (delta.go) edits the adjacencies a batch touches where they
 //     lie, using per-vertex slack gaps in the edge arrays (a vertex that
 //     outgrows its gap moves to tail headroom at the end of the slab), and

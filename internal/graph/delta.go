@@ -425,9 +425,9 @@ func radixSort(ops, tmp []segOp, byV bool) (sorted, spare []segOp) {
 	return ops, tmp
 }
 
-// audit checks the ordered batch in sc.out against g. It is the one statement
-// of the batch rules outside Apply (which keeps its own, as the oracle):
-// endpoints in range; a delete names an existing edge; an insert names an
+// audit checks the ordered batch in sc.out against g. It is the package's one
+// statement of the batch rules (Apply, ApplyDelta and SanitizeBatch all run
+// it; the tests hold it against map-based references): endpoints in range; a delete names an existing edge; an insert names an
 // absent one, unless the batch also deletes it (a weight change); no pair
 // twice among the deletes or among the inserts; and, with weights set — the
 // ingest boundary's rule, Apply and ApplyDelta take any weight — insert
@@ -491,10 +491,10 @@ func (g *CSR) audit(sc *deltaScratch, weights bool) (bad int) {
 	return bad
 }
 
-// rejection words the first invalid op of an audited batch the way Apply
-// does: Apply checks the deletes in batch order (and has no range rule for
-// them — an out-of-range delete is a missing edge), then the inserts in
-// (src,dst) order.
+// rejection words the first invalid op of an audited batch for Apply and
+// ApplyDelta: the deletes in batch order (with no range rule for them — an
+// out-of-range delete is a missing edge), then the inserts in (src,dst)
+// order.
 func (sc *deltaScratch) rejection(b Batch) error {
 	for i, e := range b.Deletes {
 		switch sc.verdict[i] {

@@ -42,6 +42,16 @@ func randomValidBatch(rng *rand.Rand, g *CSR, updates int) Batch {
 	return b
 }
 
+// mustApply is Apply for batches the test knows to be valid.
+func mustApply(t *testing.T, g *CSR, b Batch) *CSR {
+	t.Helper()
+	ng, err := g.Apply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ng
+}
+
 func edgesEqual(a, b []Edge) bool {
 	if len(a) != len(b) {
 		return false
@@ -273,8 +283,9 @@ func TestApplyDeltaSymmetryMaintenance(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaValidationErrors pins that the delta path rejects exactly
-// what Apply rejects, with matching messages, leaving the receiver usable.
+// TestApplyDeltaValidationErrors pins that the delta path and Apply reject
+// exactly what the map-and-sort reference rejects, with matching messages,
+// leaving the receiver usable.
 func TestApplyDeltaValidationErrors(t *testing.T) {
 	g := MustBuild(4, []Edge{{0, 1, 1}, {1, 2, 2}})
 	cases := []struct {
@@ -292,11 +303,12 @@ func TestApplyDeltaValidationErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, errDelta := g.ApplyDelta(tc.b)
 			_, errApply := g.Apply(tc.b)
-			if errDelta == nil || errApply == nil {
-				t.Fatalf("errors: delta=%v apply=%v, want both non-nil", errDelta, errApply)
+			_, errMap := mapApply(g, tc.b)
+			if errDelta == nil || errApply == nil || errMap == nil {
+				t.Fatalf("errors: delta=%v apply=%v map=%v, want all non-nil", errDelta, errApply, errMap)
 			}
-			if errDelta.Error() != errApply.Error() {
-				t.Fatalf("messages diverge:\n  delta: %v\n  apply: %v", errDelta, errApply)
+			if errDelta.Error() != errApply.Error() || errApply.Error() != errMap.Error() {
+				t.Fatalf("messages diverge:\n  delta: %v\n  apply: %v\n  map:   %v", errDelta, errApply, errMap)
 			}
 			if !strings.Contains(errDelta.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", errDelta, tc.want)

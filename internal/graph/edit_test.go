@@ -174,7 +174,7 @@ func FuzzUnapplyRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAgainst(t, "superseded", old, g)
-		checkAgainst(t, "head", ng, g.MustApply(b))
+		checkAgainst(t, "head", ng, mustApply(t, g, b))
 	})
 }
 
@@ -325,7 +325,7 @@ func TestConcurrentFirstReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMid := mid.MustApply(Batch{})
+	refMid := mustApply(t, mid, Batch{})
 	head, err := mid.ApplyDelta(randomValidBatch(rng, mid, 300))
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestRelayMatchesFreshLayout(t *testing.T) {
 				for rname, g := range map[string]*CSR{"dense": dense, "live": live, "frozen": frozen} {
 					for _, size := range []int{0, 1, 50} {
 						b := randomValidBatch(rng, g, size)
-						want := g.MustApply(b)
+						want := mustApply(t, g, b)
 						ng := relayOf(t, g, b, cfg)
 						if err := ng.Validate(); err != nil {
 							t.Fatalf("seed %d %s batch %d: %v", seed, rname, size, err)
@@ -323,7 +323,7 @@ func pinnedVersionsSurvive(t *testing.T, newestFirst bool) {
 			}
 		}
 		pins = append(pins, pinVersion(ng))
-		refs = append(refs, refs[i].MustApply(b))
+		refs = append(refs, mustApply(t, refs[i], b))
 	}
 	head := pins[len(pins)-1].g
 	if ls := head.LayoutStats(); ls.UndoRebuilt != 0 || ls.UndoRecords == 0 {

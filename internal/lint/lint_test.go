@@ -253,3 +253,24 @@ func parseDirectiveModule(t *testing.T, src string) *Module {
 		Pkgs: []*Package{{Path: "jetstream", Files: []*ast.File{f}}},
 	}
 }
+
+// LoadFixture parses and type-checks a single directory as one package under
+// the given import path. The path override lets tests exercise analyzers
+// whose scope depends on the package's location in the module (the
+// determinism package list, the panic-free root boundary).
+func LoadFixture(dir, importPath string) (*Module, error) {
+	fset := token.NewFileSet()
+	files, err := parsePackageDir(fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	modPath := importPath
+	if i := strings.Index(importPath, "/"); i >= 0 {
+		modPath = importPath[:i]
+	}
+	rp := &rawPkg{path: importPath, dir: dir, files: files}
+	return checkAll(fset, modPath, []string{importPath}, map[string]*rawPkg{importPath: rp})
+}

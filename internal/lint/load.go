@@ -111,29 +111,10 @@ func LoadModule(root string) (*Module, error) {
 	return checkAll(fset, modPath, order, raws)
 }
 
-// LoadFixture parses and type-checks a single directory as one package under
-// the given import path. The path override lets tests exercise analyzers
-// whose scope depends on the package's location in the module (the
-// determinism package list, the panic-free root boundary).
-func LoadFixture(dir, importPath string) (*Module, error) {
-	fset := token.NewFileSet()
-	files, err := parsePackageDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	modPath := importPath
-	if i := strings.Index(importPath, "/"); i >= 0 {
-		modPath = importPath[:i]
-	}
-	rp := &rawPkg{path: importPath, dir: dir, files: files}
-	return checkAll(fset, modPath, []string{importPath}, map[string]*rawPkg{importPath: rp})
-}
-
 // parsePackageDir parses the primary package of dir: its non-test files plus
-// in-package test files. External test files (package foo_test) are skipped.
+// in-package test files, as a default build selects them (build constraints
+// and GOOS/GOARCH suffixes honored). External test files (package foo_test)
+// are skipped.
 func parsePackageDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -146,6 +127,13 @@ func parsePackageDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	var all []parsed
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil,

@@ -30,15 +30,6 @@ func (m *Matrix) Load(src, dst int) uint64 {
 	return m.cells[src*m.k+dst].Load()
 }
 
-// Total returns the sum of all cells.
-func (m *Matrix) Total() uint64 {
-	var t uint64
-	for i := range m.cells {
-		t += m.cells[i].Load()
-	}
-	return t
-}
-
 // Snapshot copies the matrix as a k*k row-major slice.
 func (m *Matrix) Snapshot() []uint64 {
 	out := make([]uint64, len(m.cells))

@@ -190,10 +190,6 @@ func (q *Coalescing) Empty() bool { return q.Len() == 0 }
 // HighWater returns the peak number of simultaneously live events.
 func (q *Coalescing) HighWater() int { return q.highWater }
 
-// OverflowLen returns the number of events parked in the overflow buffer;
-// the timing layer charges off-chip block transfers for them.
-func (q *Coalescing) OverflowLen() int { return len(q.overflow.fill) }
-
 // Rows returns the number of rows covering the vertex space.
 func (q *Coalescing) Rows() int {
 	return (q.n + q.cfg.RowSize - 1) / q.cfg.RowSize

@@ -70,7 +70,11 @@ func TestShapeDeterminism(t *testing.T) {
 			if !batchesEqual(ba, bb) {
 				t.Fatalf("%s: batch %d nondeterministic", kind, i)
 			}
-			g = g.MustApply(ba)
+			ng, err := g.Apply(ba)
+			if err != nil {
+				t.Fatalf("%s: batch %d: %v", kind, i, err)
+			}
+			g = ng
 		}
 	}
 }
@@ -84,7 +88,10 @@ func TestDeleteStormStripsVertices(t *testing.T) {
 	stripped := false
 	for i := 0; i < 8 && !stripped; i++ {
 		b := gen.Next(g)
-		ng := g.MustApply(b)
+		ng, err := g.Apply(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
 		for v := 0; v < g.NumVertices(); v++ {
 			if g.OutDegree(graph.VertexID(v)) > 0 && ng.OutDegree(graph.VertexID(v)) == 0 {
 				stripped = true

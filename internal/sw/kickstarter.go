@@ -188,8 +188,20 @@ func (k *KickStarter) ApplyBatch(b graph.Batch) (float64, error) {
 	}
 	if guard == 0 {
 		// Pathological oscillation: fall back to the sound full reset of
-		// every tagged vertex.
-		for v := range tagged {
+		// every tagged vertex and of its whole dependence subtree. Trimming
+		// stopped early, so an untagged child may still hold a value that
+		// only a reset vertex supported.
+		for i := 0; i < len(discovery); i++ {
+			v := discovery[i]
+			k.cost.RandomReads += 2 * uint64(k.g.OutDegree(v))
+			k.g.OutEdges(v, func(w graph.VertexID, _ graph.Weight) {
+				if k.parent[w] == v && !tagged[w] {
+					tagged[w] = true
+					discovery = append(discovery, w)
+				}
+			})
+		}
+		for _, v := range discovery {
 			k.value[v] = k.alg.Identity()
 			k.parent[v] = noParent
 		}

@@ -217,3 +217,25 @@ func TestQuickKickStarterAlwaysExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKickStarterExactAfterGuardFallback pins a seed on which trimming runs
+// out of its step guard (vertices 43 and 44 lose their support and count
+// each other up) before the target of deleted edge 21→61 is ever popped.
+// The fallback reset must then cover the dependence subtree under every
+// tagged vertex: vertex 61's child 51 was never tagged, and keeping its
+// value left it 0.0433 below Dijkstra after the second batch.
+func TestKickStarterExactAfterGuardFallback(t *testing.T) {
+	const seed = 2781468711391247362
+	g := graph.ErdosRenyi(70, 350, 16, seed)
+	k, _ := NewKickStarter(g, algo.NewSSSP(0), DefaultCPUConfig())
+	k.RunInitial()
+	gen := stream.NewGenerator(stream.Config{BatchSize: 20, InsertFrac: 0.4, Seed: seed ^ 0x77})
+	for i := 0; i < 3; i++ {
+		if _, err := k.ApplyBatch(gen.Next(k.Graph())); err != nil {
+			t.Fatal(err)
+		}
+		if d := algo.MaxAbsDiff(k.Values(), algo.Dijkstra(k.Graph(), 0)); d != 0 {
+			t.Fatalf("batch %d: %g off Dijkstra", i, d)
+		}
+	}
+}

@@ -362,10 +362,6 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// RecordOverhead is the per-record framing cost in bytes beyond the encoded
-// batch payload.
-const RecordOverhead = recHeaderSize + recTrailerSize
-
 // AppendedSize returns the exact number of log bytes one batch occupies —
 // used by tests and capacity planning.
 func AppendedSize(b graph.Batch) int { return recordSize(b) }

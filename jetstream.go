@@ -30,7 +30,6 @@ import (
 
 	"jetstream/internal/algo"
 	"jetstream/internal/core"
-	"jetstream/internal/engine"
 	"jetstream/internal/graph"
 	"jetstream/internal/obs"
 	"jetstream/internal/stats"
@@ -62,8 +61,6 @@ type (
 	StreamConfig = stream.Config
 	// StreamGenerator draws successive valid update batches.
 	StreamGenerator = stream.Generator
-	// AcceleratorConfig describes the modeled hardware (paper Table 1).
-	AcceleratorConfig = engine.Config
 	// OptLevel selects the deletion-recovery pruning optimization.
 	OptLevel = core.OptLevel
 	// IngestPolicy selects how ApplyBatch treats invalid updates.
@@ -205,9 +202,8 @@ type Option func(*settings)
 // values that exist only in code and have no data form.
 type settings struct {
 	Config
-	accel    *engine.Config // WithAccelerator
-	observer Observer       // WithObserver
-	walFS    wal.FS         // WithWALOptions filesystem override
+	observer Observer // WithObserver
+	walFS    wal.FS   // WithWALOptions filesystem override
 	// rebuild applies every batch through graph.Apply, the full-rebuild
 	// oracle; only tests set it (withGraphRebuild).
 	rebuild bool
@@ -227,11 +223,11 @@ func WithSlices(k int) Option { return func(s *settings) { s.Slices = k } }
 func WithTiming(on bool) Option { return func(s *settings) { s.Timing = on } }
 
 // WithParallelism shards the functional compute phases across p worker
-// goroutines, one per simulated PE (see AcceleratorConfig.Parallelism). The
-// default is the modeled PE count (8). p = 1 reproduces the sequential engine
-// bit for bit; higher parallelism converges to the identical fixpoint for the
-// monotonic kernels (SSSP/SSWP/BFS/CC) and agrees within the epsilon bound
-// for the accumulative ones (PageRank/Adsorption).
+// goroutines, one per simulated PE. The default is the modeled PE count (8).
+// p = 1 reproduces the sequential engine bit for bit; higher parallelism
+// converges to the identical fixpoint for the monotonic kernels
+// (SSSP/SSWP/BFS/CC) and agrees within the epsilon bound for the
+// accumulative ones (PageRank/Adsorption).
 //
 // Parallel execution requires the timing model off and slicing off: the
 // timing model reconstructs hardware parallelism from the deterministic
@@ -241,12 +237,6 @@ func WithTiming(on bool) Option { return func(s *settings) { s.Timing = on } }
 // ErrConfigConflict; earlier versions silently fell back to sequential.
 func WithParallelism(p int) Option {
 	return func(s *settings) { s.Parallelism = p }
-}
-
-// WithAccelerator overrides the hardware configuration (the event mode and
-// vertex footprint still follow the optimization level).
-func WithAccelerator(cfg AcceleratorConfig) Option {
-	return func(s *settings) { s.accel = &cfg }
 }
 
 // WithIngest selects the policy for batches containing invalid updates
@@ -427,11 +417,6 @@ func newSystem(g *Graph, a Algorithm, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	cfg := core.ConfigWithOpt(r.opt)
-	if set.accel != nil {
-		mode, vb := cfg.Engine.EventMode, cfg.Engine.VertexBytes
-		cfg.Engine = *set.accel
-		cfg.Engine.EventMode, cfg.Engine.VertexBytes = mode, vb
-	}
 	cfg.Slices = set.Slices
 	cfg.RebuildGraph = set.rebuild
 	cfg.Engine.Timing = set.Timing
