@@ -26,35 +26,39 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// deltaLockstep pushes batches through ApplyDeltaCfg and Apply side by side:
-// every batch must either be rejected identically by both, or produce
-// identical logical graphs and a valid physical layout. It returns the two
-// heads and whether any batch re-laid the graph because the tail ran out.
+// deltaLockstep pushes batches through ApplyDeltaCfg, Apply and mapApply side
+// by side: every batch must either be rejected identically by all three, or
+// produce identical logical graphs and a valid physical layout. ApplyDelta and
+// Apply share the package's audit, so mapApply — the rules stated without it —
+// is what keeps the rejection half an independent check. It returns the
+// delta and Apply heads and whether any batch re-laid the graph because the
+// tail ran out.
 func deltaLockstep(t *testing.T, dg, rg *CSR, cfg DeltaConfig, batches []Batch) (*CSR, *CSR, bool) {
 	t.Helper()
 	tailRelay := false
 	for step, b := range batches {
 		nd, errD := dg.ApplyDeltaCfg(b, cfg)
 		nr, errA := rg.Apply(b)
-		if (errD == nil) != (errA == nil) {
-			t.Fatalf("step %d: acceptance diverges: delta=%v apply=%v\nbatch: %+v", step, errD, errA, b)
+		nm, errM := mapApply(rg, b)
+		if (errD == nil) != (errA == nil) || (errD == nil) != (errM == nil) {
+			t.Fatalf("step %d: acceptance diverges: delta=%v apply=%v map=%v\nbatch: %+v", step, errD, errA, errM, b)
 		}
 		if errD != nil {
-			if errD.Error() != errA.Error() {
-				t.Fatalf("step %d: rejection messages diverge:\n  delta: %v\n  apply: %v", step, errD, errA)
+			if errD.Error() != errA.Error() || errD.Error() != errM.Error() {
+				t.Fatalf("step %d: rejection messages diverge:\n  delta: %v\n  apply: %v\n  map:   %v", step, errD, errA, errM)
 			}
 			continue
 		}
 		if err := nd.Validate(); err != nil {
 			t.Fatalf("step %d: delta result invalid: %v\nbatch: %+v", step, err, b)
 		}
-		de, re := nd.Edges(), nr.Edges()
-		if len(de) != len(re) {
-			t.Fatalf("step %d: edge counts diverge: %d vs %d", step, len(de), len(re))
+		de, re, me := nd.Edges(), nr.Edges(), nm.Edges()
+		if len(de) != len(re) || len(de) != len(me) {
+			t.Fatalf("step %d: edge counts diverge: delta %d, apply %d, map %d", step, len(de), len(re), len(me))
 		}
 		for i := range de {
-			if de[i] != re[i] {
-				t.Fatalf("step %d: edge %d diverges: %+v vs %+v", step, i, de[i], re[i])
+			if de[i] != re[i] || de[i] != me[i] {
+				t.Fatalf("step %d: edge %d diverges: delta %+v, apply %+v, map %+v", step, i, de[i], re[i], me[i])
 			}
 		}
 		tailRelay = tailRelay || tailExhausted(dg, nd, b, cfg)

@@ -226,7 +226,8 @@ func issuesEqual(a, b []BatchIssue) bool {
 // a dense build, a live slacked head and a superseded version: SanitizeBatch
 // keeps and drops the same updates for the same reasons, reports them in
 // batch order and normalizes the same delete weights as the map-based audit;
-// ApplyDelta rejects with Apply's message, or accepts exactly when Apply does.
+// ApplyDelta rejects with Apply's message and mapApply's, or accepts exactly
+// when both do (Apply shares the audit, so mapApply is the independent side).
 func TestAuditMatchesMapAudit(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dense := RMAT(RMATConfig{Vertices: 24, Edges: 90, Seed: 3})
@@ -256,8 +257,9 @@ func TestAuditMatchesMapAudit(t *testing.T) {
 			for _, x := range []Batch{b, clean} {
 				ng, errDelta := g.ApplyDelta(x)
 				_, errApply := g.Apply(x)
-				if (errDelta == nil) != (errApply == nil) || (errDelta != nil && errDelta.Error() != errApply.Error()) {
-					t.Fatalf("%s: batch %+v\n delta: %v\n apply: %v", name, x, errDelta, errApply)
+				_, errMap := mapApply(g, x)
+				if !sameOutcome(errDelta, errApply) || !sameOutcome(errDelta, errMap) {
+					t.Fatalf("%s: batch %+v\n delta: %v\n apply: %v\n map:   %v", name, x, errDelta, errApply, errMap)
 				}
 				if errDelta != nil {
 					rejected++
@@ -270,4 +272,13 @@ func TestAuditMatchesMapAudit(t *testing.T) {
 	if rejected < 300 || repaired < 300 {
 		t.Fatalf("run too tame: %d rejections, %d repairs", rejected, repaired)
 	}
+}
+
+// sameOutcome reports whether two batch applications both accepted, or both
+// rejected with the same message.
+func sameOutcome(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
 }

@@ -185,7 +185,7 @@ func TestShardedAdopt(t *testing.T) {
 	if merged[0] != 0 || merged[1] != 1 {
 		t.Fatalf("merged = %v, want the one merge attributed to shard 1", merged)
 	}
-	if !q.Empty() || q.OverflowLen() != 0 {
+	if !q.Empty() || len(q.overflow.fill) != 0 {
 		t.Fatalf("source queue still holds %d events", q.Len())
 	}
 	if st.Rounds != 0 {
